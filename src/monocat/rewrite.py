@@ -16,8 +16,11 @@ branching, so enumeration is bounded by ``SearchCaps``.
 
 Matching is done modulo interchange: rules match every pair of slices
 that can be made adjacent by sliding disjoint slices out of the way, and
-expansions are offered at every vertical cut of the diagram.  Search
-states are canonical forms only.
+expansions are offered at every vertical cut of the diagram.  Searches
+run on packed keys ``(source, ((offset, kind, m, n), ...))`` of
+canonical forms (see ``terms.term_key``) and build ``Term`` objects only
+for what they return: witnesses, reports, neighbour lists and
+``apply`` results.
 
 Everything here is deterministic: neighbour lists, exploration order and
 reports depend only on the inputs.  The search is sequential; a parallel
@@ -32,11 +35,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .terms import (
-    Generator,
-    GenKind,
     Mode,
     MonocatError,
     Term,
+    _canonical_key,
     canonical,
     compose,
     eps,
@@ -44,7 +46,9 @@ from .terms import (
     gen_count,
     gen_term,
     identity,
-    term_from_layers,
+    layer_key,
+    term_from_key,
+    term_key,
     whisker,
 )
 
@@ -156,8 +160,9 @@ class ExploreReport:
     states: tuple[Term, ...] | None = None
 
 
-def term_key(t: Term):
-    return (t.source, tuple((s.left, s.gen.kind.value, s.gen.m, s.gen.n) for s in t.slices))
+def _state(t: Term) -> tuple:
+    """The search state of ``t``: the packed key of its canonical form."""
+    return (t.source, _canonical_key(layer_key(t)))
 
 
 # -- interchange arrangements ---------------------------------------------------
@@ -172,11 +177,10 @@ def term_key(t: Term):
 
 @lru_cache(maxsize=1 << 16)
 def _labelled_arrangements(key: tuple) -> tuple:
-    """All orderings of the labelled layers ``key``.
+    """All orderings of the layers ``key``, as (labels, layers) pairs.
 
-    ``key`` is a tuple of (offset, kind_value, m, n); labels are the
-    original positions.  Entries of each arrangement are
-    (label, offset, kind_value, m, n).  Deterministically sorted.
+    Labels are the original positions of the layers.  Deterministically
+    sorted by the (label, offset, kind_value, m, n) entry sequences.
     """
     start = tuple((idx, off, kv, m, n) for idx, (off, kv, m, n) in enumerate(key))
     seen = {start}
@@ -202,17 +206,9 @@ def _labelled_arrangements(key: tuple) -> tuple:
                         raise MonocatError("interchange class too large to search")
                     seen.add(new)
                     queue.append(new)
-    return tuple(sorted(seen))
-
-
-def _arrangements(t: Term) -> tuple:
-    key = tuple((s.left, s.gen.kind.value, s.gen.m, s.gen.n) for s in t.slices)
-    return _labelled_arrangements(key)
-
-
-def _entry_layer(entry) -> tuple[int, Generator]:
-    _, off, kv, m, n = entry
-    return (off, Generator(GenKind(kv), m, n))
+    return tuple(
+        (tuple(e[0] for e in arr), tuple(e[1:] for e in arr)) for arr in sorted(seen)
+    )
 
 
 # -- pair matching ------------------------------------------------------------
@@ -233,88 +229,65 @@ def _entry_layer(entry) -> tuple[int, Generator]:
 # change; everything else is fixed by the interface widths.
 
 _RULE_OF = {
-    (GenKind.ETA, GenKind.ETA): RuleId.NAT_ETA_ETA,
-    (GenKind.ETA, GenKind.EPS): RuleId.NAT_ETA_EPS,
-    (GenKind.EPS, GenKind.ETA): RuleId.NAT_EPS_ETA,
-    (GenKind.EPS, GenKind.EPS): RuleId.NAT_EPS_EPS,
+    ("eta", "eta"): RuleId.NAT_ETA_ETA,
+    ("eta", "eps"): RuleId.NAT_ETA_EPS,
+    ("eps", "eta"): RuleId.NAT_EPS_ETA,
+    ("eps", "eps"): RuleId.NAT_EPS_EPS,
 }
 
 
 def _match_pair(u, v, mode: Mode):
-    """All rule matches on the ordered adjacent pair (u, v)."""
-    (a, gu), (c, gv) = u, v
+    """All rule matches on the ordered adjacent pair of layer keys (u, v)."""
+    a, ku, mu, nu = u
+    c, kv, mv, nv = v
+    du = 2 * nu if ku == "eta" else -2 * nu
+    dv = 2 * nv if kv == "eta" else -2 * nv
+    tgt_u = mu + 2 * nu if ku == "eta" else mu
+    src_v = mv if kv == "eta" else mv + 2 * nv
     found = []
 
-    big_m, idx_n = gv.m, gv.n
-    if c <= a and a + gu.target <= c + big_m:
-        rule = _RULE_OF[(gv.kind, gu.kind)]
-        binding = (
-            ("i", a - c),
-            ("j", gu.m),
-            ("k", gu.n),
-            ("l", (c + big_m) - (a + gu.target)),
-            ("n", idx_n),
-        )
-        repl = [(c, Generator(gv.kind, big_m - gu.delta, idx_n)), (a, gu)]
-        found.append((rule, Direction.FORWARD, repl, binding))
+    if c <= a and a + tgt_u <= c + mv:
+        binding = (("i", a - c), ("j", mu), ("k", nu), ("l", c + mv - a - tgt_u), ("n", nv))
+        repl = ((c, kv, mv - du, nv), u)
+        found.append((_RULE_OF[kv, ku], Direction.FORWARD, repl, binding))
 
-    big_m, idx_n = gu.m, gu.n
-    if a <= c and c + gv.source <= a + big_m:
-        rule = _RULE_OF[(gu.kind, gv.kind)]
-        binding = (
-            ("i", c - a),
-            ("j", gv.m),
-            ("k", gv.n),
-            ("l", (a + big_m) - (c + gv.source)),
-            ("n", idx_n),
-        )
-        repl = [(c, gv), (a, Generator(gu.kind, big_m + gv.delta, idx_n))]
-        found.append((rule, Direction.BACKWARD, repl, binding))
+    if a <= c and c + src_v <= a + mu:
+        binding = (("i", c - a), ("j", mv), ("k", nv), ("l", a + mu - c - src_v), ("n", nu))
+        repl = (v, (a, ku, mu + dv, nu))
+        found.append((_RULE_OF[ku, kv], Direction.BACKWARD, repl, binding))
 
-    if mode is Mode.C and gu.kind is GenKind.ETA and gv.kind is GenKind.EPS:
-        if a == c and gu.n == gv.n:
-            if gv.m == gu.m + gu.n:
-                found.append(
-                    (RuleId.TRIANGLE_A, Direction.FORWARD, [], (("i", gu.m), ("n", gu.n)))
-                )
-            elif gv.m == gu.m - gu.n:
-                found.append(
-                    (RuleId.TRIANGLE_B, Direction.FORWARD, [], (("i", gv.m), ("n", gu.n)))
-                )
+    if mode is Mode.C and ku == "eta" and kv == "eps" and a == c and nu == nv:
+        if mv == mu + nu:
+            found.append((RuleId.TRIANGLE_A, Direction.FORWARD, (), (("i", mu), ("n", nu))))
+        elif mv == mu - nu:
+            found.append((RuleId.TRIANGLE_B, Direction.FORWARD, (), (("i", mv), ("n", nu))))
 
     return found
 
 
-def _pair_step_results(t: Term, mode: Mode):
+def _pair_step_results(state, mode: Mode):
+    source, lays = state
     results = []
     seen = set()
-    for ai, arr in enumerate(_arrangements(t)):
-        lays = [_entry_layer(e) for e in arr]
-        for p in range(len(arr) - 1):
-            u, v = lays[p], lays[p + 1]
-            for rule, direction, repl, binding in _match_pair(u, v, mode):
+    for ai, (labels, row) in enumerate(_labelled_arrangements(lays)):
+        for p in range(len(row) - 1):
+            for rule, direction, repl, binding in _match_pair(row[p], row[p + 1], mode):
                 # the same instance shows up in many orderings of the
                 # other slices; one witness per matched instance suffices
-                dedupe = (rule, direction, arr[p][0], arr[p + 1][0], u[0], v[0])
+                pair = labels[p : p + 2]
+                dedupe = (rule, direction, pair, row[p][0], row[p + 1][0])
                 if dedupe in seen:
                     continue
                 seen.add(dedupe)
                 step = RewriteStep(
-                    rule,
-                    direction,
-                    variant=ai,
-                    pos=p,
-                    pair=(arr[p][0], arr[p + 1][0]),
-                    binding=binding,
+                    rule, direction, variant=ai, pos=p, pair=pair, binding=binding
                 )
-                new_layers = lays[:p] + repl + lays[p + 2 :]
-                results.append(
-                    (step, canonical(term_from_layers(t.source, new_layers)))
-                )
+                new = row[:p] + repl + row[p + 2 :]
+                results.append((step, (source, _canonical_key(new))))
     return results
 
 
-def _cut_states(t: Term):
+def _cut_states(state):
     """Distinct vertical cuts: (arrangement index, position, width).
 
     A cut is a prefix of some ordering.  Two prefixes are the same cut
@@ -322,33 +295,35 @@ def _cut_states(t: Term):
     at the same offsets (zero-width blocks can pass a neighbouring block
     on either side, so the label set alone does not determine the cut).
     """
+    source, lays = state
     out = []
     seen = set()
-    for ai, arr in enumerate(_arrangements(t)):
-        width = t.source
-        for p in range(len(arr) + 1):
+    for ai, (labels, row) in enumerate(_labelled_arrangements(lays)):
+        width = source
+        for p in range(len(row) + 1):
             key = (
-                tuple(sorted(e[0] for e in arr[:p])),
-                tuple((e[0], e[1]) for e in arr[p:]),
+                tuple(sorted(labels[:p])),
+                tuple(zip(labels[p:], [lay[0] for lay in row[p:]])),
             )
             if key not in seen:
                 seen.add(key)
                 out.append((ai, p, width))
-            if p < len(arr):
-                _, _, kv, _, nn = arr[p]
+            if p < len(row):
+                _, kv, _, nn = row[p]
                 width += 2 * nn if kv == "eta" else -2 * nn
     return out
 
 
-def _expansion_step_results(t: Term, caps: SearchCaps):
-    if gen_count(t) + 2 > caps.max_gen_count:
+def _expansion_step_results(state, caps: SearchCaps):
+    source, lays = state
+    if len(lays) + 2 > caps.max_gen_count:
         return []
     results = []
-    arrs = _arrangements(t)
-    for ai, p, width in _cut_states(t):
-        arr = arrs[ai]
-        lays = [_entry_layer(e) for e in arr]
-        cut_ids = tuple(sorted(e[0] for e in arr[:p]))
+    arrs = _labelled_arrangements(lays)
+    for ai, p, width in _cut_states(state):
+        labels, row = arrs[ai]
+        head, tail = row[:p], row[p:]
+        cut_ids = tuple(sorted(labels[:p]))
         for nn in range(1, caps.max_index_n + 1):
             if width + 2 * nn > caps.max_width:
                 continue
@@ -358,7 +333,6 @@ def _expansion_step_results(t: Term, caps: SearchCaps):
                         (RuleId.TRIANGLE_A, i, i + nn),
                         (RuleId.TRIANGLE_B, i + nn, i),
                     ):
-                        pair = [(a, eta(ins_blk, nn)), (a, eps(del_blk, nn))]
                         step = RewriteStep(
                             rule,
                             Direction.BACKWARD,
@@ -370,15 +344,15 @@ def _expansion_step_results(t: Term, caps: SearchCaps):
                             index_n=nn,
                             binding=(("i", i), ("n", nn)),
                         )
-                        new = term_from_layers(t.source, lays[:p] + pair + lays[p:])
-                        results.append((step, canonical(new)))
+                        new = head + ((a, "eta", ins_blk, nn), (a, "eps", del_blk, nn)) + tail
+                        results.append((step, (source, _canonical_key(new))))
     return results
 
 
-def _step_results(t: Term, mode: Mode, caps: SearchCaps):
-    results = _pair_step_results(t, mode)
+def _step_results(state, mode: Mode, caps: SearchCaps):
+    results = _pair_step_results(state, mode)
     if mode is Mode.C:
-        results.extend(_expansion_step_results(t, caps))
+        results.extend(_expansion_step_results(state, caps))
     return results
 
 
@@ -388,7 +362,7 @@ def match_rules(t: Term, mode: Mode, caps: SearchCaps = DEFAULT_CAPS) -> list[Re
     Pair rules are matched on every interchange-adjacent slice pair;
     expansions are enumerated at every cut, bounded by ``caps``.
     """
-    return [step for step, _ in _step_results(t, mode, caps)]
+    return [step for step, _ in _step_results(term_key(t), mode, caps)]
 
 
 def apply(t: Term, step: RewriteStep) -> Term:
@@ -396,22 +370,21 @@ def apply(t: Term, step: RewriteStep) -> Term:
 
     Raises :class:`InvalidStep` when the step does not match ``t``.
     """
-    arrs = _arrangements(t)
+    arrs = _labelled_arrangements(layer_key(t))
     if not (0 <= step.variant < len(arrs)):
         raise InvalidStep(f"arrangement {step.variant} out of range")
-    arr = arrs[step.variant]
-    lays = [_entry_layer(e) for e in arr]
+    labels, row = arrs[step.variant]
 
     if step.pair is not None:
         p = step.pos
-        if not (0 <= p < len(arr) - 1):
+        if not (0 <= p < len(row) - 1):
             raise InvalidStep(f"position {p} out of range")
-        if (arr[p][0], arr[p + 1][0]) != step.pair:
+        if labels[p : p + 2] != step.pair:
             raise InvalidStep(f"slices {step.pair} not adjacent at position {p}")
-        for rule, direction, repl, binding in _match_pair(lays[p], lays[p + 1], Mode.C):
+        for rule, direction, repl, _ in _match_pair(row[p], row[p + 1], Mode.C):
             if rule is step.rule and direction is step.direction:
-                new_layers = lays[:p] + repl + lays[p + 2 :]
-                return canonical(term_from_layers(t.source, new_layers))
+                new = row[:p] + repl + row[p + 2 :]
+                return term_from_key(t.source, _canonical_key(new))
         raise InvalidStep(f"{step.describe()} does not match at {step.pair}")
 
     if step.cut is None or step.offset is None or step.block is None or step.index_n is None:
@@ -419,37 +392,45 @@ def apply(t: Term, step: RewriteStep) -> Term:
     if step.direction is not Direction.BACKWARD:
         raise InvalidStep("expansions are backward steps")
     p = step.pos
-    if not (0 <= p <= len(arr)):
+    if not (0 <= p <= len(row)):
         raise InvalidStep(f"position {p} out of range")
-    if tuple(sorted(e[0] for e in arr[:p])) != step.cut:
+    if tuple(sorted(labels[:p])) != step.cut:
         raise InvalidStep(f"cut {step.cut} does not match position {p}")
     a, blk, nn = step.offset, step.block, step.index_n
     if step.rule is RuleId.TRIANGLE_A:
-        pair = [(a, eta(blk, nn)), (a, eps(blk + nn, nn))]
+        del_blk = blk + nn
     elif step.rule is RuleId.TRIANGLE_B:
-        if blk < nn:
-            raise InvalidStep("block index too small for this expansion")
-        pair = [(a, eta(blk, nn)), (a, eps(blk - nn, nn))]
+        del_blk = blk - nn
     else:
         raise InvalidStep(f"{step.rule.value} is not an expansion rule")
     try:
-        new = term_from_layers(t.source, lays[:p] + pair + lays[p:])
+        new = term_from_key(
+            t.source, row[:p] + ((a, "eta", blk, nn), (a, "eps", del_blk, nn)) + row[p:]
+        )
     except (ValueError, MonocatError) as exc:
         raise InvalidStep(str(exc)) from exc
     return canonical(new)
 
 
-def _respects(t: Term, caps: SearchCaps) -> bool:
-    return gen_count(t) <= caps.max_gen_count and max(t.widths()) <= caps.max_width
+def _peak_width(state) -> int:
+    width = peak = state[0]
+    for _, kv, _, n in state[1]:
+        if kv == "eta":
+            width += 2 * n
+            peak = max(peak, width)
+        else:
+            width -= 2 * n
+    return peak
+
+
+def _respects(state, caps: SearchCaps) -> bool:
+    return len(state[1]) <= caps.max_gen_count and _peak_width(state) <= caps.max_width
 
 
 def neighbors(t: Term, mode: Mode, caps: SearchCaps = DEFAULT_CAPS) -> list[Term]:
     """Canonical, deduplicated one-step rewrites of ``t`` within caps."""
-    seen = {}
-    for _, result in _step_results(t, mode, caps):
-        if _respects(result, caps):
-            seen[term_key(result)] = result
-    return [seen[k] for k in sorted(seen)]
+    found = {y for _, y in _step_results(term_key(t), mode, caps) if _respects(y, caps)}
+    return [term_from_key(*y) for y in sorted(found)]
 
 
 def find_inverse(t: Term, step: RewriteStep) -> RewriteStep:
@@ -459,36 +440,40 @@ def find_inverse(t: Term, step: RewriteStep) -> RewriteStep:
     undone; the returned step has the same rule with flipped direction
     and maps the result back to ``canonical(t)``.
     """
-    result = apply(t, step)
-    want = term_key(canonical(t))
+    result = term_key(apply(t, step))
+    want = _state(t)
     flip = (
         Direction.BACKWARD if step.direction is Direction.FORWARD else Direction.FORWARD
     )
-    for cand, res in _step_results(result, Mode.C, _relaxed_caps(result, canonical(t), DEFAULT_CAPS)):
-        if term_key(res) == want and cand.rule is step.rule and cand.direction is flip:
+    for cand, res in _step_results(result, Mode.C, _relaxed_caps(result, want, DEFAULT_CAPS)):
+        if res == want and cand.rule is step.rule and cand.direction is flip:
             return cand
     raise InvalidStep(f"no inverse instance found for {step.describe()}")
 
 
-def _relaxed_caps(a: Term, b: Term, caps: SearchCaps) -> SearchCaps:
+def _relaxed_caps(a, b, caps: SearchCaps) -> SearchCaps:
     """Caps wide enough to re-derive any edge between two in-cap states."""
     ns = [caps.max_index_n]
     widths = [caps.max_width]
     gens = [caps.max_gen_count]
-    for t in (a, b):
-        ns.extend(s.gen.n for s in t.slices)
-        widths.append(max(t.widths()))
-        gens.append(gen_count(t))
+    for state in (a, b):
+        ns.extend(n for _, _, _, n in state[1])
+        widths.append(_peak_width(state))
+        gens.append(len(state[1]))
     return SearchCaps(max(gens), max(widths) + 2 * max(ns), max(ns), caps.max_states)
 
 
-def _find_step(src: Term, dst: Term, mode: Mode, caps: SearchCaps) -> RewriteStep:
+def _find_step(src, dst, mode: Mode, caps: SearchCaps) -> RewriteStep:
     """A step turning src into dst; exists whenever dst was found adjacent."""
-    want = term_key(dst)
     for step, result in _step_results(src, mode, _relaxed_caps(src, dst, caps)):
-        if term_key(result) == want:
+        if result == dst:
             return step
     raise AssertionError("edge of the rewrite graph could not be re-derived")
+
+
+def _successors(state, mode: Mode, caps: SearchCaps) -> list:
+    """Distinct one-step results of ``state`` in key order, caps unchecked."""
+    return sorted({y for _, y in _step_results(state, mode, caps)})
 
 
 def equal(
@@ -505,13 +490,13 @@ def equal(
         raise NotEqualShape(
             f"shape mismatch: {a.source}->{a.target} vs {b.source}->{b.target}"
         )
-    ca, cb = canonical(a), canonical(b)
-    if term_key(ca) == term_key(cb):
-        return EqualityWitness(terms=(ca,), steps=())
+    ka, kb = _state(a), _state(b)
+    if ka == kb:
+        return EqualityWitness(terms=(term_from_key(*ka),), steps=())
 
-    parents_a: dict = {term_key(ca): (ca, None)}
-    parents_b: dict = {term_key(cb): (cb, None)}
-    frontier_a, frontier_b = [ca], [cb]
+    parents_a: dict = {ka: None}
+    parents_b: dict = {kb: None}
+    frontier_a, frontier_b = [ka], [kb]
     visited = 2
 
     while frontier_a and frontier_b:
@@ -520,59 +505,45 @@ def equal(
         parents = parents_a if grow_a else parents_b
         new_frontier = []
         for x in frontier:
-            for _, y in sorted(
-                _step_results(x, mode, caps), key=lambda sr: term_key(sr[1])
-            ):
-                if not _respects(y, caps):
-                    continue
-                yk = term_key(y)
-                if yk in parents:
+            for y in _successors(x, mode, caps):
+                if y in parents or not _respects(y, caps):
                     continue
                 visited += 1
                 if visited > caps.max_states:
                     return None
-                parents[yk] = (y, term_key(x))
+                parents[y] = x
                 new_frontier.append(y)
         if grow_a:
             frontier_a = new_frontier
         else:
             frontier_b = new_frontier
-        meets = set(parents_a) & set(parents_b)
+        meets = parents_a.keys() & parents_b.keys()
         if meets:
-            return _reconstruct(sorted(meets)[0], parents_a, parents_b, mode, caps)
+            return _reconstruct(min(meets), parents_a, parents_b, mode, caps)
     return None
 
 
-def _reconstruct(meet_key, parents_a, parents_b, mode, caps) -> EqualityWitness:
+def _reconstruct(meet, parents_a, parents_b, mode, caps) -> EqualityWitness:
     """Join the two search trees into one verified forward path.
 
     Edges on the b side were discovered pointing away from b, so their
     forward steps are re-derived; the rewrite relation is symmetric, so
     the matching step always exists.
     """
-    chain_a = []
-    key = meet_key
+    chain = []
+    key = meet
     while key is not None:
-        t, prev_key = parents_a[key]
-        chain_a.append(t)
-        key = prev_key
-    chain_a.reverse()
-
-    terms = list(chain_a)
-    steps = [
-        _find_step(chain_a[k], chain_a[k + 1], mode, caps) for k in range(len(chain_a) - 1)
-    ]
-
-    key = meet_key
-    while True:
-        t, prev_key = parents_b[key]
-        if prev_key is None:
-            break
-        prev_term = parents_b[prev_key][0]
-        steps.append(_find_step(t, prev_term, mode, caps))
-        terms.append(prev_term)
-        key = prev_key
-    return EqualityWitness(terms=tuple(terms), steps=tuple(steps))
+        chain.append(key)
+        key = parents_a[key]
+    chain.reverse()
+    key = parents_b[meet]
+    while key is not None:
+        chain.append(key)
+        key = parents_b[key]
+    steps = tuple(
+        _find_step(chain[k], chain[k + 1], mode, caps) for k in range(len(chain) - 1)
+    )
+    return EqualityWitness(terms=tuple(term_from_key(*k) for k in chain), steps=steps)
 
 
 def explore(
@@ -584,33 +555,26 @@ def explore(
     form (meant for small caps; the invariant suite checks the matrix
     image is constant across them).
     """
-    start = canonical(t)
+    start = _state(t)
     if not _respects(start, caps):
         raise ValueError("start term exceeds the search caps")
-    start_key = term_key(start)
-    parents = {start_key: None}
-    store = {start_key: start}
-    queue = deque([start_key])
-    identity_key = term_key(identity(t.source)) if t.source == t.target else None
-    min_gens = gen_count(start)
+    parents = {start: None}
+    queue = deque([start])
+    identity_key = (t.source, ()) if t.source == t.target else None
+    min_gens = len(start[1])
     truncated = False
     while queue:
-        xk = queue.popleft()
-        x = store[xk]
-        for _, y in sorted(_step_results(x, mode, caps), key=lambda sr: term_key(sr[1])):
-            if not _respects(y, caps):
-                continue
-            yk = term_key(y)
-            if yk in parents:
+        x = queue.popleft()
+        for y in _successors(x, mode, caps):
+            if y in parents or not _respects(y, caps):
                 continue
             if len(parents) >= caps.max_states:
                 truncated = True
                 queue.clear()
                 break
-            parents[yk] = xk
-            store[yk] = y
-            min_gens = min(min_gens, gen_count(y))
-            queue.append(yk)
+            parents[y] = x
+            min_gens = min(min_gens, len(y[1]))
+            queue.append(y)
 
     found = identity_key is not None and identity_key in parents
     witness = None
@@ -618,11 +582,11 @@ def explore(
         chain = []
         key = identity_key
         while key is not None:
-            chain.append(store[key])
+            chain.append(term_from_key(*key))
             key = parents[key]
         witness = tuple(reversed(chain))
     return ExploreReport(
-        start=start,
+        start=term_from_key(*start),
         mode=mode,
         caps=caps,
         states_visited=len(parents),
@@ -630,7 +594,7 @@ def explore(
         min_gen_count_seen=min_gens,
         truncated=truncated,
         witness_path=witness,
-        states=tuple(store[k] for k in sorted(store)) if collect_states else None,
+        states=tuple(term_from_key(*k) for k in sorted(parents)) if collect_states else None,
     )
 
 
@@ -656,38 +620,38 @@ class HomEnumeration:
 
 
 def _slice_choices(width: int, caps: SearchCaps):
+    """Layer keys that fit on ``width`` wires, with the width after them."""
     for nn in range(1, caps.max_index_n + 1):
         if width + 2 * nn <= caps.max_width:
             for mm in range(0, width + 1):
                 for off in range(0, width - mm + 1):
-                    yield (off, eta(mm, nn))
+                    yield (off, "eta", mm, nn), width + 2 * nn
         for mm in range(0, width - 2 * nn + 1):
             for off in range(0, width - mm - 2 * nn + 1):
-                yield (off, eps(mm, nn))
+                yield (off, "eps", mm, nn), width - 2 * nn
 
 
 def generate_terms(m: int, n: int, caps: SearchCaps) -> list[Term]:
     """All canonical terms m -> n within caps (distinct canonical forms)."""
-    out: dict = {}
+    out = set()
     step = 2 * caps.max_index_n
 
     def rec(lays: list, width: int) -> None:
         if width == n:
-            t = canonical(term_from_layers(m, lays))
-            out.setdefault(term_key(t), t)
+            out.add(_canonical_key(tuple(lays)))
         remaining = caps.max_gen_count - len(lays)
         if remaining <= 0 or abs(width - n) > step * remaining:
             return
-        for off, g in _slice_choices(width, caps):
-            if abs(width + g.delta - n) > step * (remaining - 1):
+        for lay, after in _slice_choices(width, caps):
+            if abs(after - n) > step * (remaining - 1):
                 continue
-            lays.append((off, g))
-            rec(lays, width + g.delta)
+            lays.append(lay)
+            rec(lays, after)
             lays.pop()
 
     if m <= caps.max_width:
         rec([], m)
-    return [out[k] for k in sorted(out)]
+    return [term_from_key(m, k) for k in sorted(out)]
 
 
 def enum_hom(

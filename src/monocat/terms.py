@@ -195,18 +195,24 @@ def gen_count(t: Term) -> int:
     return len(t.slices)
 
 
-# -- interchange machinery ---------------------------------------------------
+# -- packed keys and interchange machinery ------------------------------------
 #
-# Internally a slice list is handled as "layers": (left_offset, generator)
-# pairs, the right whisker being recomputed from the running width.  Two
-# adjacent layers commute when their active blocks are disjoint at the
-# common interface.  A zero-width block strictly inside another block does
-# not commute with it (the insertion point is pinned between two wires of
-# that block); at either edge it does.
+# Inside the engine a slice list is a tuple of *layer keys*
+# (offset, kind_value, m, n), the right whisker being recomputed from the
+# running width; ``term_key`` adds the source width.  Kind values are the
+# strings "eta"/"eps", and every normal form relies on "eps" < "eta".
+# Two adjacent layers commute when their active blocks are disjoint at
+# the common interface.  A zero-width block strictly inside another block
+# does not commute with it (the insertion point is pinned between two
+# wires of that block); at either edge it does.
 
 
-def layers(t: Term) -> list[tuple[int, Generator]]:
-    return [(s.left, s.gen) for s in t.slices]
+def layer_key(t: Term) -> tuple:
+    return tuple((s.left, s.gen.kind.value, s.gen.m, s.gen.n) for s in t.slices)
+
+
+def term_key(t: Term) -> tuple:
+    return (t.source, layer_key(t))
 
 
 def term_from_layers(source: int, lays: list[tuple[int, Generator]]) -> Term:
@@ -221,24 +227,11 @@ def term_from_layers(source: int, lays: list[tuple[int, Generator]]) -> Term:
     return Term(source, tuple(out))
 
 
-def swap_adjacent(
-    u: tuple[int, Generator], v: tuple[int, Generator]
-) -> list[tuple[tuple[int, Generator], tuple[int, Generator]]]:
-    """All legal transpositions of the adjacent pair (u first, v second).
-
-    Case 1: v's source block lies entirely left of u's offset; v keeps its
-    offset and u shifts by v's width change.  Case 2: v's source block lies
-    entirely right of u's target block; u keeps its offset and v shifts
-    back by u's width change.  Both can apply at once only for zero-width
-    blocks meeting at the same gap.
-    """
-    (ou, gu), (ov, gv) = u, v
-    results = []
-    if ov + gv.source <= ou:
-        results.append(((ov, gv), (ou + gv.delta, gu)))
-    if ov >= ou + gu.target:
-        results.append(((ov - gu.delta, gv), (ou, gu)))
-    return results
+def term_from_key(source: int, key: tuple) -> Term:
+    """The term with layer keys ``key``; raises when they do not chain."""
+    return term_from_layers(
+        source, [(off, Generator(GenKind(kv), m, n)) for off, kv, m, n in key]
+    )
 
 
 _CLASS_CAP = 500_000
@@ -247,8 +240,8 @@ _CLASS_CAP = 500_000
 def _class_layer_keys(key: tuple) -> set:
     """All slice orderings of the diagram, as layer-key tuples.
 
-    A layer key is (offset, kind_value, m, n).  Exhausts adjacent swaps;
-    the swap arithmetic is inlined to avoid object churn in hot paths.
+    Exhausts adjacent swaps; the swap arithmetic is inlined to avoid
+    object churn in hot paths.
     """
     seen = {key}
     queue = deque([key])
@@ -293,10 +286,7 @@ def canonical(t: Term) -> Term:
     construction the result depends only on the class, so it is identical
     for all interchange-equivalent inputs and idempotent.
     """
-    key = tuple((s.left, s.gen.kind.value, s.gen.m, s.gen.n) for s in t.slices)
-    best = _canonical_key(key)
-    lays = [(off, Generator(GenKind(kv), m, n)) for off, kv, m, n in best]
-    return term_from_layers(t.source, lays)
+    return term_from_key(t.source, _canonical_key(layer_key(t)))
 
 
 # -- rendering ---------------------------------------------------------------

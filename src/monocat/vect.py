@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .terms import GenKind, MonocatError, Term, _class_layer_keys
+from .terms import GenKind, MonocatError, Term, _class_layer_keys, layer_key
 
 
 class TooLarge(MonocatError):
@@ -526,8 +526,7 @@ class IsoVerdict:
 
 
 def _orderings(t: Term):
-    key = tuple((s.left, s.gen.kind.value, s.gen.m, s.gen.n) for s in t.slices)
-    return _class_layer_keys(key)
+    return _class_layer_keys(layer_key(t))
 
 
 def has_leading_deletion(t: Term) -> bool:

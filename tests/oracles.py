@@ -30,7 +30,7 @@ from monocat import (
     tensor,
 )
 from monocat.rewrite import RuleId, term_key
-from monocat.terms import GenKind, Slice, layers, swap_adjacent, term_from_layers
+from monocat.terms import GenKind, Generator, Slice, term_from_layers
 
 
 def dense_eval(spec: FunctorSpec, t: Term) -> Mat:
@@ -47,6 +47,30 @@ def dense_eval(spec: FunctorSpec, t: Term) -> Mat:
         )
         m = slice_mat @ m
     return m
+
+
+def layers(t: Term) -> list[tuple[int, Generator]]:
+    return [(s.left, s.gen) for s in t.slices]
+
+
+def swap_adjacent(
+    u: tuple[int, Generator], v: tuple[int, Generator]
+) -> list[tuple[tuple[int, Generator], tuple[int, Generator]]]:
+    """All legal transpositions of the adjacent pair (u first, v second).
+
+    Case 1: v's source block lies entirely left of u's offset; v keeps its
+    offset and u shifts by v's width change.  Case 2: v's source block lies
+    entirely right of u's target block; u keeps its offset and v shifts
+    back by u's width change.  Both can apply at once only for zero-width
+    blocks meeting at the same gap.
+    """
+    (ou, gu), (ov, gv) = u, v
+    results = []
+    if ov + gv.source <= ou:
+        results.append(((ov, gv), (ou + gv.delta, gu)))
+    if ov >= ou + gu.target:
+        results.append(((ov - gu.delta, gv), (ou, gu)))
+    return results
 
 
 def class_representatives(t: Term, cap: int = 50_000) -> list[Term]:

@@ -98,7 +98,7 @@ def test_criterion_4_non_rigidity_evidence():
     elapsed = time.perf_counter() - t0
     assert not first.identity_found
     assert not first.truncated
-    assert first.states_visited == second.states_visited
+    assert first.states_visited == second.states_visited == 2413
     assert first.witness_path is None
     assert elapsed < 600.0
     report(

@@ -9,6 +9,7 @@ from monocat import (
     InvalidStep,
     Mode,
     NotEqualShape,
+    RewriteStep,
     RuleId,
     SearchCaps,
     apply,
@@ -105,6 +106,19 @@ class TestApply:
         )
         with pytest.raises(InvalidStep):
             apply(triangle_composite_b(), step)
+
+    @pytest.mark.parametrize("block, index_n", [(0, 0), (-1, 1)])
+    def test_malformed_expansion_rejected(self, block, index_n):
+        step = RewriteStep(
+            RuleId.TRIANGLE_A,
+            Direction.BACKWARD,
+            cut=(),
+            offset=0,
+            block=block,
+            index_n=index_n,
+        )
+        with pytest.raises(InvalidStep):
+            apply(identity(1), step)
 
     def test_widths_preserved(self):
         rng = random.Random(20)
