@@ -27,7 +27,7 @@ from .rewrite import (
     DEFAULT_CAPS,
     NotEqualShape,
     SearchCaps,
-    enum_hom,
+    enum_hom_detailed,
     equal,
     explore,
 )
@@ -295,7 +295,7 @@ def _cmd_explore(args) -> int:
 
 def _cmd_homset(args) -> int:
     caps = _caps_of(args)
-    reps = enum_hom(args.m, args.n, Mode[args.mode], caps)
+    reps = enum_hom_detailed(args.m, args.n, Mode[args.mode], caps).representatives
     if args.json:
         print(json.dumps({"classes": [render(t) for t in reps]}, indent=2))
     else:

@@ -433,24 +433,6 @@ def neighbors(t: Term, mode: Mode, caps: SearchCaps = DEFAULT_CAPS) -> list[Term
     return [term_from_key(*y) for y in sorted(found)]
 
 
-def find_inverse(t: Term, step: RewriteStep) -> RewriteStep:
-    """The inverse instance of ``step``, as a step on ``apply(t, step)``.
-
-    Every rule is a symmetric relation, so the applied instance can be
-    undone; the returned step has the same rule with flipped direction
-    and maps the result back to ``canonical(t)``.
-    """
-    result = term_key(apply(t, step))
-    want = _state(t)
-    flip = (
-        Direction.BACKWARD if step.direction is Direction.FORWARD else Direction.FORWARD
-    )
-    for cand, res in _step_results(result, Mode.C, _relaxed_caps(result, want, DEFAULT_CAPS)):
-        if res == want and cand.rule is step.rule and cand.direction is flip:
-            return cand
-    raise InvalidStep(f"no inverse instance found for {step.describe()}")
-
-
 def _relaxed_caps(a, b, caps: SearchCaps) -> SearchCaps:
     """Caps wide enough to re-derive any edge between two in-cap states."""
     ns = [caps.max_index_n]
@@ -652,18 +634,6 @@ def generate_terms(m: int, n: int, caps: SearchCaps) -> list[Term]:
     if m <= caps.max_width:
         rec([], m)
     return [term_from_key(m, k) for k in sorted(out)]
-
-
-def enum_hom(
-    m: int,
-    n: int,
-    mode: Mode,
-    caps: SearchCaps = DEFAULT_CAPS,
-    merge_caps: SearchCaps | None = None,
-    invariant=None,
-) -> list[Term]:
-    """Representatives of distinct rewrite classes among terms m -> n."""
-    return list(enum_hom_detailed(m, n, mode, caps, merge_caps, invariant).representatives)
 
 
 def enum_hom_detailed(

@@ -14,11 +14,16 @@ With ``C = B^{-1}`` both zig-zag composites collapse to ``C B = B C = id``
 for arbitrary invertible ``B``, and nesting preserves this, so every
 sliding and triangle relation maps to a matrix identity.  Evaluation is
 therefore constant on rewrite classes, which makes it a separating
-invariant and a soundness oracle for the rewrite engine.
+invariant and a soundness oracle for the rewrite engine.  Unrolled, the
+nesting gives each core in closed form: entry ``(i_1..i_n, j_n..j_1)``
+of ``cup_n`` is ``C[i_1, j_1] * ... * C[i_n, j_n]``, and ``cap_n`` the
+same with ``B``.
 
 Scalars are arbitrary-precision rationals by default, or integers modulo
-a configured prime.  No floating point is used anywhere.  Matrices are
-immutable; all functions are pure.
+a configured prime.  No floating point is used anywhere.  Evaluation
+picks its scalar route from the field: int64 arrays over the rationals
+when every core is integral and no product can overflow, arrays of field
+elements otherwise.  Matrices are immutable; all functions are pure.
 """
 
 from __future__ import annotations
@@ -354,40 +359,31 @@ class FunctorSpec:
         return cls(d, Mat(d, d, tuple(tuple(r) for r in rows), field))
 
 
+def _nested_core(m: Mat, n: int) -> list:
+    """Flat entries of the n-fold nested cup/cap core built from ``m``.
+
+    Entry ``(i_1..i_n, j_n..j_1)`` is ``m[i_1, j_1] * ... * m[i_n, j_n]``:
+    each level wraps the inner block in one more outer index pair.
+    """
+    if n == 0:
+        return [m.field.one]
+    rows, d = m.entries, m.rows
+    flat = [x for row in rows for x in row]
+    for _ in range(n - 1):
+        flat = [rows[i][j] * x for i in range(d) for x in flat for j in range(d)]
+    return flat
+
+
 def coev_mat(spec: FunctorSpec, n: int) -> Mat:
     """Cup for an n-wide block: a d^(2n) x 1 column; n = 0 is the 1 x 1 identity."""
-    if n == 0:
-        return Mat.identity(1, spec.field)
-    c = spec.phi_inv
-    base = Mat(
-        spec.d * spec.d,
-        1,
-        tuple((c.entries[i][j],) for i in range(spec.d) for j in range(spec.d)),
-        spec.field,
-    )
-    if n == 1:
-        return base
-    inner = coev_mat(spec, n - 1)
-    eye = Mat.identity(spec.d, spec.field)
-    return kron(kron(eye, inner), eye) @ base
+    flat = _nested_core(spec.phi_inv, n)
+    return Mat(len(flat), 1, tuple((x,) for x in flat), spec.field)
 
 
 def ev_mat(spec: FunctorSpec, n: int) -> Mat:
     """Cap for an n-wide block: a 1 x d^(2n) row; n = 0 is the 1 x 1 identity."""
-    if n == 0:
-        return Mat.identity(1, spec.field)
-    b = spec.phi
-    base = Mat(
-        1,
-        spec.d * spec.d,
-        (tuple(b.entries[i][j] for i in range(spec.d) for j in range(spec.d)),),
-        spec.field,
-    )
-    if n == 1:
-        return base
-    inner = ev_mat(spec, n - 1)
-    eye = Mat.identity(spec.d, spec.field)
-    return base @ kron(kron(eye, inner), eye)
+    flat = _nested_core(spec.phi, n)
+    return Mat(1, len(flat), (tuple(flat),), spec.field)
 
 
 # -- term evaluation ----------------------------------------------------------
@@ -402,26 +398,6 @@ def _np_identity(n: int, field) -> np.ndarray:
     return a
 
 
-def _integer_cores(spec: FunctorSpec, ns) -> dict | None:
-    """Cup/cap cores as plain int lists, or None if any entry is non-integer."""
-    cores = {}
-    for n in ns:
-        for kind, mat in ((GenKind.ETA, coev_mat(spec, n)), (GenKind.EPS, ev_mat(spec, n))):
-            flat = [mat.entries[i][j] for i in range(mat.rows) for j in range(mat.cols)]
-            ints = []
-            for x in flat:
-                if isinstance(x, Fraction):
-                    if x.denominator != 1:
-                        return None
-                    ints.append(int(x))
-                elif isinstance(x, int):
-                    ints.append(x)
-                else:
-                    return None
-            cores[(kind, n)] = ints
-    return cores
-
-
 _INT64_BOUND = 2**62
 
 
@@ -431,9 +407,10 @@ def eval_term(spec: FunctorSpec, t: Term, max_dim: int = MAX_DIM_DEFAULT) -> Mat
     Slices are contracted against the accumulated state one at a time;
     only the cup/cap core of each slice is ever materialised, so the
     cost is the state size, not the size of padded slice matrices.
-    When every core entry is an integer and a conservative magnitude
-    bound stays below 2**62 the contraction runs on int64 arrays;
-    otherwise exact scalar objects are used.  Both routes are exact.
+    The scalar route is chosen from the field: over the rationals, with
+    integer cores and a conservative magnitude bound below 2**62, the
+    contraction runs on int64 arrays and entries come back as ``int``;
+    otherwise it runs on arrays of field elements.  Both are exact.
     """
     state = _eval_array(spec, t, max_dim)
     ent = tuple(tuple(row) for row in state.tolist())
@@ -447,69 +424,38 @@ def _eval_array(spec: FunctorSpec, t: Term, max_dim: int = MAX_DIM_DEFAULT) -> n
             raise TooLarge(f"width {w} at dimension {d} exceeds {max_dim} entries per side")
     cols = d**t.source
 
-    cores = _integer_cores(spec, sorted({s.gen.n for s in t.slices}))
-    if cores is not None:
+    cores = {}
+    for n in {s.gen.n for s in t.slices}:
+        for kind, mat in ((GenKind.ETA, coev_mat(spec, n)), (GenKind.EPS, ev_mat(spec, n))):
+            cores[(kind, n)] = [x for row in mat.entries for x in row]
+    dtype = object
+    if spec.field == RATIONALS and all(x.denominator == 1 for c in cores.values() for x in c):
+        ints = {key: [int(x) for x in c] for key, c in cores.items()}
         bound = 1
         for s in t.slices:
-            peak = max(abs(x) for x in cores[(s.gen.kind, s.gen.n)])
-            factor = peak if s.gen.kind is GenKind.ETA else peak * d ** (2 * s.gen.n)
-            bound *= max(factor, 1)
-        if bound >= _INT64_BOUND:
-            cores = None
+            peak = max(map(abs, ints[(s.gen.kind, s.gen.n)]))
+            bound *= max(peak if s.gen.kind is GenKind.ETA else peak * d ** (2 * s.gen.n), 1)
+        if bound < _INT64_BOUND:
+            cores, dtype = ints, np.int64
+    state = _np_identity(cols, spec.field) if dtype is object else np.eye(cols, dtype=dtype)
+    cores = {key: np.array(c, dtype=dtype) for key, c in cores.items()}
 
-    if cores is not None:
-        state = np.eye(cols, dtype=np.int64)
-        to_arr = lambda kind, n: np.array(cores[(kind, n)], dtype=np.int64)
-    else:
-        state = _np_identity(cols, spec.field)
-
-        def to_arr(kind, n):
-            mat = coev_mat(spec, n) if kind is GenKind.ETA else ev_mat(spec, n)
-            flat = [mat.entries[i][j] for i in range(mat.rows) for j in range(mat.cols)]
-            return np.array(flat, dtype=object)
-
-    fast = state.dtype != object
     for s in t.slices:
         a_dim = d ** (s.left + s.gen.m)
-        r_dim = d**s.right
-        core_dim = d ** (2 * s.gen.n)
-        core_arr = to_arr(s.gen.kind, s.gen.n)
+        rest = d**s.right * cols
+        core = cores[(s.gen.kind, s.gen.n)]
         if s.gen.kind is GenKind.ETA:
-            if fast:
-                shaped = state.reshape(a_dim, r_dim * cols)
-                state = np.einsum("u,ar->aur", core_arr, shaped).reshape(
-                    a_dim * core_dim * r_dim, cols
-                )
-            else:
-                flat = state.reshape(a_dim * r_dim * cols)
-                expanded = np.multiply.outer(core_arr, flat).reshape(
-                    core_dim, a_dim, r_dim, cols
-                )
-                state = expanded.transpose(1, 0, 2, 3).reshape(
-                    a_dim * core_dim * r_dim, cols
-                )
+            state = state.reshape(a_dim, 1, rest) * core.reshape(1, -1, 1)
         else:
-            shaped = state.reshape(a_dim, core_dim, r_dim * cols)
-            if fast:
-                state = np.einsum("u,aur->ar", core_arr, shaped).reshape(
-                    a_dim * r_dim, cols
-                )
-            else:
-                state = np.tensordot(core_arr, shaped, axes=([0], [1])).reshape(
-                    a_dim * r_dim, cols
-                )
-    return state
+            state = np.einsum("u,aur->ar", core, state.reshape(a_dim, core.size, rest))
+    return state.reshape(d**t.target, cols)
 
 
 def check_rule_instance(spec: FunctorSpec, lhs: Term, rhs: Term) -> bool:
     """Exact equality of the two images; shapes must agree."""
     if lhs.source != rhs.source or lhs.target != rhs.target:
         raise ValueError("rule instance sides have different shapes")
-    left = _eval_array(spec, lhs)
-    right = _eval_array(spec, rhs)
-    if left.dtype == right.dtype and left.dtype != object:
-        return bool(np.array_equal(left, right))
-    return bool(np.equal(left, right).all())
+    return bool(np.array_equal(_eval_array(spec, lhs), _eval_array(spec, rhs)))
 
 
 # -- isomorphism obstructions -------------------------------------------------
@@ -525,18 +471,14 @@ class IsoVerdict:
         return self.status == "not_iso"
 
 
-def _orderings(t: Term):
-    return _class_layer_keys(layer_key(t))
-
-
 def has_leading_deletion(t: Term) -> bool:
     """Does the arrow factor as a padded deletion followed by something?"""
-    return any(key and key[0][1] == "eps" for key in _orderings(t))
+    return any(key and key[0][1] == "eps" for key in _class_layer_keys(layer_key(t)))
 
 
 def has_trailing_insertion(t: Term) -> bool:
     """Does the arrow factor as something followed by a padded insertion?"""
-    return any(key and key[-1][1] == "eta" for key in _orderings(t))
+    return any(key and key[-1][1] == "eta" for key in _class_layer_keys(layer_key(t)))
 
 
 def iso_obstruction(spec: FunctorSpec, t: Term) -> IsoVerdict:

@@ -1,9 +1,10 @@
 """Independent reference routes used by the test suite.
 
 Everything here recomputes engine results by a different method:
-evaluation by dense padded slice matrices, neighbour enumeration by
-exhausting interchange representatives and literally substituting
-whiskered relation instances.  Keep these slow and obvious.
+evaluation by dense padded slice matrices, with cups and caps nested by
+literal recursion; neighbour enumeration by exhausting interchange
+representatives and literally substituting whiskered relation
+instances.  Keep these slow and obvious.
 """
 
 from __future__ import annotations
@@ -18,11 +19,9 @@ from monocat import (
     SearchCaps,
     Term,
     canonical,
-    coev_mat,
     compose,
     eps,
     eta,
-    ev_mat,
     gen_count,
     identity,
     kron,
@@ -33,13 +32,47 @@ from monocat.rewrite import RuleId, term_key
 from monocat.terms import GenKind, Generator, Slice, term_from_layers
 
 
+def nested_cup(spec: FunctorSpec, n: int) -> Mat:
+    """cup_n = (id ⊗ cup_{n-1} ⊗ id) . cup_1, by literal recursion."""
+    if n == 0:
+        return Mat.identity(1, spec.field)
+    c = spec.phi_inv
+    base = Mat(
+        spec.d * spec.d,
+        1,
+        tuple((c.entries[i][j],) for i in range(spec.d) for j in range(spec.d)),
+        spec.field,
+    )
+    if n == 1:
+        return base
+    eye = Mat.identity(spec.d, spec.field)
+    return kron(kron(eye, nested_cup(spec, n - 1)), eye) @ base
+
+
+def nested_cap(spec: FunctorSpec, n: int) -> Mat:
+    """cap_n = cap_1 . (id ⊗ cap_{n-1} ⊗ id), by literal recursion."""
+    if n == 0:
+        return Mat.identity(1, spec.field)
+    b = spec.phi
+    base = Mat(
+        1,
+        spec.d * spec.d,
+        (tuple(b.entries[i][j] for i in range(spec.d) for j in range(spec.d)),),
+        spec.field,
+    )
+    if n == 1:
+        return base
+    eye = Mat.identity(spec.d, spec.field)
+    return base @ kron(kron(eye, nested_cap(spec, n - 1)), eye)
+
+
 def dense_eval(spec: FunctorSpec, t: Term) -> Mat:
     """Evaluate by multiplying fully padded slice matrices."""
     d = spec.d
     m = Mat.identity(d**t.source, spec.field)
     for s in t.slices:
         g = s.gen
-        core = coev_mat(spec, g.n) if g.kind is GenKind.ETA else ev_mat(spec, g.n)
+        core = nested_cup(spec, g.n) if g.kind is GenKind.ETA else nested_cap(spec, g.n)
         gen_mat = kron(Mat.identity(d**g.m, spec.field), core)
         slice_mat = kron(
             kron(Mat.identity(d**s.left, spec.field), gen_mat),

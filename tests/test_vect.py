@@ -26,11 +26,13 @@ from monocat import (
     kron,
     rank,
     rule_instance,
+    rule_instances,
     tensor,
     whisker,
 )
+from monocat.rewrite import TRIANGLE_RULES
 from monocat.vect import is_invertible
-from oracles import dense_eval, random_term, snake
+from oracles import dense_eval, nested_cap, nested_cup, random_term, snake
 
 
 def frac_mat(rows):
@@ -91,6 +93,21 @@ class TestCupsAndCaps:
         spec = FunctorSpec.identity(2)
         assert coev_mat(spec, 0) == Mat.identity(1)
         assert ev_mat(spec, 0) == Mat.identity(1)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_closed_form_matches_nesting(self, d):
+        # the snake identities hold for parallel cups too; only this pins the nesting
+        fractional = [[Fraction(1, 2), 0, 0], [Fraction(1, 3), 2, 0], [1, Fraction(-3, 4), 5]]
+        specs = [
+            FunctorSpec.identity(d),
+            FunctorSpec.random(d, seed=d),
+            FunctorSpec.random(d, seed=d, field=PrimeField()),
+            FunctorSpec(d, frac_mat([row[:d] for row in fractional[:d]])),
+        ]
+        for spec in specs:
+            for n in range(4):
+                assert repr(coev_mat(spec, n).entries) == repr(nested_cup(spec, n).entries)
+                assert repr(ev_mat(spec, n).entries) == repr(nested_cap(spec, n).entries)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -238,10 +255,21 @@ class TestPrimeField:
             lifted = tuple(
                 tuple(fp.from_int(int(x)) for x in row) for row in mq.entries
             )
-            assert lifted == tuple(
-                tuple(x if isinstance(x, ModP) else fp.from_int(x) for x in row)
-                for row in mp.entries
-            )
+            assert lifted == mp.entries
+
+    @pytest.mark.parametrize("pairing", ["identity", "random:1"])
+    def test_triangles_hold(self, pairing):
+        fp = PrimeField()
+        sp = FunctorSpec.identity(2, fp) if pairing == "identity" else FunctorSpec.random(2, 1, fp)
+        triangles = [(lhs, rhs) for rule, _, lhs, rhs in rule_instances() if rule in TRIANGLE_RULES]
+        assert len(triangles) == 12
+        for lhs, rhs in triangles:
+            assert check_rule_instance(sp, lhs, rhs)
+
+    def test_slice_free_term_has_field_entries(self):
+        m = eval_term(FunctorSpec.identity(2, PrimeField(7)), identity(1))
+        assert m == Mat.identity(2, PrimeField(7))
+        assert all(isinstance(x, ModP) for row in m.entries for x in row)
 
 
 class TestPairingFile:
