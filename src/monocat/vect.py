@@ -23,7 +23,10 @@ Scalars are arbitrary-precision rationals by default, or integers modulo
 a configured prime.  No floating point is used anywhere.  Evaluation
 picks its scalar route from the field: int64 arrays over the rationals
 when every core is integral and no product can overflow, arrays of field
-elements otherwise.  Matrices are immutable; all functions are pure.
+elements otherwise.  It contracts only the inner block of wires that
+some slice touches: outer wires no slice touches contribute an identity
+factor, so the image is ``id ⊗ A ⊗ id`` and only ``A`` is built from
+slices.  Matrices are immutable; all functions are pure.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .terms import GenKind, MonocatError, Term, _class_layer_keys, layer_key
 
 
 class TooLarge(MonocatError):
-    """Evaluation refused: some interface width exceeds the entry guard."""
+    """Evaluation refused: a width exceeds the entry guard, or the state does not fit in memory."""
 
 
 # -- scalars ------------------------------------------------------------------
@@ -136,9 +139,13 @@ class PrimeField:
     def from_int(self, k: int) -> ModP:
         return ModP(k % self.p, self.p)
 
+    def from_fraction(self, q: Fraction) -> ModP:
+        if q.denominator % self.p == 0:
+            raise ValueError(f"{q} has no image mod {self.p}: the denominator is divisible by it")
+        return self.from_int(q.numerator) * self.from_int(q.denominator) ** -1
+
     def parse(self, text: str) -> ModP:
-        frac = Fraction(text.strip())
-        return self.from_int(frac.numerator) * self.from_int(frac.denominator) ** -1
+        return self.from_fraction(Fraction(text.strip()))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PrimeField) and other.p == self.p
@@ -174,7 +181,16 @@ class Mat:
 
     @staticmethod
     def from_rows(rows, field=RATIONALS) -> "Mat":
-        ent = tuple(tuple(field.from_int(x) if isinstance(x, int) else x for x in r) for r in rows)
+        """Rows of ints or field elements; over a prime field, Fractions are lifted too."""
+
+        def lift(x):
+            if isinstance(x, int):
+                return field.from_int(x)
+            if isinstance(x, Fraction) and isinstance(field, PrimeField):
+                return field.from_fraction(x)
+            return x
+
+        ent = tuple(tuple(lift(x) for x in r) for r in rows)
         return Mat(len(ent), len(ent[0]) if ent else 0, ent, field)
 
     @staticmethod
@@ -404,25 +420,56 @@ _INT64_BOUND = 2**62
 def eval_term(spec: FunctorSpec, t: Term, max_dim: int = MAX_DIM_DEFAULT) -> Mat:
     """Image of a term: a d^target x d^source matrix.
 
+    Outer wires that no slice touches are stripped first: the image is
+    ``id ⊗ A ⊗ id`` with ``A`` the image of the inner block, so only
+    ``A`` is contracted and the identities are put back at the end.
     Slices are contracted against the accumulated state one at a time;
     only the cup/cap core of each slice is ever materialised, so the
-    cost is the state size, not the size of padded slice matrices.
+    cost is the inner state size, not the size of padded slice matrices.
     The scalar route is chosen from the field: over the rationals, with
     integer cores and a conservative magnitude bound below 2**62, the
     contraction runs on int64 arrays and entries come back as ``int``;
     otherwise it runs on arrays of field elements.  Both are exact.
     """
-    state = _eval_array(spec, t, max_dim)
+    lo, hi = _outer_wires(t)
+    state = _eval_array(spec, t, max_dim, lo, hi)
+    if lo or hi:
+        (rows, cols), left, right = state.shape, spec.d**lo, spec.d**hi
+        zero = spec.field.zero if state.dtype == object else 0
+        try:
+            full = np.full((left, rows, right, left, cols, right), zero, dtype=state.dtype)
+        except MemoryError:
+            raise _unallocatable(left * rows * right, left * cols * right) from None
+        # id ⊗ A ⊗ id: A fills each block whose outer row and column indices agree
+        i, j = np.arange(left)[:, None], np.arange(right)
+        full[i, :, j, i, :, j] = state
+        state = full.reshape(left * rows * right, -1)
     ent = tuple(tuple(row) for row in state.tolist())
-    return Mat(spec.d**t.target, spec.d**t.source, ent, spec.field)
+    return Mat(state.shape[0], state.shape[1], ent, spec.field)
 
 
-def _eval_array(spec: FunctorSpec, t: Term, max_dim: int = MAX_DIM_DEFAULT) -> np.ndarray:
+def _outer_wires(*terms: Term) -> tuple[int, int]:
+    """Counts ``(lo, hi)`` of leftmost and rightmost wires no slice touches."""
+    source = lo = hi = terms[0].source
+    for t in terms:
+        for s in t.slices:
+            lo = min(lo, s.left + s.gen.m)
+            hi = min(hi, s.right)
+    return lo, min(hi, source - lo)
+
+
+def _unallocatable(rows: int, cols: int) -> TooLarge:
+    return TooLarge(f"evaluation state of shape {rows} x {cols} does not fit in memory")
+
+
+def _eval_array(spec: FunctorSpec, t: Term, max_dim: int, lo: int, hi: int) -> np.ndarray:
+    """Image of the inner block of ``t``, less ``lo`` and ``hi`` outer wires."""
     d = spec.d
-    for w in t.widths():
+    widths = t.widths()
+    for w in widths:
         if d**w > max_dim:
             raise TooLarge(f"width {w} at dimension {d} exceeds {max_dim} entries per side")
-    cols = d**t.source
+    cols = d ** (t.source - lo - hi)
 
     cores = {}
     for n in {s.gen.n for s in t.slices}:
@@ -437,25 +484,40 @@ def _eval_array(spec: FunctorSpec, t: Term, max_dim: int = MAX_DIM_DEFAULT) -> n
             bound *= max(peak if s.gen.kind is GenKind.ETA else peak * d ** (2 * s.gen.n), 1)
         if bound < _INT64_BOUND:
             cores, dtype = ints, np.int64
-    state = _np_identity(cols, spec.field) if dtype is object else np.eye(cols, dtype=dtype)
     cores = {key: np.array(c, dtype=dtype) for key, c in cores.items()}
 
-    for s in t.slices:
-        a_dim = d ** (s.left + s.gen.m)
-        rest = d**s.right * cols
-        core = cores[(s.gen.kind, s.gen.n)]
-        if s.gen.kind is GenKind.ETA:
-            state = state.reshape(a_dim, 1, rest) * core.reshape(1, -1, 1)
-        else:
-            state = np.einsum("u,aur->ar", core, state.reshape(a_dim, core.size, rest))
-    return state.reshape(d**t.target, cols)
+    rows = cols
+    try:
+        state = _np_identity(cols, spec.field) if dtype is object else np.eye(cols, dtype=dtype)
+        for s, w in zip(t.slices, widths[1:]):
+            rows = d ** (w - lo - hi)
+            a_dim = d ** (s.left + s.gen.m - lo)
+            rest = d ** (s.right - hi) * cols
+            core = cores[(s.gen.kind, s.gen.n)]
+            if s.gen.kind is GenKind.ETA:
+                state = state.reshape(a_dim, 1, rest) * core.reshape(1, -1, 1)
+            else:
+                state = np.einsum("u,aur->ar", core, state.reshape(a_dim, core.size, rest))
+    except MemoryError:
+        raise _unallocatable(rows, cols) from None
+    return state.reshape(rows, cols)
 
 
 def check_rule_instance(spec: FunctorSpec, lhs: Term, rhs: Term) -> bool:
-    """Exact equality of the two images; shapes must agree."""
+    """Exact equality of the two images; shapes must agree.
+
+    Both sides are stripped of the same untouched outer wires, and
+    ``id ⊗ A ⊗ id = id ⊗ B ⊗ id`` holds iff ``A = B``.
+    """
     if lhs.source != rhs.source or lhs.target != rhs.target:
         raise ValueError("rule instance sides have different shapes")
-    return bool(np.array_equal(_eval_array(spec, lhs), _eval_array(spec, rhs)))
+    lo, hi = _outer_wires(lhs, rhs)
+    return bool(
+        np.array_equal(
+            _eval_array(spec, lhs, MAX_DIM_DEFAULT, lo, hi),
+            _eval_array(spec, rhs, MAX_DIM_DEFAULT, lo, hi),
+        )
+    )
 
 
 # -- isomorphism obstructions -------------------------------------------------

@@ -131,6 +131,10 @@ class TestCommands:
         assert main(["eval", "id(4)", "--dim", "2", "--max-dim", "8"]) == 2
         assert "exceeds" in capsys.readouterr().err
 
+    def test_eval_unallocatable_state(self, capsys):
+        assert main(["eval", "eps(0,1) * id(18) * eta(0,1)", "--dim", "2"]) == 2
+        assert "does not fit in memory" in capsys.readouterr().err
+
     def test_eval_phi_file(self, tmp_path, capsys):
         path = tmp_path / "phi.txt"
         path.write_text("2\n0 1\n1 0\n")

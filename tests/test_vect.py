@@ -209,6 +209,84 @@ class TestRuleInstanceChecks:
             )
 
 
+def whiskered(t, a, b):
+    return tensor(tensor(identity(a), t), identity(b))
+
+
+FRACTIONAL_PHI = [[Fraction(1, 2), 0], [Fraction(1, 3), Fraction(2)]]
+
+
+class TestOuterWires:
+    """Untouched outer wires are stripped before contraction and put back after."""
+
+    @pytest.mark.parametrize(
+        "spec, entry_type",
+        [
+            (FunctorSpec.random(2, seed=3), int),
+            (FunctorSpec.random(2, seed=3, field=PrimeField()), ModP),
+            (FunctorSpec(2, frac_mat(FRACTIONAL_PHI)), Fraction),
+        ],
+        ids=["int64", "prime-field", "fractional"],
+    )
+    def test_entry_types_on_whiskered_terms(self, spec, entry_type):
+        for t in (snake(), gen_term(eps(0, 1)), gen_term(eta(1, 1))):
+            m = eval_term(spec, whiskered(t, 1, 2))
+            assert {type(x) for row in m.entries for x in row} == {entry_type}
+
+    @pytest.mark.parametrize("a", [0, 1, 2])
+    @pytest.mark.parametrize("b", [0, 1, 2])
+    def test_stripped_eval_matches_dense_oracle(self, a, b):
+        rng = random.Random(40 + 3 * a + b)
+        specs = [
+            FunctorSpec.identity(2),
+            FunctorSpec.random(2, seed=41),
+            FunctorSpec(2, frac_mat(FRACTIONAL_PHI)),
+            FunctorSpec.random(2, seed=42, field=PrimeField(101)),
+        ]
+        for _ in range(4):
+            inner = random_term(rng, max_source=2, max_len=3, max_width=max(2, 6 - a - b))
+            t = whiskered(inner, a, b)
+            for sp in specs:
+                assert eval_term(sp, t) == dense_eval(sp, t)
+
+    @pytest.mark.parametrize("a, b", [(0, 1), (1, 0), (1, 2)])
+    def test_whiskered_rule_checks_agree_with_dense_oracle(self, a, b):
+        # pairs across rule instances of one shape give unequal sides, stripped unevenly
+        sp = FunctorSpec.random(2, seed=43)
+        by_shape = {}
+        for _, _, lhs, rhs in rule_instances(n_range=(1,)):
+            for t in (whiskered(lhs, a, b), whiskered(rhs, a, b)):
+                if max(t.widths()) <= 5:
+                    by_shape.setdefault((t.source, t.target), []).append(t)
+        dense = {}
+        seen = {True: 0, False: 0}
+        for terms in by_shape.values():
+            for lhs in terms[:6]:
+                for rhs in terms[:6]:
+                    for t in (lhs, rhs):
+                        if t not in dense:
+                            dense[t] = dense_eval(sp, t)
+                    holds = check_rule_instance(sp, lhs, rhs)
+                    assert holds == (dense[lhs] == dense[rhs])
+                    seen[holds] += 1
+        assert seen[True] and seen[False]
+
+    def test_wide_whiskers_check_without_full_state(self):
+        # a d^17 x d^17 identity state would need 128 GiB
+        lhs, rhs = rule_instance(RuleId.TRIANGLE_A, i=0, n=1)
+        assert rhs == identity(1)
+        spec = FunctorSpec.identity(2)
+        assert check_rule_instance(spec, whiskered(lhs, 8, 8), whiskered(rhs, 8, 8))
+
+    def test_unallocatable_state_is_too_large(self):
+        # width 20 passes the per-side guard, but a 2^20 x 2^20 state cannot be allocated:
+        # the first while contracting, the second while putting the stripped wires back
+        t = tensor(tensor(gen_term(eps(0, 1)), identity(18)), gen_term(eta(0, 1)))
+        for term in (t, identity(20)):
+            with pytest.raises(TooLarge, match="1048576 x 1048576"):
+                eval_term(FunctorSpec.identity(2), term)
+
+
 class TestIsoObstruction:
     def test_nonsquare(self):
         spec = FunctorSpec.identity(2)
@@ -265,6 +343,14 @@ class TestPrimeField:
         assert len(triangles) == 12
         for lhs, rhs in triangles:
             assert check_rule_instance(sp, lhs, rhs)
+
+    def test_from_rows_lifts_fractions(self):
+        fp = PrimeField(7)
+        m = Mat.from_rows([[Fraction(1, 2), 0], [Fraction(-3, 4), 1]], fp)
+        assert m.entries == ((fp.parse("1/2"), fp.zero), (fp.parse("-3/4"), fp.one))
+        assert FunctorSpec(2, m).phi_inv @ m == Mat.identity(2, fp)
+        with pytest.raises(ValueError):
+            Mat.from_rows([[Fraction(1, 14)]], fp)
 
     def test_slice_free_term_has_field_entries(self):
         m = eval_term(FunctorSpec.identity(2, PrimeField(7)), identity(1))
