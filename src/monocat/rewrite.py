@@ -580,6 +580,57 @@ def explore(
     )
 
 
+# -- normal forms modulo sliding ---------------------------------------------
+#
+# The sliding rules, which are the whole of mode D, keep the generator
+# count and the (kind, n) multiset, so the sliding class of a term is
+# finite.  Mode C adds the triangles, read as contractions: each removes
+# two generators, so contracting until no member of the sliding class
+# admits one terminates.  This is rewriting modulo an equivalence (Huet,
+# JACM 27(4), 1980); the normal form is the least member of the class
+# reached.  Classes are unique only if contraction is confluent modulo
+# sliding, which is checked on enumerated hom-sets, not proved.
+
+
+def _sliding_class(state, limit: int) -> set:
+    """Closure of ``state`` under the sliding rules (mode-D pair steps)."""
+    seen = {state}
+    stack = [state]
+    while stack:
+        for _, y in _pair_step_results(stack.pop(), Mode.D):
+            if y not in seen:
+                if len(seen) >= limit:
+                    raise MonocatError(f"sliding class exceeds the max_states limit of {limit}")
+                seen.add(y)
+                stack.append(y)
+    return seen
+
+
+@lru_cache(maxsize=1 << 16)
+def _normal_form(state, mode: Mode, limit: int):
+    """Packed-key normal form; see :func:`normal_form`."""
+    members = sorted(_sliding_class(state, limit))
+    if mode is Mode.C:
+        for x in members:
+            for step, y in _pair_step_results(x, Mode.C):
+                if step.rule in TRIANGLE_RULES:
+                    return _normal_form(y, mode, limit)
+    return members[0]
+
+
+def normal_form(t: Term, mode: Mode, caps: SearchCaps = DEFAULT_CAPS) -> Term:
+    """The canonical member of ``t``'s class after all triangle contractions.
+
+    In mode D this is the least term of the sliding class, so two terms
+    are equal iff their normal forms are.  In mode C triangles are
+    contracted first; terms with the same normal form are equal, and
+    different normal forms mean different classes as long as contraction
+    is confluent modulo sliding.  Raises :class:`MonocatError` when a
+    sliding class has more than ``caps.max_states`` members.
+    """
+    return term_from_key(*_normal_form(_state(t), mode, caps.max_states))
+
+
 # -- hom-set enumeration ------------------------------------------------------
 
 
@@ -588,9 +639,10 @@ class HomEnumeration:
     """Equivalence classes of an enumerated hom-set.
 
     ``classes`` lists all enumerated members per class (representative
-    first, by generator count then term order).  ``unresolved`` holds
-    pairs that bounded equality could not merge although their matrix
-    invariants agree; they are reported, never merged silently.
+    first, by generator count then term order), one class per normal
+    form.  ``unresolved`` holds the representative pairs ``(a, b)``, ``a``
+    first, whose classes no matrix image separates: their separation
+    rests on the normal forms alone.
     """
 
     classes: tuple[tuple[Term, ...], ...]
@@ -642,51 +694,34 @@ def enum_hom_detailed(
     mode: Mode,
     caps: SearchCaps = DEFAULT_CAPS,
     merge_caps: SearchCaps | None = None,
-    invariant=None,
 ) -> HomEnumeration:
-    """Enumerate and merge hom classes; see :class:`HomEnumeration`.
+    """Enumerate hom classes by normal form; see :class:`HomEnumeration`.
 
-    ``invariant`` maps a term to a hashable value constant on rewrite
-    classes (by default, exact matrix images under two functor
-    configurations); members with distinct invariants are never compared
-    by search, which keeps merging sound and fast.
+    Every term ``generate_terms(m, n, caps)`` lists joins the class of its
+    normal form (see :func:`normal_form`).  Only ``max_states`` of
+    ``merge_caps`` (default ``caps``) is read: it caps each sliding
+    class.  ``unresolved`` pairs up the representatives that exact matrix
+    images under two functor configurations do not separate.
     """
-    if invariant is None:
-        from . import vect
+    from . import vect
 
-        specs = (
-            vect.FunctorSpec.identity(2),
-            vect.FunctorSpec.random(2, seed=11),
-        )
-        invariant = lambda t: tuple(vect.eval_term(s, t).entries for s in specs)
-
-    merge = merge_caps if merge_caps is not None else caps
+    limit = (merge_caps if merge_caps is not None else caps).max_states
     raw = generate_terms(m, n, caps)
     raw.sort(key=lambda t: (gen_count(t), term_key(t)))
-
-    buckets: dict = {}
+    by_form: dict = {}
     for t in raw:
-        buckets.setdefault(invariant(t), []).append(t)
+        by_form.setdefault(_normal_form(_state(t), mode, limit), []).append(t)
+    classes = list(by_form.values())  # in the order of their first members
 
-    classes: list[list[Term]] = []
-    unresolved: list[tuple[Term, Term]] = []
-    for sig in sorted(buckets, key=lambda s: repr(s)):
-        members = buckets[sig]
-        bucket_classes: list[list[Term]] = []
-        for t in members:
-            placed = False
-            for cls in bucket_classes:
-                if equal(t, cls[0], mode, merge) is not None:
-                    cls.append(t)
-                    placed = True
-                    break
-            if not placed:
-                for cls in bucket_classes:
-                    unresolved.append((cls[0], t))
-                bucket_classes.append([t])
-        classes.extend(bucket_classes)
-
-    classes.sort(key=lambda cls: (gen_count(cls[0]), term_key(cls[0])))
+    specs = (vect.FunctorSpec.identity(2), vect.FunctorSpec.random(2, seed=11))
+    buckets: dict = {}
+    for cls in classes:
+        image = tuple(vect.eval_term(s, cls[0]).entries for s in specs)
+        buckets.setdefault(image, []).append(cls[0])
+    unresolved = []
+    for sig in sorted(buckets, key=repr):
+        reps = buckets[sig]
+        unresolved.extend((reps[i], reps[j]) for j in range(len(reps)) for i in range(j))
     return HomEnumeration(
         classes=tuple(tuple(cls) for cls in classes),
         unresolved=tuple(unresolved),

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from . import vect
 from .rewrite import (
@@ -27,9 +27,11 @@ from .rewrite import (
     RuleId,
     SearchCaps,
     TRIANGLE_RULES,
+    _slice_choices,
     enum_hom_detailed,
     equal,
     explore,
+    normal_form,
     rule_instance,
     rule_instances,
 )
@@ -42,8 +44,10 @@ from .terms import (
     gen_count,
     gen_term,
     identity,
+    layer_key,
     render,
     tensor,
+    term_from_key,
 )
 from .vect import RATIONALS, FunctorSpec, PrimeField, RationalField
 
@@ -103,58 +107,43 @@ class SuiteConfig:
         return specs
 
     def to_dict(self) -> dict:
-        caps_dict = lambda c: {
-            "max_gen_count": c.max_gen_count,
-            "max_width": c.max_width,
-            "max_index_n": c.max_index_n,
-            "max_states": c.max_states,
-        }
-        field_str = "q" if isinstance(self.field, RationalField) else f"p:{self.field.p}"
-        return {
-            "caps": caps_dict(self.caps),
-            "dims": list(self.dims),
-            "phi_seeds": list(self.phi_seeds),
-            "field": field_str,
-            "hom_caps": caps_dict(self.hom_caps),
-            "hom_merge_caps": caps_dict(self.hom_merge_caps),
-            "control_caps": caps_dict(self.control_caps),
-            "sample_seed": self.sample_seed,
-            "obstruction_samples": self.obstruction_samples,
-            "nonsquare_samples": self.nonsquare_samples,
-        }
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, SearchCaps):
+                value = asdict(value)
+            elif isinstance(value, tuple):
+                value = list(value)
+            elif f.name == "field":
+                value = "q" if isinstance(value, RationalField) else f"p:{value.p}"
+            out[f.name] = value
+        return out
 
     @staticmethod
     def from_dict(data: dict) -> "SuiteConfig":
-        def caps_of(d, fallback):
-            if d is None:
-                return fallback
-            return SearchCaps(
-                d.get("max_gen_count", fallback.max_gen_count),
-                d.get("max_width", fallback.max_width),
-                d.get("max_index_n", fallback.max_index_n),
-                d.get("max_states", fallback.max_states),
-            )
-
         base = SuiteConfig()
-        field_str = data.get("field", "q")
-        if field_str == "q":
-            fld = RATIONALS
-        elif isinstance(field_str, str) and field_str.startswith("p:"):
-            fld = PrimeField(int(field_str[2:]))
-        else:
-            raise ValueError(f"unknown field spec {field_str!r}")
-        return SuiteConfig(
-            caps=caps_of(data.get("caps"), base.caps),
-            dims=tuple(data.get("dims", base.dims)),
-            phi_seeds=tuple(data.get("phi_seeds", base.phi_seeds)),
-            field=fld,
-            hom_caps=caps_of(data.get("hom_caps"), base.hom_caps),
-            hom_merge_caps=caps_of(data.get("hom_merge_caps"), base.hom_merge_caps),
-            control_caps=caps_of(data.get("control_caps"), base.control_caps),
-            sample_seed=data.get("sample_seed", base.sample_seed),
-            obstruction_samples=data.get("obstruction_samples", base.obstruction_samples),
-            nonsquare_samples=data.get("nonsquare_samples", base.nonsquare_samples),
-        )
+        values = {}
+        for f in fields(SuiteConfig):
+            default = getattr(base, f.name)
+            value = data.get(f.name, default)
+            if f.name == "field":
+                value = _field_of(data.get("field", "q"))
+            elif isinstance(default, SearchCaps):
+                given = data.get(f.name) or {}
+                value = SearchCaps(**{k: given.get(k, v) for k, v in asdict(default).items()})
+            elif isinstance(default, tuple):
+                value = tuple(value)
+            values[f.name] = value
+        return SuiteConfig(**values)
+
+
+def _field_of(spec) -> RationalField | PrimeField:
+    """The field named by a config's ``"q"`` or ``"p:PRIME"``."""
+    if spec == "q":
+        return RATIONALS
+    if isinstance(spec, str) and spec.startswith("p:"):
+        return PrimeField(int(spec[2:]))
+    raise ValueError(f"unknown field spec {spec!r}")
 
 
 @dataclass
@@ -310,54 +299,24 @@ def check_not_rigid_evidence(cfg: SuiteConfig) -> CheckResult:
     )
 
 
-def _random_walk_layers(rng: random.Random, source: int, max_len: int, max_width: int):
-    lays = []
-    width = source
-    for _ in range(rng.randint(0, max_len)):
-        options = []
-        n = 1
-        if width + 2 * n <= max_width:
-            for m in range(0, width + 1):
-                for off in range(0, width - m + 1):
-                    options.append((off, eta(m, n)))
-        for m in range(0, width - 2 * n + 1):
-            for off in range(0, width - m - 2 * n + 1):
-                options.append((off, eps(m, n)))
-        if not options:
-            break
-        off, g = rng.choice(options)
-        lays.append(Slice(off, g, width - off - g.source))
-        width += g.delta
-    return lays, width
-
-
 def _random_term(rng: random.Random, source: int, max_len: int, max_width: int) -> Term:
-    lays, _ = _random_walk_layers(rng, source, max_len, max_width)
-    return Term(source, tuple(lays))
-
-
-def _random_term_ending_at(
-    rng: random.Random, target: int, max_len: int, max_width: int
-) -> Term:
-    """Random walk built back to front, so its target width is ``target``."""
-    slices: list[Slice] = []
-    width = target
+    """Random walk of single-index slices starting at ``source`` wires."""
+    caps = SearchCaps(max_width=max_width, max_index_n=1)
+    lays, width = [], source
     for _ in range(rng.randint(0, max_len)):
-        options = []
-        n = 1
-        for m in range(0, width - 2 * n + 1):
-            for off in range(0, width - m - 2 * n + 1):
-                options.append((off, eta(m, n)))
-        if width + 2 * n <= max_width:
-            for m in range(0, width + 1):
-                for off in range(0, width - m + 1):
-                    options.append((off, eps(m, n)))
+        options = list(_slice_choices(width, caps))
         if not options:
             break
-        off, g = rng.choice(options)
-        slices.insert(0, Slice(off, g, width - off - g.target))
-        width -= g.delta
-    return Term(width, tuple(slices))
+        lay, width = rng.choice(options)
+        lays.append(lay)
+    return term_from_key(source, tuple(lays))
+
+
+def _upside_down(t: Term) -> Term:
+    """The mirror image of ``t``: slices reversed, insertions and deletions swapped."""
+    flip = {"eta": "eps", "eps": "eta"}
+    lays = tuple((off, flip[kind], m, n) for off, kind, m, n in reversed(layer_key(t)))
+    return term_from_key(t.target, lays)
 
 
 def check_skeletal_and_obstructions(cfg: SuiteConfig) -> CheckResult:
@@ -388,7 +347,7 @@ def check_skeletal_and_obstructions(cfg: SuiteConfig) -> CheckResult:
                 t = compose(Term(del_slice.source_width, (del_slice,)), g)
             else:
                 ins_slice = Slice(i1, eta(j, k), i2)
-                g = _random_term_ending_at(rng, ins_slice.source_width, 3, 5)
+                g = _upside_down(_random_term(rng, ins_slice.source_width, 3, 5))
                 t = compose(g, Term(ins_slice.source_width, (ins_slice,)))
             verdict = vect.iso_obstruction(spec, t)
             if not verdict.not_iso:
@@ -431,27 +390,17 @@ def check_r_category(cfg: SuiteConfig) -> CheckResult:
     For x = 1 and y in {0, 1, 2}: every enumerated class of arrows
     y+1 -> 0 transposes into exactly one enumerated class of arrows
     y -> 1 with the round trip closing, and all enumerated target classes
-    below the generator budget are hit (and symmetrically back).
+    below the generator budget are hit (and symmetrically back).  A
+    transpose lands in the class with its normal form.
     """
     x = 1
     per_y = []
     problems = []
-    specs = (FunctorSpec.identity(2, RATIONALS), FunctorSpec.random(2, 11, RATIONALS))
-    image = lambda t: tuple(vect.eval_term(sp, t).entries for sp in specs)
-
-    def match_classes(t, classes, images):
-        sig = image(t)
-        return [
-            ci
-            for ci, cls in enumerate(classes)
-            if images[ci] == sig and equal(t, cls[0], Mode.C, cfg.hom_merge_caps) is not None
-        ]
+    nf = lambda t: normal_form(t, Mode.C, cfg.hom_merge_caps)
 
     for y in (0, 1, 2):
         src = enum_hom_detailed(y + x, 0, Mode.C, cfg.hom_caps, cfg.hom_merge_caps)
         tgt = enum_hom_detailed(y, x, Mode.C, cfg.hom_caps, cfg.hom_merge_caps)
-        src_images = [image(cls[0]) for cls in src.classes]
-        tgt_images = [image(cls[0]) for cls in tgt.classes]
         budget = cfg.hom_caps.max_gen_count - 1
 
         # round trips close for every enumerated class, both directions
@@ -464,33 +413,27 @@ def check_r_category(cfg: SuiteConfig) -> CheckResult:
             if equal(transpose(untranspose(rep, x), x), rep, Mode.C, cfg.hom_merge_caps) is None:
                 problems.append({"y": y, "issue": "round trip open", "target": render(rep)})
 
-        # within the generator budget the transposes land in exactly one
-        # enumerated class on the other side: the maps are mutually inverse
-        # bijections on that portion, so every budget class is hit
-        fwd = {}
-        for si, scls in enumerate(src.classes):
-            if gen_count(scls[0]) > budget:
-                continue
-            matches = match_classes(transpose(scls[0], x), tgt.classes, tgt_images)
-            if len(matches) != 1:
-                problems.append(
-                    {"y": y, "issue": "transpose image matched != 1 classes",
-                     "source": render(scls[0]), "matches": len(matches)}
-                )
-            else:
-                fwd[si] = matches[0]
-        bwd = {}
-        for ti, tcls in enumerate(tgt.classes):
-            if gen_count(tcls[0]) > budget:
-                continue
-            matches = match_classes(untranspose(tcls[0], x), src.classes, src_images)
-            if len(matches) != 1:
-                problems.append(
-                    {"y": y, "issue": "untranspose image matched != 1 classes",
-                     "target": render(tcls[0]), "matches": len(matches)}
-                )
-            else:
-                bwd[ti] = matches[0]
+        # within the generator budget the transposes land in an enumerated
+        # class on the other side: the maps are mutually inverse bijections
+        # on that portion, so every budget class is hit
+        def budget_map(classes, other, move, side):
+            index = {nf(cls[0]): ci for ci, cls in enumerate(other)}
+            found = {}
+            for ci, cls in enumerate(classes):
+                if gen_count(cls[0]) > budget:
+                    continue
+                hit = index.get(nf(move(cls[0], x)))
+                if hit is None:
+                    problems.append(
+                        {"y": y, "issue": f"{move.__name__} image in no enumerated class",
+                         side: render(cls[0])}
+                    )
+                else:
+                    found[ci] = hit
+            return found
+
+        fwd = budget_map(src.classes, tgt.classes, transpose, "source")
+        bwd = budget_map(tgt.classes, src.classes, untranspose, "target")
         for si, ti in fwd.items():
             if ti in bwd and bwd[ti] != si:
                 problems.append({"y": y, "issue": "maps not mutually inverse", "source_class": si})
@@ -505,7 +448,7 @@ def check_r_category(cfg: SuiteConfig) -> CheckResult:
                 "source_classes": len(src.classes),
                 "target_classes": len(tgt.classes),
                 "budget_pairs": len(fwd) + len(bwd),
-                # pairs kept apart although no matrix invariant separates them
+                # class pairs that no matrix image separates
                 "unresolved_pairs": len(src.unresolved) + len(tgt.unresolved),
             }
         )
@@ -514,44 +457,28 @@ def check_r_category(cfg: SuiteConfig) -> CheckResult:
 
 
 def check_automorphism_evidence(cfg: SuiteConfig) -> CheckResult:
-    """Every witnessed automorphism among enumerated endo classes is
-    search-equal to the identity.
+    """Every witnessed automorphism among enumerated endo classes has the
+    identity's normal form.
 
     A class is witnessed invertible when some enumerated partner composes
-    with it to the identity in both orders, provably within caps.  An
-    invertible matrix image alone does not qualify (the zig-zag composite
-    has image id everywhere); this is bounded support for reading the
-    candidate duality maps as plain insertions and deletions.
+    with it to the identity's normal form in both orders.  An invertible
+    matrix image alone does not qualify (the zig-zag composite has image
+    id everywhere); this is bounded support for reading the candidate
+    duality maps as plain insertions and deletions.
     """
-    specs = [FunctorSpec.identity(2, RATIONALS), FunctorSpec.random(2, 17, RATIONALS)]
-    images = lambda t: tuple(vect.eval_term(sp, t).entries for sp in specs)
-    id_sigs = {w: images(identity(w)) for w in (1, 2)}
+    nf = lambda t: normal_form(t, Mode.C, cfg.hom_merge_caps)
     details = {}
     stray = []
     for w in (1, 2):
         enumeration = enum_hom_detailed(w, w, Mode.C, cfg.hom_caps, cfg.hom_merge_caps)
         reps = [cls[0] for cls in enumeration.classes]
-        witnessed = []
-        for t in reps:
-            found = False
-            for u in reps:
-                # matrix prefilter: both composite images must be identities
-                if images(compose(t, u)) != id_sigs[w]:
-                    continue
-                if images(compose(u, t)) != id_sigs[w]:
-                    continue
-                if (
-                    equal(compose(t, u), identity(w), Mode.C, cfg.hom_merge_caps)
-                    is not None
-                    and equal(compose(u, t), identity(w), Mode.C, cfg.hom_merge_caps)
-                    is not None
-                ):
-                    found = True
-                    break
-            if found:
-                witnessed.append(t)
-                if equal(t, identity(w), Mode.C, cfg.hom_merge_caps) is None:
-                    stray.append({"width": w, "term": render(t)})
+        one = identity(w)
+        witnessed = [
+            t
+            for t in reps
+            if any(nf(compose(t, u)) == one and nf(compose(u, t)) == one for u in reps)
+        ]
+        stray += [{"width": w, "term": render(t)} for t in witnessed if nf(t) != one]
         details[f"width_{w}_classes"] = len(reps)
         details[f"width_{w}_witnessed_automorphisms"] = len(witnessed)
     details["non_identity_automorphisms"] = stray

@@ -250,59 +250,41 @@ def _lift_rows(a: Mat) -> list:
     return [[lift(x) if isinstance(x, int) else x for x in row] for row in a.entries]
 
 
-def rank(a: Mat) -> int:
-    """Rank by exact Gaussian elimination."""
-    zero = a.field.zero
-    rows = _lift_rows(a)
+def _gauss_jordan(rows: list, ncols: int, zero) -> int:
+    """Reduce ``rows`` in place on their first ``ncols`` columns; returns the pivot count."""
     r = 0
-    for col in range(a.cols):
-        pivot = None
-        for i in range(r, a.rows):
-            if rows[i][col] != zero:
-                pivot = i
-                break
+    for col in range(ncols):
+        if r == len(rows):
+            break
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col] != zero), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         inv = rows[r][col] ** -1
         rows[r] = [x * inv for x in rows[r]]
-        for i in range(a.rows):
+        for i in range(len(rows)):
             if i != r and rows[i][col] != zero:
                 f = rows[i][col]
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
         r += 1
-        if r == a.rows:
-            break
     return r
 
 
+def rank(a: Mat) -> int:
+    """Rank by exact Gauss–Jordan elimination."""
+    return _gauss_jordan(_lift_rows(a), a.cols, a.field.zero)
+
+
 def inverse(a: Mat) -> Mat:
-    """Exact inverse; raises ValueError on a singular or non-square input."""
+    """Exact inverse by eliminating ``[A | I]``; raises ValueError on a singular or non-square input."""
     if a.rows != a.cols:
         raise ValueError("only square matrices can be inverted")
     n = a.rows
     zero, one = a.field.zero, a.field.one
-    left = _lift_rows(a)
-    right = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = None
-        for i in range(col, n):
-            if left[i][col] != zero:
-                pivot = i
-                break
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        left[col], left[pivot] = left[pivot], left[col]
-        right[col], right[pivot] = right[pivot], right[col]
-        inv = left[col][col] ** -1
-        left[col] = [x * inv for x in left[col]]
-        right[col] = [x * inv for x in right[col]]
-        for i in range(n):
-            if i != col and left[i][col] != zero:
-                f = left[i][col]
-                left[i] = [x - f * y for x, y in zip(left[i], left[col])]
-                right[i] = [x - f * y for x, y in zip(right[i], right[col])]
-    return Mat(n, n, tuple(tuple(r) for r in right), a.field)
+    rows = [row + [one if i == j else zero for j in range(n)] for i, row in enumerate(_lift_rows(a))]
+    if _gauss_jordan(rows, n, zero) < n:
+        raise ValueError("matrix is singular")
+    return Mat(n, n, tuple(tuple(row[n:]) for row in rows), a.field)
 
 
 def is_invertible(a: Mat) -> bool:
@@ -473,8 +455,8 @@ def _eval_array(spec: FunctorSpec, t: Term, max_dim: int, lo: int, hi: int) -> n
 
     cores = {}
     for n in {s.gen.n for s in t.slices}:
-        for kind, mat in ((GenKind.ETA, coev_mat(spec, n)), (GenKind.EPS, ev_mat(spec, n))):
-            cores[(kind, n)] = [x for row in mat.entries for x in row]
+        cores[(GenKind.ETA, n)] = _nested_core(spec.phi_inv, n)
+        cores[(GenKind.EPS, n)] = _nested_core(spec.phi, n)
     dtype = object
     if spec.field == RATIONALS and all(x.denominator == 1 for c in cores.values() for x in c):
         ints = {key: [int(x) for x in c] for key, c in cores.items()}

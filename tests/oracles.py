@@ -4,7 +4,8 @@ Everything here recomputes engine results by a different method:
 evaluation by dense padded slice matrices, with cups and caps nested by
 literal recursion; neighbour enumeration by exhausting interchange
 representatives and literally substituting whiskered relation
-instances.  Keep these slow and obvious.
+instances; hom classes by bounded pairwise search.  Keep these slow and
+obvious.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from collections import deque
 
 from monocat import (
     FunctorSpec,
+    HomEnumeration,
     Mat,
     Mode,
     SearchCaps,
@@ -21,14 +23,16 @@ from monocat import (
     canonical,
     compose,
     eps,
+    equal,
     eta,
+    eval_term,
     gen_count,
     identity,
     kron,
     rule_instance,
     tensor,
 )
-from monocat.rewrite import RuleId, term_key
+from monocat.rewrite import RuleId, generate_terms, term_key
 from monocat.terms import GenKind, Generator, Slice, term_from_layers
 
 
@@ -233,21 +237,27 @@ def random_term(
     lays = []
     width = source
     for _ in range(rng.randint(0, max_len)):
-        options = []
-        for n in range(1, max_index_n + 1):
-            if width + 2 * n <= max_width:
-                for m in range(0, width + 1):
-                    for off in range(0, width - m + 1):
-                        options.append((off, eta(m, n)))
-            for m in range(0, width - 2 * n + 1):
-                for off in range(0, width - m - 2 * n + 1):
-                    options.append((off, eps(m, n)))
+        options = slice_options(width, max_width, max_index_n)
         if not options:
             break
         off, g = rng.choice(options)
         lays.append((off, g))
         width += g.delta
     return term_from_layers(source, lays)
+
+
+def slice_options(width: int, max_width: int, max_index_n: int) -> list:
+    """Every (offset, generator) layer on ``width`` wires within the bounds."""
+    options = []
+    for n in range(1, max_index_n + 1):
+        if width + 2 * n <= max_width:
+            for m in range(0, width + 1):
+                for off in range(0, width - m + 1):
+                    options.append((off, eta(m, n)))
+        for m in range(0, width - 2 * n + 1):
+            for off in range(0, width - m - 2 * n + 1):
+                options.append((off, eps(m, n)))
+    return options
 
 
 def shuffled(rng: random.Random, t: Term, moves: int = 12) -> Term:
@@ -264,6 +274,40 @@ def shuffled(rng: random.Random, t: Term, moves: int = 12) -> Term:
         pos, (u2, v2) = rng.choice(choices)
         cur = term_from_layers(cur.source, lays[:pos] + [u2, v2] + lays[pos + 2 :])
     return cur
+
+
+def hom_classes_by_search(
+    m: int, n: int, mode: Mode, caps: SearchCaps, merge_caps: SearchCaps
+) -> HomEnumeration:
+    """Hom classes by pairwise bounded search, without normal forms.
+
+    Candidates are bucketed by their exact images under two pairings;
+    inside a bucket each joins the first class whose representative
+    ``equal`` reaches under ``merge_caps``, else opens a class and is
+    recorded as unresolved against every earlier class of the bucket.
+    """
+    specs = (FunctorSpec.identity(2), FunctorSpec.random(2, seed=11))
+    raw = sorted(generate_terms(m, n, caps), key=lambda t: (gen_count(t), term_key(t)))
+    buckets: dict = {}
+    for t in raw:
+        buckets.setdefault(tuple(eval_term(s, t).entries for s in specs), []).append(t)
+    classes = []
+    unresolved = []
+    for sig in sorted(buckets, key=repr):
+        bucket_classes = []
+        for t in buckets[sig]:
+            home = next(
+                (c for c in bucket_classes if equal(t, c[0], mode, merge_caps) is not None),
+                None,
+            )
+            if home is not None:
+                home.append(t)
+            else:
+                unresolved += [(c[0], t) for c in bucket_classes]
+                bucket_classes.append([t])
+        classes += bucket_classes
+    classes.sort(key=lambda c: (gen_count(c[0]), term_key(c[0])))
+    return HomEnumeration(tuple(map(tuple, classes)), tuple(unresolved))
 
 
 def snake() -> Term:

@@ -170,6 +170,11 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "id(0)" in out and "eta(0,1) ; eps(0,1)" in out
 
+    def test_homset_sliding_class_over_state_cap(self, capsys):
+        args = ["homset", "3", "1", "--mode", "D", "--max-gens", "4", "--max-n", "1"]
+        assert main(args + ["--max-states", "2"]) == 2
+        assert "max_states limit of 2" in capsys.readouterr().err
+
     def test_env_var_overrides_default_states(self, capsys, monkeypatch):
         monkeypatch.setenv("MONOCAT_MAX_STATES", "10")
         code = main(

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monocat import (
     DEFAULT_CAPS,
@@ -8,6 +10,7 @@ from monocat import (
     FunctorSpec,
     InvalidStep,
     Mode,
+    MonocatError,
     NotEqualShape,
     RewriteStep,
     RuleId,
@@ -26,12 +29,20 @@ from monocat import (
     identity,
     match_rules,
     neighbors,
+    normal_form,
     rule_instance,
     rule_instances,
     whisker,
 )
-from monocat.rewrite import TRIANGLE_RULES, term_key
-from oracles import neighbors_oracle, random_term, snake
+from monocat.rewrite import NATURALITY_RULES, TRIANGLE_RULES, term_key
+from monocat.terms import term_from_layers
+from oracles import (
+    hom_classes_by_search,
+    neighbors_oracle,
+    random_term,
+    slice_options,
+    snake,
+)
 
 SMALL = SearchCaps(4, 8, 1, 2000)
 
@@ -330,6 +341,64 @@ class TestEnumHom:
         for cls in detail.classes:
             images = {eval_term(spec, t).entries for t in cls}
             assert len(images) == 1
+
+    @pytest.mark.parametrize(
+        "mode, m, n",
+        [("C", 1, 1), ("C", 2, 0), ("C", 2, 2), ("D", 2, 2), ("D", 3, 1), ("D", 3, 3)],
+    )
+    def test_matches_pairwise_search(self, mode, m, n):
+        caps, merge = SearchCaps(3, 8, 1, 4000), SearchCaps(5, 10, 1, 4000)
+        detail = enum_hom_detailed(m, n, Mode[mode], caps, merge)
+        reference = hom_classes_by_search(m, n, Mode[mode], caps, merge)
+        assert detail.classes == reference.classes
+        assert detail.unresolved == reference.unresolved
+
+
+@st.composite
+def small_terms(draw, max_source=3, max_len=3, max_width=6):
+    width = source = draw(st.integers(0, max_source))
+    lays = []
+    for _ in range(draw(st.integers(0, max_len))):
+        options = slice_options(width, max_width, 1)
+        if not options:
+            break
+        off, g = draw(st.sampled_from(options))
+        lays.append((off, g))
+        width += g.delta
+    return term_from_layers(source, lays)
+
+
+class TestNormalForm:
+    @pytest.mark.parametrize("rule", sorted(TRIANGLE_RULES, key=lambda r: r.value))
+    @pytest.mark.parametrize("i", [0, 1, 2])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_triangle_composites_reach_identity(self, rule, i, n):
+        lhs, rhs = rule_instance(rule, i=i, n=n)
+        assert normal_form(lhs, Mode.C) == rhs == identity(i + n)
+
+    def test_zigzag_is_irreducible(self):
+        assert normal_form(snake(), Mode.C) == canonical(snake())
+        assert normal_form(snake(), Mode.C) != identity(1)
+
+    def test_sliding_instances_share_mode_d_normal_form(self):
+        for rule, params, lhs, rhs in rule_instances((0, 1), (0, 1), (1,), (0, 1), (1, 2)):
+            if rule not in NATURALITY_RULES:
+                continue
+            assert normal_form(lhs, Mode.D) == normal_form(rhs, Mode.D), (rule, params)
+            assert canonical(lhs) != canonical(rhs)
+
+    def test_tiny_limit_raises(self):
+        lhs, _ = rule_instance(RuleId.NAT_ETA_ETA, 0, 0, 1, 0, 1)
+        with pytest.raises(MonocatError, match="max_states limit of 1"):
+            normal_form(lhs, Mode.D, SearchCaps(max_states=1))
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(small_terms())
+    def test_mode_c_neighbours_share_normal_form(self, t):
+        caps = SearchCaps(5, 6, 1, 4000)
+        form = normal_form(t, Mode.C, caps)
+        for u in neighbors(t, Mode.C, caps):
+            assert normal_form(u, Mode.C, caps) == form, (t, u)
 
 
 class TestRuleInstanceTable:
