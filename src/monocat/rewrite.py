@@ -39,6 +39,7 @@ from .terms import (
     MonocatError,
     Term,
     _canonical_key,
+    _swaps,
     canonical,
     compose,
     eps,
@@ -173,41 +174,34 @@ def _state(t: Term) -> tuple:
 # block-free slice touching another block's edge can pass it on either
 # side with different resulting offsets), so the engine enumerates the
 # orderings outright; they are small at the widths this engine targets.
+# Lookups hit only while a state is being expanded (its pair steps, its
+# cuts, a replay), so a short cache keeps every hit; a long one only holds
+# the orderings of states long done with.
 
 
-@lru_cache(maxsize=1 << 16)
+@lru_cache(maxsize=512)
 def _labelled_arrangements(key: tuple) -> tuple:
     """All orderings of the layers ``key``, as (labels, layers) pairs.
 
     Labels are the original positions of the layers.  Deterministically
-    sorted by the (label, offset, kind_value, m, n) entry sequences.
+    sorted by the sequences of (label, layer) entries.
     """
-    start = tuple((idx, off, kv, m, n) for idx, (off, kv, m, n) in enumerate(key))
+    start = tuple(enumerate(key))
     seen = {start}
     queue = deque([start])
     while queue:
         cur = queue.popleft()
         for pos in range(len(cur) - 1):
-            iu, ou, ku, mu, nu = cur[pos]
-            iv, ov, kv, mv, nv = cur[pos + 1]
-            du = 2 * nu if ku == "eta" else -2 * nu
-            dv = 2 * nv if kv == "eta" else -2 * nv
-            src_v = mv if kv == "eta" else mv + 2 * nv
-            tgt_u = mu + 2 * nu if ku == "eta" else mu
-            swaps = []
-            if ov + src_v <= ou:
-                swaps.append(((iv, ov, kv, mv, nv), (iu, ou + dv, ku, mu, nu)))
-            if ov >= ou + tgt_u:
-                swaps.append(((iv, ov - du, kv, mv, nv), (iu, ou, ku, mu, nu)))
-            for pair in swaps:
-                new = cur[:pos] + pair + cur[pos + 2 :]
+            (iu, u), (iv, v) = cur[pos], cur[pos + 1]
+            for v2, u2 in _swaps(u, v):
+                new = cur[:pos] + ((iv, v2), (iu, u2)) + cur[pos + 2 :]
                 if new not in seen:
                     if len(seen) >= 200_000:
                         raise MonocatError("interchange class too large to search")
                     seen.add(new)
                     queue.append(new)
     return tuple(
-        (tuple(e[0] for e in arr), tuple(e[1:] for e in arr)) for arr in sorted(seen)
+        (tuple(e[0] for e in arr), tuple(e[1] for e in arr)) for arr in sorted(seen)
     )
 
 

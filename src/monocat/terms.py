@@ -24,7 +24,6 @@ here is safe for unrestricted concurrent use.
 from __future__ import annotations
 
 import enum
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -234,57 +233,169 @@ def term_from_key(source: int, key: tuple) -> Term:
     )
 
 
-_CLASS_CAP = 500_000
+def _swaps(u: tuple, v: tuple) -> tuple:
+    """Every legal transposition of the adjacent layers ``u`` then ``v``.
 
-
-def _class_layer_keys(key: tuple) -> set:
-    """All slice orderings of the diagram, as layer-key tuples.
-
-    Exhausts adjacent swaps; the swap arithmetic is inlined to avoid
-    object churn in hot paths.
+    Either ``v``'s source block lies left of ``u``'s offset (``u`` then
+    shifts by ``v``'s width change), or it lies right of ``u``'s target
+    block (``v`` shifts back by ``u``'s).  Both hold at once only for two
+    zero-width blocks at the same gap.
     """
-    seen = {key}
-    queue = deque([key])
-    while queue:
-        cur = queue.popleft()
-        for pos in range(len(cur) - 1):
-            ou, ku, mu, nu = cur[pos]
-            ov, kv, mv, nv = cur[pos + 1]
-            du = 2 * nu if ku == "eta" else -2 * nu
-            dv = 2 * nv if kv == "eta" else -2 * nv
-            src_v = mv if kv == "eta" else mv + 2 * nv
-            tgt_u = mu + 2 * nu if ku == "eta" else mu
-            swaps = []
-            if ov + src_v <= ou:
-                swaps.append(((ov, kv, mv, nv), (ou + dv, ku, mu, nu)))
-            if ov >= ou + tgt_u:
-                swaps.append(((ov - du, kv, mv, nv), (ou, ku, mu, nu)))
-            for pair in swaps:
-                new = cur[:pos] + pair + cur[pos + 2 :]
-                if new not in seen:
-                    if len(seen) >= _CLASS_CAP:
-                        raise MonocatError(
-                            "interchange class too large to normalise"
-                        )
-                    seen.add(new)
-                    queue.append(new)
-    return seen
+    ou, ku, mu, nu = u
+    ov, kv, mv, nv = v
+    out = ()
+    if ov + (mv if kv == "eta" else mv + 2 * nv) <= ou:
+        out = ((v, (ou + (2 * nv if kv == "eta" else -2 * nv), ku, mu, nu)),)
+    if ov >= ou + (mu + 2 * nu if ku == "eta" else mu):
+        out += (((ov - (2 * nu if ku == "eta" else -2 * nu), kv, mv, nv), u),)
+    return out
+
+
+# swap tests one canonicalisation may make, each counted with the length of
+# the suffix behind it (the keys it hashes), before giving up
+_WORK_CAP = 20_000_000
+
+
+class _FrontGraph:
+    """One canonicalisation's view of the memo of fronts.
+
+    The *fronts* of a class are its pairs (first layer, least suffix).
+    ``_least`` maps every pair ``(b, t)`` met so far, ``t`` a least key, to
+    the least member of the class of ``(b,) + t``, and maps each least key
+    to itself, so that equal least keys are one shared tuple; ``_fronts``
+    maps each least key of two or more layers to its fronts.  Both are
+    filled together, when a class is closed.  ``_WORK_CAP`` bounds the
+    swap tests one call makes.
+    """
+
+    __slots__ = ("_fronts", "_least", "_work")
+
+    def __init__(self, fronts: dict, least: dict) -> None:
+        self._fronts = fronts
+        self._least = least
+        self._work = 0
+
+    def least(self, key: tuple) -> tuple:
+        """The least member of the class of ``key``, built suffix by suffix."""
+        get = self._least.get
+        rest = key[-1:]
+        for b in reversed(key[:-1]):
+            rest = get((b, rest)) or self._lead(b, rest)
+        return rest
+
+    def fronts(self, s: tuple) -> tuple:
+        """The fronts of the class of the least key ``s``."""
+        if len(s) < 2:
+            return ((s[0], ()),) if s else ()
+        return self._fronts[s]
+
+    def _lead(self, b: tuple, t: tuple) -> tuple:
+        """The least member of the class of ``(b,) + t``, ``t`` least.
+
+        Closing a class needs the least members of classes one layer
+        shorter.  Those are closed first, on an explicit stack rather than
+        by recursion: a chain of them can be as long as the key.
+        """
+        stack = [self._closing((b, t))]
+        while stack:
+            need = next(stack[-1], None)
+            if need is None:
+                stack.pop()
+            else:
+                stack.append(self._closing(need))
+        return self._least[b, t]
+
+    def _closing(self, start: tuple):
+        """Close the fronts reachable from the node ``start`` and memoise.
+
+        A node (x, s) stands for every member ``(x,) + s'`` with ``s'`` in
+        the class of ``s``.  Swapping ``x`` with the first layer ``c`` of
+        such an ``s'``, one front (c, u) of ``s``, into ``c', x'`` leads to
+        the node (c', least((x',) + u)).  Yields each pair ``(x', u)``
+        whose least member is not yet known, and resumes once it is.
+        """
+        least = self._least
+        nodes = [start]
+        seen = None
+        for x, s in nodes:
+            fronts = self.fronts(s)
+            self._work += len(fronts) * len(s)
+            if self._work > _WORK_CAP:
+                raise MonocatError("interchange class too large to normalise")
+            for c, u in fronts:
+                for c2, x2 in _swaps(x, c):
+                    if u:
+                        pair = (x2, u)
+                        if pair not in least:
+                            yield pair
+                        node = (c2, least[pair])
+                    else:
+                        node = (c2, (x2,))
+                    if seen is None:
+                        seen = {start}
+                    if node not in seen:
+                        seen.add(node)
+                        nodes.append(node)
+        first, rest = min(nodes) if len(nodes) > 1 else start
+        hit = least.setdefault((first,) + rest, (first,) + rest)
+        # every front (c, u) of the class is a pair whose least member is hit
+        for node in nodes:
+            least[node] = hit
+        self._fronts.setdefault(hit, tuple(nodes))
+
+
+# the memo all canonicalisations share, as (fronts, least); replaced by an
+# empty one once it holds _MEMO_CAP pairs (a call in progress keeps its own)
+_MEMO_CAP = 16384
+_memo: tuple = ({}, {})
+
+
+def _front_graph() -> _FrontGraph:
+    global _memo
+    if len(_memo[1]) > _MEMO_CAP:
+        _memo = ({}, {})
+    return _FrontGraph(*_memo)
 
 
 @lru_cache(maxsize=1 << 18)
 def _canonical_key(key: tuple) -> tuple:
-    return min(_class_layer_keys(key))
+    return _front_graph().least(key)
+
+
+def _fronts(key: tuple) -> tuple:
+    """The pairs (first layer, least suffix) over the class of ``key``."""
+    graph = _front_graph()
+    return graph.fronts(graph.least(key))
 
 
 def canonical(t: Term) -> Term:
     """Normal form modulo the sliding law: the least representative.
 
-    The interchange class of a term is finite (slice orderings of one
-    diagram); ``canonical`` returns its minimum in the lexicographic
-    order on (offset, kind, m, n) layer sequences.  This emits, at every
-    position, the leftmost slice that can be slid to the front, and by
-    construction the result depends only on the class, so it is identical
-    for all interchange-equivalent inputs and idempotent.
+    The interchange class of a term is finite (the slice orderings of one
+    diagram); ``canonical`` returns its least member in the lexicographic
+    order on (offset, kind, m, n) layer sequences, so the result depends
+    only on the class and is idempotent.
+
+    The class is not listed.  Its *fronts* are the pairs (first layer,
+    least suffix) over its members, and its least member is the least
+    ``(a,) + s`` among them.  The fronts of the class of ``(b,) + t`` are
+    the nodes reachable from (b, least(t)): a node (x, s) leads, for each
+    front (c, u) of ``s`` and each legal swap of ``x, c`` into ``c', x'``,
+    to the node (c', least((x',) + u)).  Least suffixes come from the same
+    recursion one layer shorter, and are memoised with their fronts.  This
+    is exact, and needs no cancellation property of the sliding law.
+
+    Bubbling to the front, position by position, the least slice that can
+    get there is not exact.  A block of zero width (the source of
+    ``eta(0, n)``, the target of ``eps(0, n)``) at the edge of another
+    block can pass it on either side, so one first layer can be followed
+    by several suffix classes, and the route a greedy takes need not lead
+    to the least of them (a closed component does this in
+    ``tests/test_terms.py``).
+
+    The work grows with the number of suffix classes met, which can grow
+    exponentially with the number of independent slices; past
+    ``_WORK_CAP`` in one call this raises :class:`MonocatError`.
     """
     return term_from_key(t.source, _canonical_key(layer_key(t)))
 

@@ -39,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .terms import GenKind, MonocatError, Term, _class_layer_keys, layer_key
+from .terms import GenKind, MonocatError, Term, _fronts, layer_key
 
 
 class TooLarge(MonocatError):
@@ -517,12 +517,19 @@ class IsoVerdict:
 
 def has_leading_deletion(t: Term) -> bool:
     """Does the arrow factor as a padded deletion followed by something?"""
-    return any(key and key[0][1] == "eps" for key in _class_layer_keys(layer_key(t)))
+    return any(first[1] == "eps" for first, _ in _fronts(layer_key(t)))
 
 
 def has_trailing_insertion(t: Term) -> bool:
-    """Does the arrow factor as something followed by a padded insertion?"""
-    return any(key and key[-1][1] == "eta" for key in _class_layer_keys(layer_key(t)))
+    """Does the arrow factor as something followed by a padded insertion?
+
+    Read upside down (slices reversed, ``eta`` and ``eps`` swapped, offsets
+    kept), a trailing insertion is a leading deletion.
+    """
+    flipped = tuple(
+        (off, "eps" if kv == "eta" else "eta", m, n) for off, kv, m, n in reversed(layer_key(t))
+    )
+    return any(first[1] == "eps" for first, _ in _fronts(flipped))
 
 
 def iso_obstruction(spec: FunctorSpec, t: Term) -> IsoVerdict:

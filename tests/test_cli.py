@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from monocat import canonical, render
+from monocat import canonical, render, terms
 from monocat.cli import ParseError, main, parse_expr
 from monocat.suite import snake_term
 from oracles import random_term
@@ -67,6 +67,31 @@ class TestCommands:
     def test_normalize(self, capsys):
         assert main(["normalize", "(id(2) * eta(0,1)) ; (eps(0,1) * id(2))"]) == 0
         assert capsys.readouterr().out.strip() == "eps(0,1) ; eta(0,1)"
+
+    @pytest.mark.parametrize(
+        "gens, want",
+        [
+            (
+                ["eps(0,1)"] * 10,
+                " ; ".join(f"(eps(0,1) * id({2 * k}))" for k in range(9, 0, -1)) + " ; eps(0,1)",
+            ),
+            (
+                ["eps(0,1)"] * 4 + ["eta(0,1)"] * 4,
+                "(eps(0,1) * id(6)) ; (eps(0,1) * id(4)) ; (eps(0,1) * id(2)) ; eps(0,1) ; "
+                "eta(0,1) ; (eta(0,1) * id(2)) ; (eta(0,1) * id(4)) ; (eta(0,1) * id(6))",
+            ),
+        ],
+        ids=["eps10", "eps4-eta4"],
+    )
+    def test_normalize_tensor_powers(self, capsys, fresh_memo, gens, want):
+        # interchange classes of millions of orderings
+        assert main(["normalize", " * ".join(gens)]) == 0
+        assert capsys.readouterr().out.strip() == want
+
+    def test_normalize_work_bound(self, capsys, fresh_memo, monkeypatch):
+        monkeypatch.setattr(terms, "_WORK_CAP", 1000)
+        assert main(["normalize", " * ".join(["eps(0,1)"] * 4 + ["eta(0,1)"] * 4)]) == 2
+        assert "interchange class too large to normalise" in capsys.readouterr().err
 
     def test_eq_equal(self, capsys):
         code = main(["eq", "(eta(0,1)*id(1)) ; eps(1,1)", "id(1)", "--mode", "C"])

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from monocat import (
     FunctorSpec,
@@ -22,7 +24,11 @@ from monocat import (
     tensor,
     whisker,
 )
-from oracles import random_term, shuffled
+from monocat.rewrite import generate_terms
+from monocat.suite import SuiteConfig
+from monocat.terms import term_from_key, term_from_layers
+from monocat.vect import has_leading_deletion, has_trailing_insertion
+from oracles import class_representatives, random_term, shuffled, slice_options
 
 
 class TestGenerator:
@@ -157,6 +163,89 @@ class TestCanonical:
             t = random_term(rng, max_source=2, max_len=3, max_width=6)
             for sp in specs:
                 assert eval_term(sp, canonical(t)) == eval_term(sp, t)
+
+
+@st.composite
+def zero_width_terms(draw, max_source=2, max_len=8, max_width=5):
+    """Terms with n <= 2 in which about half the slices have m = 0: their
+    zero-width source or target blocks can pass a neighbour on either side."""
+    width = source = draw(st.integers(0, max_source))
+    lays = []
+    for _ in range(draw(st.integers(0, max_len))):
+        options = slice_options(width, max_width, 2)
+        if not options:
+            break
+        if draw(st.booleans()):
+            options = [o for o in options if o[1].m == 0] or options
+        off, g = draw(st.sampled_from(options))
+        lays.append((off, g))
+        width += g.delta
+    return term_from_layers(source, lays)
+
+
+def tensor_power(gens) -> Term:
+    t = identity(0)
+    for g in gens:
+        t = tensor(t, gen_term(g))
+    return t
+
+
+def check_against_representatives(t: Term, reps: list[Term]) -> None:
+    """canonical is the least member; the front predicates read the class."""
+    assert canonical(t) == reps[0], t
+    assert has_leading_deletion(t) == any(
+        r.slices and r.slices[0].gen.kind is GenKind.EPS for r in reps
+    ), t
+    assert has_trailing_insertion(t) == any(
+        r.slices and r.slices[-1].gen.kind is GenKind.ETA for r in reps
+    ), t
+
+
+class TestCanonicalAgainstRepresentatives:
+    """``canonical`` and the front predicates against the listed class."""
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(zero_width_terms())
+    def test_zero_width_terms(self, t):
+        try:
+            reps = class_representatives(t, cap=600)
+        except RuntimeError:
+            assume(False)
+        check_against_representatives(t, reps)
+
+    def test_generate_terms_at_suite_caps(self):
+        caps = SuiteConfig().hom_caps
+        rng = random.Random(8)
+        shapes = [(1, 0), (2, 0), (3, 0), (0, 1), (1, 1), (2, 1), (2, 2)]
+        count = 0
+        for m, n in shapes:
+            for t in generate_terms(m, n, caps):
+                check_against_representatives(shuffled(rng, t, moves=6), class_representatives(t))
+                count += 1
+        assert count > 50
+
+    @pytest.mark.parametrize(
+        "gens",
+        [[eps(0, 1)] * k for k in range(1, 8)]
+        + [[eta(0, 1)] * k for k in range(1, 8)]
+        + [[eta(0, 1) if j % 2 == 0 else eps(0, 1) for j in range(k)] for k in range(2, 7)],
+        ids=[f"eps{k}" for k in range(1, 8)]
+        + [f"eta{k}" for k in range(1, 8)]
+        + [f"alternating{k}" for k in range(2, 7)],
+    )
+    def test_tensor_powers(self, fresh_memo, gens):
+        t = tensor_power(gens)
+        check_against_representatives(t, class_representatives(t))
+
+    def test_closed_component_passing_zero_width_points(self, fresh_memo):
+        # the cup eta(0,1) can slide under the cap eps(0,1) on either side of
+        # the nested pair; only one route leads to the least member, so
+        # bubbling the least slice to the front along the first route found
+        # gets this wrong
+        t = term_from_key(0, ((0, "eta", 0, 2), (1, "eps", 1, 1), (0, "eta", 0, 1), (2, "eps", 0, 1)))
+        least = ((0, "eta", 0, 1), (0, "eta", 0, 2), (1, "eps", 1, 1), (0, "eps", 0, 1))
+        assert canonical(t) == term_from_key(0, least)
+        assert class_representatives(t)[0] == canonical(t)
 
 
 class TestRender:
