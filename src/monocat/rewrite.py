@@ -16,7 +16,9 @@ branching, so enumeration is bounded by ``SearchCaps``.
 
 Matching is done modulo interchange: rules match every pair of slices
 that can be made adjacent by sliding disjoint slices out of the way, and
-expansions are offered at every vertical cut of the diagram.  Searches
+expansions are offered at every vertical cut of the diagram.  Both are
+read off the fronts of the class (its pairs of first slice and least
+suffix, see ``terms.canonical``), without listing its orderings.  Searches
 run on packed keys ``(source, ((offset, kind, m, n), ...))`` of
 canonical forms (see ``terms.term_key``) and build ``Term`` objects only
 for what they return: witnesses, reports, neighbour lists and
@@ -39,7 +41,7 @@ from .terms import (
     MonocatError,
     Term,
     _canonical_key,
-    _swaps,
+    _front_graph,
     canonical,
     compose,
     eps,
@@ -106,26 +108,22 @@ DEFAULT_CAPS = SearchCaps()
 class RewriteStep:
     """One rule application, replayable against its source term.
 
-    ``variant`` indexes an ordering of the source term's slices (the
-    engine's deterministic arrangement list) and ``pos`` a position in
-    it.  For pair steps, ``pair`` holds the labels (original slice
-    indices) of the two slices matched at (pos, pos + 1).  For
-    expansions, ``cut`` is the sorted label set below the insertion
-    point and ``offset``/``block``/``index_n`` place the inserted
-    insertion/deletion pair.  ``binding`` records the parameter values
-    of the matched relation instance.
+    ``row`` is the ordering of the source term's slices, as layer keys
+    ``(offset, kind, m, n)``, that the step applies to, and ``pos`` a
+    position in it.  Pair steps rewrite the slices at (pos, pos + 1).
+    Expansions insert before position ``pos``; ``offset``/``block``/
+    ``index_n`` place the inserted insertion/deletion pair.  ``binding``
+    records the parameter values of the matched relation instance.
     """
 
     rule: RuleId
     direction: Direction
-    variant: int = 0
+    row: tuple = ()
     pos: int = 0
-    pair: tuple[int, int] | None = None
-    cut: tuple[int, ...] | None = None
+    binding: tuple[tuple[str, int], ...] = ()
     offset: int | None = None
     block: int | None = None
     index_n: int | None = None
-    binding: tuple[tuple[str, int], ...] = ()
 
     def describe(self) -> str:
         side = "+" if self.direction is Direction.FORWARD else "-"
@@ -164,45 +162,6 @@ class ExploreReport:
 def _state(t: Term) -> tuple:
     """The search state of ``t``: the packed key of its canonical form."""
     return (t.source, _canonical_key(layer_key(t)))
-
-
-# -- interchange arrangements ---------------------------------------------------
-#
-# A term's interchange class is the finite set of slice orderings of its
-# diagram.  Matching "modulo interchange" means: list-adjacent in some
-# ordering.  The zero-width corner cases make greedy routing unsound (a
-# block-free slice touching another block's edge can pass it on either
-# side with different resulting offsets), so the engine enumerates the
-# orderings outright; they are small at the widths this engine targets.
-# Lookups hit only while a state is being expanded (its pair steps, its
-# cuts, a replay), so a short cache keeps every hit; a long one only holds
-# the orderings of states long done with.
-
-
-@lru_cache(maxsize=512)
-def _labelled_arrangements(key: tuple) -> tuple:
-    """All orderings of the layers ``key``, as (labels, layers) pairs.
-
-    Labels are the original positions of the layers.  Deterministically
-    sorted by the sequences of (label, layer) entries.
-    """
-    start = tuple(enumerate(key))
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        cur = queue.popleft()
-        for pos in range(len(cur) - 1):
-            (iu, u), (iv, v) = cur[pos], cur[pos + 1]
-            for v2, u2 in _swaps(u, v):
-                new = cur[:pos] + ((iv, v2), (iu, u2)) + cur[pos + 2 :]
-                if new not in seen:
-                    if len(seen) >= 200_000:
-                        raise MonocatError("interchange class too large to search")
-                    seen.add(new)
-                    queue.append(new)
-    return tuple(
-        (tuple(e[0] for e in arr), tuple(e[1] for e in arr)) for arr in sorted(seen)
-    )
 
 
 # -- pair matching ------------------------------------------------------------
@@ -259,144 +218,167 @@ def _match_pair(u, v, mode: Mode):
     return found
 
 
-def _pair_step_results(state, mode: Mode):
-    source, lays = state
-    results = []
-    seen = set()
-    for ai, (labels, row) in enumerate(_labelled_arrangements(lays)):
-        for p in range(len(row) - 1):
-            for rule, direction, repl, binding in _match_pair(row[p], row[p + 1], mode):
-                # the same instance shows up in many orderings of the
-                # other slices; one witness per matched instance suffices
-                pair = labels[p : p + 2]
-                dedupe = (rule, direction, pair, row[p][0], row[p + 1][0])
-                if dedupe in seen:
-                    continue
-                seen.add(dedupe)
-                step = RewriteStep(
-                    rule, direction, variant=ai, pos=p, pair=pair, binding=binding
-                )
-                new = row[:p] + repl + row[p + 2 :]
-                results.append((step, (source, _canonical_key(new))))
-    return results
+# -- matching on the fronts ----------------------------------------------------
+#
+# Every member of the class of a least key s is (a,) + m, for a front
+# (a, t) of s and a member m of the class of t.  So a pair at position 0
+# is a front a followed by a front b of t, and every deeper pair step, or
+# cut, is one of t's with a prepended: every result is the least key of
+# some slices prepended to a least key.  Pair steps (per mode) and cuts
+# are memoised per least key, suffix classes first.  Each memo is
+# replaced by an empty one once it holds _MOVES_CAP keys (a call in
+# progress keeps its own).
+
+_MOVES_CAP = 4096
+_moves: dict = {}
 
 
-def _cut_states(state):
-    """Distinct vertical cuts: (arrangement index, position, width).
+def _memoised(kind, lays: tuple, build) -> dict:
+    """The ``kind`` memo's entry for the least key ``lays``.
 
-    A cut is a prefix of some ordering.  Two prefixes are the same cut
-    when they hold the same slice labels and leave the remaining slices
-    at the same offsets (zero-width blocks can pass a neighbouring block
-    on either side, so the label set alone does not determine the cut).
+    ``build(graph, s, fronts, memo)`` makes the entry of ``s`` from those
+    of the suffixes of its fronts, which are made first, on an explicit
+    stack rather than by recursion: suffixes nest as deep as the key is
+    long.  The work bound of ``terms`` applies to each entry.
     """
+    memo = _moves.get(kind)
+    if memo is None or len(memo) > _MOVES_CAP:
+        memo = _moves[kind] = {}
+    graph = _front_graph()
+    todo = [lays]
+    while todo:
+        s = todo[-1]
+        if s in memo:
+            todo.pop()
+            continue
+        graph.restart()
+        fronts = graph.fronts(s)
+        need = [t for _, t in fronts if t not in memo]
+        if need:
+            todo += need
+        else:
+            memo[s] = build(graph, s, fronts, memo)
+            todo.pop()
+    return memo[lays]
+
+
+def _pair_steps(state, mode: Mode):
+    """Every pair step on the class of ``state``, as (step fields, result).
+
+    The memo maps (rule, direction, least key of the result) to the fields
+    of one :class:`RewriteStep` giving it.
+    """
+
+    def build(graph, s, fronts, memo):
+        out = {}
+        for a, t in fronts:
+            for b, u in graph.fronts(t):
+                for rule, direction, repl, binding in _match_pair(a, b, mode):
+                    key = (rule, direction, graph.prepend(repl, u))
+                    if key not in out:
+                        out[key] = (rule, direction, (a, b) + u, 0, binding)
+            for (rule, direction, r), (_, _, row, pos, binding) in memo[t].items():
+                key = (rule, direction, graph.prepend((a,), r))
+                if key not in out:
+                    out[key] = (rule, direction, (a,) + row, pos + 1, binding)
+        return out
+
     source, lays = state
-    out = []
-    seen = set()
-    for ai, (labels, row) in enumerate(_labelled_arrangements(lays)):
-        width = source
-        for p in range(len(row) + 1):
-            key = (
-                tuple(sorted(labels[:p])),
-                tuple(zip(labels[p:], [lay[0] for lay in row[p:]])),
-            )
-            if key not in seen:
-                seen.add(key)
-                out.append((ai, p, width))
-            if p < len(row):
-                _, kv, _, nn = row[p]
-                width += 2 * nn if kv == "eta" else -2 * nn
-    return out
+    for (_, _, result), fields in _memoised(mode, lays, build).items():
+        yield fields, (source, result)
 
 
-def _expansion_step_results(state, caps: SearchCaps):
+def _cuts(lays: tuple) -> dict:
+    """The cuts of the class of the least key ``lays``.
+
+    Maps (head, tail), the least keys of the slices below and above a cut,
+    to the width of the cut less the source width.
+    """
+
+    def build(graph, s, fronts, memo):
+        out = {((), s): 0}
+        for a, t in fronts:
+            da = 2 * a[3] if a[1] == "eta" else -2 * a[3]
+            for (head, tail), delta in memo[t].items():
+                out.setdefault((graph.prepend((a,), head), tail), delta + da)
+        return out
+
+    return _memoised("cuts", lays, build)
+
+
+def _expansions(state, caps: SearchCaps):
+    """Every triangle expansion on the class of ``state`` within ``caps``."""
     source, lays = state
     if len(lays) + 2 > caps.max_gen_count:
-        return []
-    results = []
-    arrs = _labelled_arrangements(lays)
-    for ai, p, width in _cut_states(state):
-        labels, row = arrs[ai]
-        head, tail = row[:p], row[p:]
-        cut_ids = tuple(sorted(labels[:p]))
+        return
+    for (head, tail), delta in _cuts(lays).items():
+        width = source + delta
+        row, pos = head + tail, len(head)
         for nn in range(1, caps.max_index_n + 1):
             if width + 2 * nn > caps.max_width:
                 continue
             for a in range(0, width - nn + 1):
                 for i in range(0, width - nn - a + 1):
+                    binding = (("i", i), ("n", nn))
                     for rule, ins_blk, del_blk in (
                         (RuleId.TRIANGLE_A, i, i + nn),
                         (RuleId.TRIANGLE_B, i + nn, i),
                     ):
-                        step = RewriteStep(
-                            rule,
-                            Direction.BACKWARD,
-                            variant=ai,
-                            pos=p,
-                            cut=cut_ids,
-                            offset=a,
-                            block=ins_blk,
-                            index_n=nn,
-                            binding=(("i", i), ("n", nn)),
-                        )
-                        new = head + ((a, "eta", ins_blk, nn), (a, "eps", del_blk, nn)) + tail
-                        results.append((step, (source, _canonical_key(new))))
-    return results
+                        fields = (rule, Direction.BACKWARD, row, pos, binding, a, ins_blk, nn)
+                        ins = ((a, "eta", ins_blk, nn), (a, "eps", del_blk, nn))
+                        yield fields, (source, _front_graph().prepend(head + ins, tail))
 
 
 def _step_results(state, mode: Mode, caps: SearchCaps):
-    results = _pair_step_results(state, mode)
+    """Every step on the class of ``state``, as (step fields, result state)."""
+    yield from _pair_steps(state, mode)
     if mode is Mode.C:
-        results.extend(_expansion_step_results(state, caps))
-    return results
+        yield from _expansions(state, caps)
 
 
 def match_rules(t: Term, mode: Mode, caps: SearchCaps = DEFAULT_CAPS) -> list[RewriteStep]:
     """All rule applications available on ``t`` modulo interchange.
 
     Pair rules are matched on every interchange-adjacent slice pair;
-    expansions are enumerated at every cut, bounded by ``caps``.
+    expansions are enumerated at every cut, bounded by ``caps``.  Lists
+    one step per rule, direction and result.
     """
-    return [step for step, _ in _step_results(term_key(t), mode, caps)]
+    steps: dict = {}
+    for fields, y in _step_results(_state(t), mode, caps):
+        steps.setdefault(fields[:2] + (y,), fields)
+    return [RewriteStep(*fields) for fields in steps.values()]
 
 
 def apply(t: Term, step: RewriteStep) -> Term:
     """Replay ``step`` against ``t``; canonicalized result.
 
-    Raises :class:`InvalidStep` when the step does not match ``t``.
+    Raises :class:`InvalidStep` when ``step.row`` is not an ordering of
+    ``t``'s slices or the step does not match it.
     """
-    arrs = _labelled_arrangements(layer_key(t))
-    if not (0 <= step.variant < len(arrs)):
-        raise InvalidStep(f"arrangement {step.variant} out of range")
-    labels, row = arrs[step.variant]
+    row = step.row
+    try:
+        term_from_key(t.source, row)
+    except (ValueError, MonocatError) as exc:
+        raise InvalidStep(f"row does not chain: {exc}") from exc
+    if _canonical_key(row) != _canonical_key(layer_key(t)):
+        raise InvalidStep("row is not an ordering of the term's slices")
+    p = step.pos
 
-    if step.pair is not None:
-        p = step.pos
+    if step.rule not in TRIANGLE_RULES or step.direction is Direction.FORWARD:
         if not (0 <= p < len(row) - 1):
             raise InvalidStep(f"position {p} out of range")
-        if labels[p : p + 2] != step.pair:
-            raise InvalidStep(f"slices {step.pair} not adjacent at position {p}")
         for rule, direction, repl, _ in _match_pair(row[p], row[p + 1], Mode.C):
             if rule is step.rule and direction is step.direction:
                 new = row[:p] + repl + row[p + 2 :]
                 return term_from_key(t.source, _canonical_key(new))
-        raise InvalidStep(f"{step.describe()} does not match at {step.pair}")
+        raise InvalidStep(f"{step.describe()} does not match at position {p}")
 
-    if step.cut is None or step.offset is None or step.block is None or step.index_n is None:
+    if step.offset is None or step.block is None or step.index_n is None:
         raise InvalidStep("malformed step")
-    if step.direction is not Direction.BACKWARD:
-        raise InvalidStep("expansions are backward steps")
-    p = step.pos
     if not (0 <= p <= len(row)):
         raise InvalidStep(f"position {p} out of range")
-    if tuple(sorted(labels[:p])) != step.cut:
-        raise InvalidStep(f"cut {step.cut} does not match position {p}")
     a, blk, nn = step.offset, step.block, step.index_n
-    if step.rule is RuleId.TRIANGLE_A:
-        del_blk = blk + nn
-    elif step.rule is RuleId.TRIANGLE_B:
-        del_blk = blk - nn
-    else:
-        raise InvalidStep(f"{step.rule.value} is not an expansion rule")
+    del_blk = blk + nn if step.rule is RuleId.TRIANGLE_A else blk - nn
     try:
         new = term_from_key(
             t.source, row[:p] + ((a, "eta", blk, nn), (a, "eps", del_blk, nn)) + row[p:]
@@ -423,8 +405,7 @@ def _respects(state, caps: SearchCaps) -> bool:
 
 def neighbors(t: Term, mode: Mode, caps: SearchCaps = DEFAULT_CAPS) -> list[Term]:
     """Canonical, deduplicated one-step rewrites of ``t`` within caps."""
-    found = {y for _, y in _step_results(term_key(t), mode, caps) if _respects(y, caps)}
-    return [term_from_key(*y) for y in sorted(found)]
+    return [term_from_key(*y) for y in _successors(_state(t), mode, caps) if _respects(y, caps)]
 
 
 def _relaxed_caps(a, b, caps: SearchCaps) -> SearchCaps:
@@ -441,9 +422,9 @@ def _relaxed_caps(a, b, caps: SearchCaps) -> SearchCaps:
 
 def _find_step(src, dst, mode: Mode, caps: SearchCaps) -> RewriteStep:
     """A step turning src into dst; exists whenever dst was found adjacent."""
-    for step, result in _step_results(src, mode, _relaxed_caps(src, dst, caps)):
+    for fields, result in _step_results(src, mode, _relaxed_caps(src, dst, caps)):
         if result == dst:
-            return step
+            return RewriteStep(*fields)
     raise AssertionError("edge of the rewrite graph could not be re-derived")
 
 
@@ -591,7 +572,7 @@ def _sliding_class(state, limit: int) -> set:
     seen = {state}
     stack = [state]
     while stack:
-        for _, y in _pair_step_results(stack.pop(), Mode.D):
+        for _, y in _pair_steps(stack.pop(), Mode.D):
             if y not in seen:
                 if len(seen) >= limit:
                     raise MonocatError(f"sliding class exceeds the max_states limit of {limit}")
@@ -602,13 +583,17 @@ def _sliding_class(state, limit: int) -> set:
 
 @lru_cache(maxsize=1 << 16)
 def _normal_form(state, mode: Mode, limit: int):
-    """Packed-key normal form; see :func:`normal_form`."""
+    """Packed-key normal form; see :func:`normal_form`.
+
+    Contracts the least triangle result of the least member that has one,
+    so the route depends on the class alone.
+    """
     members = sorted(_sliding_class(state, limit))
     if mode is Mode.C:
         for x in members:
-            for step, y in _pair_step_results(x, Mode.C):
-                if step.rule in TRIANGLE_RULES:
-                    return _normal_form(y, mode, limit)
+            found = [y for fields, y in _pair_steps(x, mode) if fields[0] in TRIANGLE_RULES]
+            if found:
+                return _normal_form(min(found), mode, limit)
     return members[0]
 
 

@@ -44,10 +44,10 @@ from .terms import (
     gen_count,
     gen_term,
     identity,
-    layer_key,
     render,
     tensor,
     term_from_key,
+    upside_down,
 )
 from .vect import RATIONALS, FunctorSpec, PrimeField, RationalField
 
@@ -312,13 +312,6 @@ def _random_term(rng: random.Random, source: int, max_len: int, max_width: int) 
     return term_from_key(source, tuple(lays))
 
 
-def _upside_down(t: Term) -> Term:
-    """The mirror image of ``t``: slices reversed, insertions and deletions swapped."""
-    flip = {"eta": "eps", "eps": "eta"}
-    lays = tuple((off, flip[kind], m, n) for off, kind, m, n in reversed(layer_key(t)))
-    return term_from_key(t.target, lays)
-
-
 def check_skeletal_and_obstructions(cfg: SuiteConfig) -> CheckResult:
     """Sampled arrows of the two forbidden factorisations are certified
     non-invertible, and arrows between distinct widths always are."""
@@ -347,7 +340,7 @@ def check_skeletal_and_obstructions(cfg: SuiteConfig) -> CheckResult:
                 t = compose(Term(del_slice.source_width, (del_slice,)), g)
             else:
                 ins_slice = Slice(i1, eta(j, k), i2)
-                g = _upside_down(_random_term(rng, ins_slice.source_width, 3, 5))
+                g = upside_down(_random_term(rng, ins_slice.source_width, 3, 5))
                 t = compose(g, Term(ins_slice.source_width, (ins_slice,)))
             verdict = vect.iso_obstruction(spec, t)
             if not verdict.not_iso:

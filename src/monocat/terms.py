@@ -233,6 +233,13 @@ def term_from_key(source: int, key: tuple) -> Term:
     )
 
 
+def upside_down(t: Term) -> Term:
+    """The mirror image of ``t``: slices reversed, insertions and deletions swapped."""
+    flip = {"eta": "eps", "eps": "eta"}
+    lays = tuple((off, flip[kv], m, n) for off, kv, m, n in reversed(layer_key(t)))
+    return term_from_key(t.target, lays)
+
+
 def _swaps(u: tuple, v: tuple) -> tuple:
     """Every legal transposition of the adjacent layers ``u`` then ``v``.
 
@@ -257,15 +264,15 @@ _WORK_CAP = 20_000_000
 
 
 class _FrontGraph:
-    """One canonicalisation's view of the memo of fronts.
+    """A view of the memo of fronts for one canonicalisation or matching.
 
     The *fronts* of a class are its pairs (first layer, least suffix).
     ``_least`` maps every pair ``(b, t)`` met so far, ``t`` a least key, to
     the least member of the class of ``(b,) + t``, and maps each least key
     to itself, so that equal least keys are one shared tuple; ``_fronts``
-    maps each least key of two or more layers to its fronts.  Both are
-    filled together, when a class is closed.  ``_WORK_CAP`` bounds the
-    swap tests one call makes.
+    maps each least key of two or more layers to its fronts, sorted.  Both
+    are filled together, when a class is closed.  ``_WORK_CAP`` bounds the
+    swap tests one call makes, or one request after ``restart``.
     """
 
     __slots__ = ("_fronts", "_least", "_work")
@@ -275,19 +282,33 @@ class _FrontGraph:
         self._least = least
         self._work = 0
 
+    def restart(self) -> None:
+        """Count the swap tests of the next request from zero."""
+        self._work = 0
+
     def least(self, key: tuple) -> tuple:
         """The least member of the class of ``key``, built suffix by suffix."""
+        return self.prepend(key[:-1], key[-1:])
+
+    def prepend(self, head: tuple, tail: tuple) -> tuple:
+        """The least member of the class of ``head + tail``, ``tail`` least."""
         get = self._least.get
-        rest = key[-1:]
-        for b in reversed(key[:-1]):
-            rest = get((b, rest)) or self._lead(b, rest)
-        return rest
+        for b in reversed(head):
+            tail = get((b, tail)) or self._lead(b, tail)
+        return tail
 
     def fronts(self, s: tuple) -> tuple:
-        """The fronts of the class of the least key ``s``."""
+        """The fronts of the class of the least key ``s``, sorted.
+
+        ``s`` may have been closed in a memo since replaced (callers keep
+        least keys across calls); its class is then closed again.
+        """
         if len(s) < 2:
             return ((s[0], ()),) if s else ()
-        return self._fronts[s]
+        try:
+            return self._fronts[s]
+        except KeyError:
+            return self._fronts[self.least(s)]
 
     def _lead(self, b: tuple, t: tuple) -> tuple:
         """The least member of the class of ``(b,) + t``, ``t`` least.
@@ -336,7 +357,8 @@ class _FrontGraph:
                     if node not in seen:
                         seen.add(node)
                         nodes.append(node)
-        first, rest = min(nodes) if len(nodes) > 1 else start
+        nodes.sort()
+        first, rest = nodes[0]
         hit = least.setdefault((first,) + rest, (first,) + rest)
         # every front (c, u) of the class is a pair whose least member is hit
         for node in nodes:
@@ -344,9 +366,11 @@ class _FrontGraph:
         self._fronts.setdefault(hit, tuple(nodes))
 
 
-# the memo all canonicalisations share, as (fronts, least); replaced by an
-# empty one once it holds _MEMO_CAP pairs (a call in progress keeps its own)
-_MEMO_CAP = 16384
+# the memo all canonicalisations and rule matches share, as (fronts,
+# least); replaced by an empty one once it holds _MEMO_CAP pairs (a call in
+# progress keeps its own).  Every rewrite result is closed in it, so a
+# replacement mid-search makes the search close its states again.
+_MEMO_CAP = 32768
 _memo: tuple = ({}, {})
 
 

@@ -39,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .terms import GenKind, MonocatError, Term, _fronts, layer_key
+from .terms import GenKind, MonocatError, Term, _fronts, layer_key, upside_down
 
 
 class TooLarge(MonocatError):
@@ -526,10 +526,7 @@ def has_trailing_insertion(t: Term) -> bool:
     Read upside down (slices reversed, ``eta`` and ``eps`` swapped, offsets
     kept), a trailing insertion is a leading deletion.
     """
-    flipped = tuple(
-        (off, "eps" if kv == "eta" else "eta", m, n) for off, kv, m, n in reversed(layer_key(t))
-    )
-    return any(first[1] == "eps" for first, _ in _fronts(flipped))
+    return has_leading_deletion(upside_down(t))
 
 
 def iso_obstruction(spec: FunctorSpec, t: Term) -> IsoVerdict:

@@ -34,6 +34,7 @@ from monocat import (
     rule_instances,
     whisker,
 )
+from monocat.cli import parse_expr
 from monocat.rewrite import NATURALITY_RULES, TRIANGLE_RULES, term_key
 from monocat.terms import term_from_layers
 from oracles import (
@@ -110,11 +111,13 @@ class TestApply:
         assert apply(lhs, steps[0]) == canonical(rhs)
 
     def test_stale_step_rejected(self):
+        # the step's row chains on the other term's wires but lies in
+        # another interchange class
         t = triangle_composite_a()
         step = next(
             s for s in match_rules(t, Mode.C, SMALL) if s.rule is RuleId.TRIANGLE_A
         )
-        with pytest.raises(InvalidStep):
+        with pytest.raises(InvalidStep, match="not an ordering"):
             apply(triangle_composite_b(), step)
 
     @pytest.mark.parametrize("block, index_n", [(0, 0), (-1, 1)])
@@ -122,13 +125,19 @@ class TestApply:
         step = RewriteStep(
             RuleId.TRIANGLE_A,
             Direction.BACKWARD,
-            cut=(),
+            row=(),
             offset=0,
             block=block,
             index_n=index_n,
         )
         with pytest.raises(InvalidStep):
             apply(identity(1), step)
+
+    def test_row_that_does_not_chain_rejected(self):
+        t = triangle_composite_a()
+        step = next(s for s in match_rules(t, Mode.C, SMALL) if s.rule is RuleId.TRIANGLE_A)
+        with pytest.raises(InvalidStep, match="does not chain"):
+            apply(t, RewriteStep(step.rule, step.direction, step.row[::-1], step.pos))
 
     def test_widths_preserved(self):
         rng = random.Random(20)
@@ -191,6 +200,37 @@ class TestNeighbors:
                 got = {term_key(x) for x in neighbors(t, mode, caps)}
                 want = {term_key(x) for x in neighbors_oracle(t, mode, caps)}
                 assert got == want
+
+    @pytest.mark.parametrize(
+        "mode, text",
+        [
+            # the same matched pair, at the same offsets, between other
+            # slices gives a second sliding result
+            (
+                "D",
+                "eta(0,1) ; eps(0,1) ; eta(0,1) ; (eta(0,1) * id(2)) ; "
+                "(eta(3,1) * id(1)) ; (id(3) * eps(0,1) * id(1))",
+            ),
+            # cuts with the same slices below them and the same offsets
+            # above give different expansions
+            (
+                "C",
+                "(eps(0,1) * id(1)) ; (eta(0,1) * id(1)) ; (eps(0,1) * id(1)) ; "
+                "(id(1) * eta(0,1)) ; (eta(2,1) * id(1)) ; (eps(2,1) * id(1))",
+            ),
+            (
+                "C",
+                "eta(0,1) ; eps(0,1) ; eta(0,1) ; eta(2,1) ; "
+                "(id(3) * eta(1,1)) ; (id(2) * eps(0,2))",
+            ),
+        ],
+    )
+    def test_agrees_with_oracle_on_six_slices(self, mode, text):
+        caps = SearchCaps(8, 6, 1, 1000)
+        t = parse_expr(text)
+        got = {term_key(x) for x in neighbors(t, Mode[mode], caps)}
+        want = {term_key(x) for x in neighbors_oracle(t, Mode[mode], caps)}
+        assert got == want
 
     def test_rewrites_preserve_matrix_image(self):
         rng = random.Random(25)
