@@ -36,6 +36,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
+from . import vect
 from .terms import (
     Mode,
     MonocatError,
@@ -667,6 +668,10 @@ def generate_terms(m: int, n: int, caps: SearchCaps) -> list[Term]:
     return [term_from_key(m, k) for k in sorted(out)]
 
 
+# built once, so their cup/cap cores are cached across hom shapes
+_BUCKET_SPECS = (vect.FunctorSpec.identity(2), vect.FunctorSpec.random(2, seed=11))
+
+
 def enum_hom_detailed(
     m: int,
     n: int,
@@ -682,8 +687,6 @@ def enum_hom_detailed(
     class.  ``unresolved`` pairs up the representatives that exact matrix
     images under two functor configurations do not separate.
     """
-    from . import vect
-
     limit = (merge_caps if merge_caps is not None else caps).max_states
     raw = generate_terms(m, n, caps)
     raw.sort(key=lambda t: (gen_count(t), term_key(t)))
@@ -692,10 +695,9 @@ def enum_hom_detailed(
         by_form.setdefault(_normal_form(_state(t), mode, limit), []).append(t)
     classes = list(by_form.values())  # in the order of their first members
 
-    specs = (vect.FunctorSpec.identity(2), vect.FunctorSpec.random(2, seed=11))
     buckets: dict = {}
     for cls in classes:
-        image = tuple(vect.eval_term(s, cls[0]).entries for s in specs)
+        image = tuple(vect.eval_term(s, cls[0]).entries for s in _BUCKET_SPECS)
         buckets.setdefault(image, []).append(cls[0])
     unresolved = []
     for sig in sorted(buckets, key=repr):

@@ -20,13 +20,22 @@ of ``cup_n`` is ``C[i_1, j_1] * ... * C[i_n, j_n]``, and ``cap_n`` the
 same with ``B``.
 
 Scalars are arbitrary-precision rationals by default, or integers modulo
-a configured prime.  No floating point is used anywhere.  Evaluation
-picks its scalar route from the field: int64 arrays over the rationals
-when every core is integral and no product can overflow, arrays of field
-elements otherwise.  It contracts only the inner block of wires that
-some slice touches: outer wires no slice touches contribute an identity
-factor, so the image is ``id ⊗ A ⊗ id`` and only ``A`` is built from
-slices.  Matrices are immutable; all functions are pure.
+a configured prime.  No floating point is used anywhere.  Each core is
+built once per configuration and block size, and evaluation takes one of
+three exact scalar routes:
+
+- over the rationals, int64 arrays when every core is integral and no
+  intermediate of the term can overflow;
+- over a prime field, int64 arrays of residues modulo p, reduced after
+  each slice, when ``(p-1)**2`` times each core's size stays below the
+  overflow bound;
+- arrays of field elements otherwise.
+
+It contracts only the inner block of wires that some slice touches:
+outer wires no slice touches contribute an identity factor, so the image
+is ``id ⊗ A ⊗ id`` and only ``A`` is built from slices.  Matrices are
+immutable; functions are pure apart from the per-configuration core
+cache.
 """
 
 from __future__ import annotations
@@ -125,12 +134,39 @@ class RationalField:
         return "RationalField()"
 
 
+# Miller–Rabin on these bases decides primality exactly below 3.3 * 10**24
+_PRIME_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller–Rabin; above 3.3 * 10**24 a strong probable-prime test."""
+    if n < 2:
+        return False
+    for a in _PRIME_WITNESSES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField:
     """Integers modulo a prime, for faster exact runs."""
 
     def __init__(self, p: int = 1_000_003):
-        if p < 2:
-            raise ValueError("modulus must be a prime >= 2")
+        if not _is_prime(p):
+            raise ValueError(f"modulus {p} is not prime")
         self.p = p
         self.name = f"F{p}"
         self.zero = ModP(0, p)
@@ -317,6 +353,11 @@ class FunctorSpec:
     def phi_inv(self) -> Mat:
         return inverse(self.phi)
 
+    @cached_property
+    def _cores(self) -> dict:
+        """Cup/cap cores by ``(kind, n)``; see :func:`_core`."""
+        return {}
+
     @classmethod
     def identity(cls, d: int, field=RATIONALS) -> "FunctorSpec":
         return cls(d, Mat.identity(d, field))
@@ -357,30 +398,86 @@ class FunctorSpec:
         return cls(d, Mat(d, d, tuple(tuple(r) for r in rows), field))
 
 
-def _nested_core(m: Mat, n: int) -> list:
-    """Flat entries of the n-fold nested cup/cap core built from ``m``.
+# no int64 intermediate of the contraction may reach this
+_INT64_BOUND = 2**62
+# entries cached per spec (1 MiB as int64); a core that does not fit is rebuilt on each use
+_CORE_CACHE_ENTRIES = 2**17
+
+
+def _nested_core(m: np.ndarray, n: int, one, p: int | None = None) -> np.ndarray:
+    """Flat entries of the n-fold nested cup/cap core built from the d x d array ``m``.
 
     Entry ``(i_1..i_n, j_n..j_1)`` is ``m[i_1, j_1] * ... * m[i_n, j_n]``:
-    each level wraps the inner block in one more outer index pair.
+    each level wraps the inner block in one more outer index pair.  For
+    n = 0 the core is ``[one]``.  Given ``p``, each level is reduced mod p.
     """
-    if n == 0:
-        return [m.field.one]
-    rows, d = m.entries, m.rows
-    flat = [x for row in rows for x in row]
-    for _ in range(n - 1):
-        flat = [rows[i][j] * x for i in range(d) for x in flat for j in range(d)]
+    flat = np.array([one], dtype=m.dtype)
+    for _ in range(n):
+        flat = (m[:, None, :] * flat[None, :, None]).ravel()
+        if p is not None:
+            flat %= p
     return flat
+
+
+@dataclass(frozen=True, slots=True)
+class _Core:
+    """Flat entries of one cup/cap core.
+
+    ``array`` is int64 with ``peak`` its largest magnitude when the core is
+    integral and fits (over a prime field: residues in ``[0, p)``, and only
+    when ``(p-1)**2 * size`` stays below ``_INT64_BOUND``); otherwise it holds
+    field elements and ``peak`` is None.
+    """
+
+    array: np.ndarray
+    peak: int | None
+
+    def __post_init__(self) -> None:
+        self.array.flags.writeable = False  # shared by every evaluation on the spec
+
+
+def _core(spec: FunctorSpec, kind: GenKind, n: int) -> _Core:
+    """The core of ``kind`` for an n-wide block, cached on ``spec`` within the entry budget."""
+    cache = spec._cores
+    core = cache.get((kind, n))
+    if core is None:
+        core = _build_core(spec, kind, n)
+        if sum(c.array.size for c in cache.values()) + core.array.size <= _CORE_CACHE_ENTRIES:
+            cache[(kind, n)] = core
+    return core
+
+
+def _build_core(spec: FunctorSpec, kind: GenKind, n: int) -> _Core:
+    rows = _lift_rows(spec.phi_inv if kind is GenKind.ETA else spec.phi)
+    field = spec.field
+    if isinstance(field, PrimeField):
+        if (field.p - 1) ** 2 * spec.d ** (2 * n) < _INT64_BOUND:
+            residues = np.array([[x.v for x in row] for row in rows], dtype=np.int64)
+            return _Core(_nested_core(residues, n, 1, field.p), field.p - 1)
+    elif all(x.denominator == 1 for row in rows for x in row):
+        peak = max(abs(x) for row in rows for x in row) ** n
+        if peak < _INT64_BOUND:
+            ints = np.array([[int(x) for x in row] for row in rows], dtype=np.int64)
+            return _Core(_nested_core(ints, n, 1), int(peak))
+    return _Core(_nested_core(np.array(rows, dtype=object), n, field.one), None)
+
+
+def _elements(core: _Core, field) -> np.ndarray:
+    """The entries of ``core`` as field elements."""
+    if core.peak is None:
+        return core.array
+    return np.array([field.from_int(x) for x in core.array.tolist()], dtype=object)
 
 
 def coev_mat(spec: FunctorSpec, n: int) -> Mat:
     """Cup for an n-wide block: a d^(2n) x 1 column; n = 0 is the 1 x 1 identity."""
-    flat = _nested_core(spec.phi_inv, n)
+    flat = _elements(_core(spec, GenKind.ETA, n), spec.field).tolist()
     return Mat(len(flat), 1, tuple((x,) for x in flat), spec.field)
 
 
 def ev_mat(spec: FunctorSpec, n: int) -> Mat:
     """Cap for an n-wide block: a 1 x d^(2n) row; n = 0 is the 1 x 1 identity."""
-    flat = _nested_core(spec.phi, n)
+    flat = _elements(_core(spec, GenKind.EPS, n), spec.field).tolist()
     return Mat(1, len(flat), (tuple(flat),), spec.field)
 
 
@@ -396,9 +493,6 @@ def _np_identity(n: int, field) -> np.ndarray:
     return a
 
 
-_INT64_BOUND = 2**62
-
-
 def eval_term(spec: FunctorSpec, t: Term, max_dim: int = MAX_DIM_DEFAULT) -> Mat:
     """Image of a term: a d^target x d^source matrix.
 
@@ -408,13 +502,15 @@ def eval_term(spec: FunctorSpec, t: Term, max_dim: int = MAX_DIM_DEFAULT) -> Mat
     Slices are contracted against the accumulated state one at a time;
     only the cup/cap core of each slice is ever materialised, so the
     cost is the inner state size, not the size of padded slice matrices.
-    The scalar route is chosen from the field: over the rationals, with
-    integer cores and a conservative magnitude bound below 2**62, the
-    contraction runs on int64 arrays and entries come back as ``int``;
-    otherwise it runs on arrays of field elements.  Both are exact.
+    Each core is built once per spec.  There are three scalar routes, all
+    exact: over the rationals with integer cores and a magnitude bound
+    below 2**62, int64 arrays, and entries come back as ``int``; over a
+    prime field whose cores pass the overflow bound, int64 arrays reduced
+    mod p after each slice, and entries come back as ``ModP``; otherwise
+    arrays of field elements.
     """
     lo, hi = _outer_wires(t)
-    state = _eval_array(spec, t, max_dim, lo, hi)
+    (state,) = _eval_arrays(spec, (t,), max_dim, lo, hi)
     if lo or hi:
         (rows, cols), left, right = state.shape, spec.d**lo, spec.d**hi
         zero = spec.field.zero if state.dtype == object else 0
@@ -426,7 +522,11 @@ def eval_term(spec: FunctorSpec, t: Term, max_dim: int = MAX_DIM_DEFAULT) -> Mat
         i, j = np.arange(left)[:, None], np.arange(right)
         full[i, :, j, i, :, j] = state
         state = full.reshape(left * rows * right, -1)
-    ent = tuple(tuple(row) for row in state.tolist())
+    if state.dtype != object and isinstance(spec.field, PrimeField):
+        p = spec.field.p
+        ent = tuple(tuple(ModP(x, p) for x in row) for row in state.tolist())
+    else:
+        ent = tuple(tuple(row) for row in state.tolist())
     return Mat(state.shape[0], state.shape[1], ent, spec.field)
 
 
@@ -444,62 +544,82 @@ def _unallocatable(rows: int, cols: int) -> TooLarge:
     return TooLarge(f"evaluation state of shape {rows} x {cols} does not fit in memory")
 
 
-def _eval_array(spec: FunctorSpec, t: Term, max_dim: int, lo: int, hi: int) -> np.ndarray:
-    """Image of the inner block of ``t``, less ``lo`` and ``hi`` outer wires."""
+def _eval_arrays(
+    spec: FunctorSpec, terms: tuple[Term, ...], max_dim: int, lo: int, hi: int
+) -> list[np.ndarray]:
+    """Images of the inner blocks of ``terms``, less ``lo`` and ``hi`` outer wires.
+
+    All of them come back in one scalar representation, so they compare
+    entry by entry: int64 (residues mod p over a prime field) or field
+    elements.
+    """
     d = spec.d
-    widths = t.widths()
-    for w in widths:
+    widths = [t.widths() for t in terms]
+    for w in (w for ws in widths for w in ws):
         if d**w > max_dim:
             raise TooLarge(f"width {w} at dimension {d} exceeds {max_dim} entries per side")
-    cols = d ** (t.source - lo - hi)
 
-    cores = {}
-    for n in {s.gen.n for s in t.slices}:
-        cores[(GenKind.ETA, n)] = _nested_core(spec.phi_inv, n)
-        cores[(GenKind.EPS, n)] = _nested_core(spec.phi, n)
-    dtype = object
-    if spec.field == RATIONALS and all(x.denominator == 1 for c in cores.values() for x in c):
-        ints = {key: [int(x) for x in c] for key, c in cores.items()}
-        bound = 1
-        for s in t.slices:
-            peak = max(map(abs, ints[(s.gen.kind, s.gen.n)]))
-            bound *= max(peak if s.gen.kind is GenKind.ETA else peak * d ** (2 * s.gen.n), 1)
-        if bound < _INT64_BOUND:
-            cores, dtype = ints, np.int64
-    cores = {key: np.array(c, dtype=dtype) for key, c in cores.items()}
+    keys = {(s.gen.kind, s.gen.n) for t in terms for s in t.slices}
+    cores = {key: _core(spec, *key) for key in keys}
+    field = spec.field
+    modulus = field.p if isinstance(field, PrimeField) else None
+    integral = all(c.peak is not None for c in cores.values())
+    if integral and modulus is None:
+        integral = all(_growth(t, cores) < _INT64_BOUND for t in terms)
+    if integral:
+        arrays, dtype = {key: c.array for key, c in cores.items()}, np.int64
+    else:
+        arrays = {key: _elements(c, field) for key, c in cores.items()}
+        dtype, modulus = object, None
 
-    rows = cols
-    try:
-        state = _np_identity(cols, spec.field) if dtype is object else np.eye(cols, dtype=dtype)
-        for s, w in zip(t.slices, widths[1:]):
-            rows = d ** (w - lo - hi)
-            a_dim = d ** (s.left + s.gen.m - lo)
-            rest = d ** (s.right - hi) * cols
-            core = cores[(s.gen.kind, s.gen.n)]
-            if s.gen.kind is GenKind.ETA:
-                state = state.reshape(a_dim, 1, rest) * core.reshape(1, -1, 1)
-            else:
-                state = np.einsum("u,aur->ar", core, state.reshape(a_dim, core.size, rest))
-    except MemoryError:
-        raise _unallocatable(rows, cols) from None
-    return state.reshape(rows, cols)
+    images = []
+    for t, ws in zip(terms, widths):
+        rows = cols = d ** (t.source - lo - hi)
+        try:
+            state = _np_identity(cols, field) if dtype is object else np.eye(cols, dtype=dtype)
+            for s, w in zip(t.slices, ws[1:]):
+                rows = d ** (w - lo - hi)
+                a_dim = d ** (s.left + s.gen.m - lo)
+                rest = d ** (s.right - hi) * cols
+                core = arrays[(s.gen.kind, s.gen.n)]
+                if s.gen.kind is GenKind.ETA:
+                    state = state.reshape(a_dim, 1, rest) * core.reshape(1, -1, 1)
+                else:
+                    state = core @ state.reshape(a_dim, core.size, rest)
+                if modulus is not None:
+                    state %= modulus
+        except MemoryError:
+            raise _unallocatable(rows, cols) from None
+        images.append(state.reshape(rows, cols))
+    return images
+
+
+def _growth(t: Term, cores: dict) -> int:
+    """Bound on the entries of ``t``'s state over the rationals, from an identity start.
+
+    A cup multiplies the largest magnitude by at most its core's peak, a cap
+    by its peak times the number of products it sums.
+    """
+    bound = 1
+    for s in t.slices:
+        c = cores[(s.gen.kind, s.gen.n)]
+        bound *= c.peak if s.gen.kind is GenKind.ETA else c.peak * c.array.size
+    return bound
 
 
 def check_rule_instance(spec: FunctorSpec, lhs: Term, rhs: Term) -> bool:
     """Exact equality of the two images; shapes must agree.
 
     Both sides are stripped of the same untouched outer wires, and
-    ``id ⊗ A ⊗ id = id ⊗ B ⊗ id`` holds iff ``A = B``.
+    ``id ⊗ A ⊗ id = id ⊗ B ⊗ id`` holds iff ``A = B``.  They are
+    contracted in one scalar representation, so a slice-free side compares
+    with the other in the same form.
     """
     if lhs.source != rhs.source or lhs.target != rhs.target:
         raise ValueError("rule instance sides have different shapes")
     lo, hi = _outer_wires(lhs, rhs)
-    return bool(
-        np.array_equal(
-            _eval_array(spec, lhs, MAX_DIM_DEFAULT, lo, hi),
-            _eval_array(spec, rhs, MAX_DIM_DEFAULT, lo, hi),
-        )
-    )
+    a, b = _eval_arrays(spec, (lhs, rhs), MAX_DIM_DEFAULT, lo, hi)
+    return bool(np.array_equal(a, b))
 
 
 # -- isomorphism obstructions -------------------------------------------------

@@ -152,6 +152,12 @@ class TestCommands:
         )
         assert capsys.readouterr().out.strip() == "3"
 
+    @pytest.mark.parametrize("modulus", [4, 6])
+    def test_eval_composite_modulus_rejected(self, capsys, modulus):
+        args = ["eval", "eta(0,1)", "--field", f"p:{modulus}", "--phi", "random:3"]
+        assert main(args) == 2
+        assert capsys.readouterr().err.strip() == f"error: modulus {modulus} is not prime"
+
     def test_eval_too_large(self, capsys):
         assert main(["eval", "id(4)", "--dim", "2", "--max-dim", "8"]) == 2
         assert "exceeds" in capsys.readouterr().err

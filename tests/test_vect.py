@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from monocat import (
@@ -31,7 +32,14 @@ from monocat import (
     whisker,
 )
 from monocat.rewrite import TRIANGLE_RULES
-from monocat.vect import is_invertible
+from monocat.terms import GenKind
+from monocat.vect import (
+    _CORE_CACHE_ENTRIES,
+    MAX_DIM_DEFAULT,
+    _eval_arrays,
+    _outer_wires,
+    is_invertible,
+)
 from oracles import dense_eval, nested_cap, nested_cup, random_term, snake
 
 
@@ -225,8 +233,9 @@ class TestOuterWires:
             (FunctorSpec.random(2, seed=3), int),
             (FunctorSpec.random(2, seed=3, field=PrimeField()), ModP),
             (FunctorSpec(2, frac_mat(FRACTIONAL_PHI)), Fraction),
+            (FunctorSpec.random(2, seed=3, field=PrimeField(2**61 - 1)), ModP),
         ],
-        ids=["int64", "prime-field", "fractional"],
+        ids=["int64", "prime-field", "fractional", "over-bound-prime"],
     )
     def test_entry_types_on_whiskered_terms(self, spec, entry_type):
         for t in (snake(), gen_term(eps(0, 1)), gen_term(eta(1, 1))):
@@ -285,6 +294,80 @@ class TestOuterWires:
         for term in (t, identity(20)):
             with pytest.raises(TooLarge, match="1048576 x 1048576"):
                 eval_term(FunctorSpec.identity(2), term)
+
+
+def route_dtype(spec, t):
+    lo, hi = _outer_wires(t)
+    (state,) = _eval_arrays(spec, (t,), MAX_DIM_DEFAULT, lo, hi)
+    return state.dtype
+
+
+def prime_spec(p, pairing):
+    field = PrimeField(p)
+    return FunctorSpec.identity(2, field) if pairing == "identity" else FunctorSpec.random(2, 1, field)
+
+
+# int64 modulo p for the first two; (p-1)**2 alone passes the int64 bound for the last
+MODULI = [7, PrimeField().p, 2**61 - 1]
+
+
+class TestScalarRoutes:
+    """Each route agrees with the dense oracle, and two sides of a check share one."""
+
+    @pytest.mark.parametrize("pairing", ["identity", "random:1"])
+    @pytest.mark.parametrize("p", MODULI)
+    def test_prime_eval_matches_dense_oracle(self, p, pairing):
+        spec = prime_spec(p, pairing)
+        rng = random.Random(p % 1000 + len(pairing))
+        terms = [identity(0), identity(2), whiskered(identity(1), 1, 1)]
+        terms += [random_term(rng, max_source=2, max_len=3, max_width=5) for _ in range(8)]
+        terms += [whiskered(random_term(rng, max_source=1, max_len=2, max_width=3), 1, 1) for _ in range(4)]
+        for t in terms:
+            m = eval_term(spec, t)
+            assert m == dense_eval(spec, t)
+            assert all(isinstance(x, ModP) for row in m.entries for x in row)
+            # a slice-free term does no arithmetic, so int64 is exact at any modulus
+            int64 = p < 2**31 or not t.slices
+            assert route_dtype(spec, t) == (np.int64 if int64 else object)
+
+    @pytest.mark.parametrize("pairing", ["identity", "random:1"])
+    def test_rule_checks_agree_across_moduli(self, pairing):
+        by_shape = {}
+        for _, _, lhs, rhs in rule_instances(n_range=(1,)):
+            for t in (lhs, rhs):
+                if max(t.widths()) <= 4:
+                    by_shape.setdefault((t.source, t.target), []).append(t)
+        pairs = [(a, b) for ts in by_shape.values() for a in ts[:4] for b in ts[:4]]
+        assert any(not b.slices for _, b in pairs)
+        verdicts = []
+        for p in MODULI:
+            spec = prime_spec(p, pairing)
+            dense = {t: dense_eval(spec, t) for pair in pairs for t in pair}
+            holds = [check_rule_instance(spec, a, b) for a, b in pairs]
+            assert holds == [dense[a] == dense[b] for a, b in pairs]
+            verdicts.append(holds)
+        assert verdicts[0] == verdicts[1] == verdicts[2]
+        assert True in verdicts[0] and False in verdicts[0]
+
+    def test_rational_bound_falls_back_to_fractions(self):
+        # each loop can raise the largest entry about 2**21-fold: three pass 2**62
+        spec = FunctorSpec.random(3, seed=14)
+        loop = compose(gen_term(eta(0, 2)), gen_term(eps(0, 2)))
+        twice, thrice = compose(loop, loop), compose(compose(loop, loop), loop)
+        assert route_dtype(spec, twice) == np.int64
+        assert route_dtype(spec, thrice) == object
+        m = eval_term(spec, thrice)
+        assert m == dense_eval(spec, thrice)
+        assert type(m[0, 0]) is Fraction
+
+    def test_core_cache_stays_within_budget(self):
+        spec = FunctorSpec.identity(2)
+        for n in range(1, 11):
+            loop = compose(gen_term(eta(0, n)), gen_term(eps(0, n)))
+            assert eval_term(spec, loop).entries == ((2**n,),)
+        cached = spec._cores
+        assert sum(c.array.size for c in cached.values()) <= _CORE_CACHE_ENTRIES
+        assert (GenKind.ETA, 1) in cached and (GenKind.EPS, 10) not in cached
 
 
 class TestIsoObstruction:
@@ -351,6 +434,11 @@ class TestPrimeField:
         assert FunctorSpec(2, m).phi_inv @ m == Mat.identity(2, fp)
         with pytest.raises(ValueError):
             Mat.from_rows([[Fraction(1, 14)]], fp)
+
+    @pytest.mark.parametrize("p", [-7, 0, 1, 4, 6, 561, 2**61 + 1])
+    def test_composite_modulus_rejected(self, p):
+        with pytest.raises(ValueError, match=f"modulus {p} is not prime"):
+            PrimeField(p)
 
     def test_slice_free_term_has_field_entries(self):
         m = eval_term(FunctorSpec.identity(2, PrimeField(7)), identity(1))
