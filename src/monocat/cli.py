@@ -321,6 +321,16 @@ def _cmd_suite(args) -> int:
     return 1 if report.failed else 0
 
 
+def _positive_int(text: str) -> int:
+    try:
+        k = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if k < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {k}")
+    return k
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="monocat",
@@ -350,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--phi", default="identity", help="identity | random:SEED | file:PATH")
     p.add_argument("--field", default="q", help="q | p | p:PRIME")
-    p.add_argument("--max-dim", type=int, default=2**20)
+    p.add_argument("--max-dim", type=_positive_int, default=2**20)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_eval)
 

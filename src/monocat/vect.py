@@ -33,9 +33,13 @@ three exact scalar routes:
 
 It contracts only the inner block of wires that some slice touches:
 outer wires no slice touches contribute an identity factor, so the image
-is ``id ⊗ A ⊗ id`` and only ``A`` is built from slices.  Matrices are
-immutable; functions are pure apart from the per-configuration core
-cache.
+is ``id ⊗ A ⊗ id`` and only ``A`` is built from slices.  The contraction
+starts from the image of the first slice, not from an identity on the
+source: a first cap is its core broadcast against the identity on the
+wires it leaves, ``d^(2n)`` times smaller per side.  Inside, a term is
+its packed key ``(source, layers)``; ``Term`` is converted at the API
+boundary.  Matrices are immutable; functions are pure apart from the
+per-configuration core cache.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .terms import GenKind, MonocatError, Term, _fronts, layer_key, upside_down
+from .terms import MonocatError, Term, _fronts, layer_key, term_key, upside_down
 
 
 class TooLarge(MonocatError):
@@ -355,7 +359,7 @@ class FunctorSpec:
 
     @cached_property
     def _cores(self) -> dict:
-        """Cup/cap cores by ``(kind, n)``; see :func:`_core`."""
+        """Cup/cap cores by ``(kind_value, n)``; see :func:`_core`."""
         return {}
 
     @classmethod
@@ -436,19 +440,22 @@ class _Core:
         self.array.flags.writeable = False  # shared by every evaluation on the spec
 
 
-def _core(spec: FunctorSpec, kind: GenKind, n: int) -> _Core:
-    """The core of ``kind`` for an n-wide block, cached on ``spec`` within the entry budget."""
+def _core(spec: FunctorSpec, kv: str, n: int) -> _Core:
+    """The core of kind value ``kv`` ("eta" or "eps") for an n-wide block.
+
+    Cached on ``spec`` within the entry budget.
+    """
     cache = spec._cores
-    core = cache.get((kind, n))
+    core = cache.get((kv, n))
     if core is None:
-        core = _build_core(spec, kind, n)
+        core = _build_core(spec, kv, n)
         if sum(c.array.size for c in cache.values()) + core.array.size <= _CORE_CACHE_ENTRIES:
-            cache[(kind, n)] = core
+            cache[(kv, n)] = core
     return core
 
 
-def _build_core(spec: FunctorSpec, kind: GenKind, n: int) -> _Core:
-    rows = _lift_rows(spec.phi_inv if kind is GenKind.ETA else spec.phi)
+def _build_core(spec: FunctorSpec, kv: str, n: int) -> _Core:
+    rows = _lift_rows(spec.phi_inv if kv == "eta" else spec.phi)
     field = spec.field
     if isinstance(field, PrimeField):
         if (field.p - 1) ** 2 * spec.d ** (2 * n) < _INT64_BOUND:
@@ -471,13 +478,13 @@ def _elements(core: _Core, field) -> np.ndarray:
 
 def coev_mat(spec: FunctorSpec, n: int) -> Mat:
     """Cup for an n-wide block: a d^(2n) x 1 column; n = 0 is the 1 x 1 identity."""
-    flat = _elements(_core(spec, GenKind.ETA, n), spec.field).tolist()
+    flat = _elements(_core(spec, "eta", n), spec.field).tolist()
     return Mat(len(flat), 1, tuple((x,) for x in flat), spec.field)
 
 
 def ev_mat(spec: FunctorSpec, n: int) -> Mat:
     """Cap for an n-wide block: a 1 x d^(2n) row; n = 0 is the 1 x 1 identity."""
-    flat = _elements(_core(spec, GenKind.EPS, n), spec.field).tolist()
+    flat = _elements(_core(spec, "eps", n), spec.field).tolist()
     return Mat(1, len(flat), (tuple(flat),), spec.field)
 
 
@@ -486,31 +493,29 @@ def ev_mat(spec: FunctorSpec, n: int) -> Mat:
 MAX_DIM_DEFAULT = 2**20
 
 
-def _np_identity(n: int, field) -> np.ndarray:
-    a = np.full((n, n), field.zero, dtype=object)
-    for i in range(n):
-        a[i, i] = field.one
-    return a
-
-
 def eval_term(spec: FunctorSpec, t: Term, max_dim: int = MAX_DIM_DEFAULT) -> Mat:
     """Image of a term: a d^target x d^source matrix.
 
     Outer wires that no slice touches are stripped first: the image is
     ``id ⊗ A ⊗ id`` with ``A`` the image of the inner block, so only
     ``A`` is contracted and the identities are put back at the end.
-    Slices are contracted against the accumulated state one at a time;
-    only the cup/cap core of each slice is ever materialised, so the
-    cost is the inner state size, not the size of padded slice matrices.
-    Each core is built once per spec.  There are three scalar routes, all
-    exact: over the rationals with integer cores and a magnitude bound
-    below 2**62, int64 arrays, and entries come back as ``int``; over a
-    prime field whose cores pass the overflow bound, int64 arrays reduced
-    mod p after each slice, and entries come back as ``ModP``; otherwise
-    arrays of field elements.
+    The contraction starts from the image of the first slice, built from
+    its core and the identity on the wires it leaves, so no identity on
+    the source is materialised before it; a slice-free term is its
+    identity.  The remaining slices are contracted against the state one
+    at a time; only the cup/cap core of each slice is ever materialised,
+    so the cost is the inner state size, not the size of padded slice
+    matrices.  Each core is built once per spec.  There are three scalar
+    routes, all exact: over the rationals with integer cores and a
+    magnitude bound below 2**62, int64 arrays, and entries come back as
+    ``int``; over a prime field whose cores pass the overflow bound, int64
+    arrays reduced mod p after each slice, and entries come back as
+    ``ModP``; otherwise arrays of field elements.  ``max_dim`` must be
+    at least 1.
     """
-    lo, hi = _outer_wires(t)
-    (state,) = _eval_arrays(spec, (t,), max_dim, lo, hi)
+    if max_dim < 1:
+        raise ValueError(f"max_dim must be >= 1, got {max_dim}")
+    lo, hi, (state,) = _eval_arrays(spec, (term_key(t),), max_dim)
     if lo or hi:
         (rows, cols), left, right = state.shape, spec.d**lo, spec.d**hi
         zero = spec.field.zero if state.dtype == object else 0
@@ -530,42 +535,60 @@ def eval_term(spec: FunctorSpec, t: Term, max_dim: int = MAX_DIM_DEFAULT) -> Mat
     return Mat(state.shape[0], state.shape[1], ent, spec.field)
 
 
-def _outer_wires(*terms: Term) -> tuple[int, int]:
-    """Counts ``(lo, hi)`` of leftmost and rightmost wires no slice touches."""
-    source = lo = hi = terms[0].source
-    for t in terms:
-        for s in t.slices:
-            lo = min(lo, s.left + s.gen.m)
-            hi = min(hi, s.right)
-    return lo, min(hi, source - lo)
+# Below, a term is its packed key ``(source, layers)`` with layers
+# ``(offset, kind_value, m, n)`` as in ``terms.layer_key``; cores are keyed
+# by ``(kind_value, n)``.
+
+
+def _widths(source: int, lays: tuple) -> list[int]:
+    """All interface widths, source first, as ``Term.widths``."""
+    out = [source]
+    for _, kv, _, n in lays:
+        out.append(out[-1] + (2 * n if kv == "eta" else -2 * n))
+    return out
 
 
 def _unallocatable(rows: int, cols: int) -> TooLarge:
     return TooLarge(f"evaluation state of shape {rows} x {cols} does not fit in memory")
 
 
-def _eval_arrays(
-    spec: FunctorSpec, terms: tuple[Term, ...], max_dim: int, lo: int, hi: int
-) -> list[np.ndarray]:
-    """Images of the inner blocks of ``terms``, less ``lo`` and ``hi`` outer wires.
+def _identity(n: int, dtype, field) -> np.ndarray:
+    if dtype is not object:
+        return np.eye(n, dtype=dtype)
+    a = np.full((n, n), field.zero, dtype=object)
+    a.flat[:: n + 1] = field.one
+    return a
 
-    All of them come back in one scalar representation, so they compare
-    entry by entry: int64 (residues mod p over a prime field) or field
-    elements.
+
+def _eval_arrays(
+    spec: FunctorSpec, keys: tuple[tuple, ...], max_dim: int
+) -> tuple[int, int, list[np.ndarray]]:
+    """``(lo, hi, images)`` for terms ``keys`` of one source width.
+
+    ``lo`` and ``hi`` count the leftmost and rightmost wires no layer of
+    any term touches; the images are those of the inner blocks, less those
+    wires.  All of them come back in one scalar representation, so they
+    compare entry by entry: int64 (residues mod p over a prime field) or
+    field elements.
     """
     d = spec.d
-    widths = [t.widths() for t in terms]
-    for w in (w for ws in widths for w in ws):
-        if d**w > max_dim:
-            raise TooLarge(f"width {w} at dimension {d} exceeds {max_dim} entries per side")
+    source = lo = hi = keys[0][0]
+    for _, lays in keys:
+        widths = _widths(source, lays)
+        for w in widths:
+            if d**w > max_dim:
+                raise TooLarge(f"width {w} at dimension {d} exceeds {max_dim} entries per side")
+        for (off, kv, m, n), w in zip(lays, widths):
+            lo = min(lo, off + m)
+            hi = min(hi, w - off - m - (2 * n if kv == "eps" else 0))
+    hi = min(hi, source - lo)
 
-    keys = {(s.gen.kind, s.gen.n) for t in terms for s in t.slices}
-    cores = {key: _core(spec, *key) for key in keys}
+    cores = {(kv, n): _core(spec, kv, n) for _, lays in keys for _, kv, _, n in lays}
     field = spec.field
     modulus = field.p if isinstance(field, PrimeField) else None
     integral = all(c.peak is not None for c in cores.values())
     if integral and modulus is None:
-        integral = all(_growth(t, cores) < _INT64_BOUND for t in terms)
+        integral = all(_growth(lays, cores) < _INT64_BOUND for _, lays in keys)
     if integral:
         arrays, dtype = {key: c.array for key, c in cores.items()}, np.int64
     else:
@@ -573,37 +596,50 @@ def _eval_arrays(
         dtype, modulus = object, None
 
     images = []
-    for t, ws in zip(terms, widths):
-        rows = cols = d ** (t.source - lo - hi)
+    for w, lays in keys:
+        cols = d ** (w - lo - hi)
         try:
-            state = _np_identity(cols, field) if dtype is object else np.eye(cols, dtype=dtype)
-            for s, w in zip(t.slices, ws[1:]):
-                rows = d ** (w - lo - hi)
-                a_dim = d ** (s.left + s.gen.m - lo)
-                rest = d ** (s.right - hi) * cols
-                core = arrays[(s.gen.kind, s.gen.n)]
-                if s.gen.kind is GenKind.ETA:
+            if lays and lays[0][1] == "eps":
+                # id ⊗ cap ⊗ id: the identity on the wires the cap leaves, times its core
+                off, _, m, n = lays[0]
+                w -= 2 * n
+                a, r = d ** (off + m - lo), d ** (w - off - m - hi)
+                eye = _identity(a * r, dtype, field).reshape(a, r, a, 1, r)
+                state = eye * arrays["eps", n].reshape(1, 1, 1, -1, 1)
+                lays = lays[1:]
+            else:
+                state = _identity(cols, dtype, field)
+            for off, kv, m, n in lays:
+                a_dim = d ** (off + m - lo)
+                core = arrays[kv, n]
+                if kv == "eta":
+                    rest = d ** (w - off - m - hi) * cols
+                    w += 2 * n
                     state = state.reshape(a_dim, 1, rest) * core.reshape(1, -1, 1)
                 else:
+                    w -= 2 * n
+                    rest = d ** (w - off - m - hi) * cols
                     state = core @ state.reshape(a_dim, core.size, rest)
                 if modulus is not None:
                     state %= modulus
         except MemoryError:
-            raise _unallocatable(rows, cols) from None
-        images.append(state.reshape(rows, cols))
-    return images
+            raise _unallocatable(d ** (w - lo - hi), cols) from None
+        images.append(state.reshape(-1, cols))
+    return lo, hi, images
 
 
-def _growth(t: Term, cores: dict) -> int:
-    """Bound on the entries of ``t``'s state over the rationals, from an identity start.
+def _growth(lays: tuple, cores: dict) -> int:
+    """Bound on the entries of a term's state over the rationals.
 
     A cup multiplies the largest magnitude by at most its core's peak, a cap
-    by its peak times the number of products it sums.
+    by its peak times the number of products it sums.  The bound holds
+    whichever slice the contraction starts from (a cap that starts it only
+    multiplies an identity by its core), so it is conservative there.
     """
     bound = 1
-    for s in t.slices:
-        c = cores[(s.gen.kind, s.gen.n)]
-        bound *= c.peak if s.gen.kind is GenKind.ETA else c.peak * c.array.size
+    for _, kv, _, n in lays:
+        c = cores[kv, n]
+        bound *= c.peak if kv == "eta" else c.peak * c.array.size
     return bound
 
 
@@ -615,10 +651,10 @@ def check_rule_instance(spec: FunctorSpec, lhs: Term, rhs: Term) -> bool:
     contracted in one scalar representation, so a slice-free side compares
     with the other in the same form.
     """
-    if lhs.source != rhs.source or lhs.target != rhs.target:
+    keys = (term_key(lhs), term_key(rhs))
+    if lhs.source != rhs.source or _widths(*keys[0])[-1] != _widths(*keys[1])[-1]:
         raise ValueError("rule instance sides have different shapes")
-    lo, hi = _outer_wires(lhs, rhs)
-    a, b = _eval_arrays(spec, (lhs, rhs), MAX_DIM_DEFAULT, lo, hi)
+    _, _, (a, b) = _eval_arrays(spec, keys, MAX_DIM_DEFAULT)
     return bool(np.array_equal(a, b))
 
 

@@ -162,6 +162,20 @@ class TestCommands:
         assert main(["eval", "id(4)", "--dim", "2", "--max-dim", "8"]) == 2
         assert "exceeds" in capsys.readouterr().err
 
+    def test_eval_wide_cap(self, capsys):
+        # contracted from the cap's image, not from a 2^16 x 2^16 identity (32 GiB)
+        assert main(["eval", "eps(0,8)", "--dim", "2"]) == 0
+        entries = capsys.readouterr().out.split()
+        assert len(entries) == 2**16
+        assert entries.count("1") == 256 and entries.count("0") == 2**16 - 256
+
+    @pytest.mark.parametrize("max_dim", ["0", "-3"])
+    def test_eval_max_dim_below_one_rejected(self, capsys, max_dim):
+        assert main(["eval", "eta(0,1)", "--dim", "2", "--max-dim", max_dim]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: monocat eval")
+        assert f"argument --max-dim: must be >= 1, got {max_dim}" in err
+
     def test_eval_unallocatable_state(self, capsys):
         assert main(["eval", "eps(0,1) * id(18) * eta(0,1)", "--dim", "2"]) == 2
         assert "does not fit in memory" in capsys.readouterr().err

@@ -32,12 +32,11 @@ from monocat import (
     whisker,
 )
 from monocat.rewrite import TRIANGLE_RULES
-from monocat.terms import GenKind
+from monocat.terms import term_key
 from monocat.vect import (
     _CORE_CACHE_ENTRIES,
     MAX_DIM_DEFAULT,
     _eval_arrays,
-    _outer_wires,
     is_invertible,
 )
 from oracles import dense_eval, nested_cap, nested_cup, random_term, snake
@@ -193,6 +192,22 @@ class TestEvalTerm:
         with pytest.raises(TooLarge):
             eval_term(spec, identity(8), max_dim=2**7)
 
+    @pytest.mark.parametrize("max_dim", [0, -1])
+    def test_max_dim_below_one_rejected(self, max_dim):
+        with pytest.raises(ValueError, match=f"max_dim must be >= 1, got {max_dim}"):
+            eval_term(FunctorSpec.identity(2), gen_term(eta(0, 1)), max_dim=max_dim)
+
+    def test_wide_cap_in_closed_form(self):
+        # a 2^16 x 2^16 identity state (32 GiB) would not fit; the cap's image is one row
+        m = eval_term(FunctorSpec.identity(2), gen_term(eps(0, 8)))
+        assert (m.rows, m.cols) == (1, 2**16)
+        (row,) = m.entries
+        # entry (i_1..i_8, j_8..j_1) pairs i_k with j_k: 1 iff its 16 bits read the same reversed
+        ones = [c for c in range(2**16) if f"{c:016b}" == f"{c:016b}"[::-1]]
+        assert len(ones) == 256
+        assert [c for c, x in enumerate(row) if x] == ones
+        assert {type(x) for x in row} == {int} and set(row) == {0, 1}
+
 
 class TestRuleInstanceChecks:
     def test_insertion_naturality_instance(self):
@@ -288,17 +303,17 @@ class TestOuterWires:
         assert check_rule_instance(spec, whiskered(lhs, 8, 8), whiskered(rhs, 8, 8))
 
     def test_unallocatable_state_is_too_large(self):
-        # width 20 passes the per-side guard, but a 2^20 x 2^20 state cannot be allocated:
-        # the first while contracting, the second while putting the stripped wires back
+        # width 20 passes the per-side guard, but neither state can be allocated: the
+        # 2^18 x 2^20 image of the first cap while contracting, and the 2^20 x 2^20
+        # identity while putting the stripped wires back
         t = tensor(tensor(gen_term(eps(0, 1)), identity(18)), gen_term(eta(0, 1)))
-        for term in (t, identity(20)):
-            with pytest.raises(TooLarge, match="1048576 x 1048576"):
+        for term, shape in ((t, "262144 x 1048576"), (identity(20), "1048576 x 1048576")):
+            with pytest.raises(TooLarge, match=f"^evaluation state of shape {shape} does not"):
                 eval_term(FunctorSpec.identity(2), term)
 
 
 def route_dtype(spec, t):
-    lo, hi = _outer_wires(t)
-    (state,) = _eval_arrays(spec, (t,), MAX_DIM_DEFAULT, lo, hi)
+    _, _, (state,) = _eval_arrays(spec, (term_key(t),), MAX_DIM_DEFAULT)
     return state.dtype
 
 
@@ -367,7 +382,61 @@ class TestScalarRoutes:
             assert eval_term(spec, loop).entries == ((2**n,),)
         cached = spec._cores
         assert sum(c.array.size for c in cached.values()) <= _CORE_CACHE_ENTRIES
-        assert (GenKind.ETA, 1) in cached and (GenKind.EPS, 10) not in cached
+        assert ("eta", 1) in cached and ("eps", 10) not in cached
+
+
+FRACTIONAL_3 = [[Fraction(1, 2), 0, 0], [Fraction(1, 3), 2, 0], [1, Fraction(-3, 4), 5]]
+
+# route name -> (spec at dimension d, state dtype, entry type)
+ROUTES = {
+    "int64-Q": (lambda d: FunctorSpec.random(d, seed=d), np.int64, int),
+    "int64-mod-p": (lambda d: FunctorSpec.random(d, seed=d, field=PrimeField(7)), np.int64, ModP),
+    "object-fractional": (
+        lambda d: FunctorSpec(d, frac_mat([row[:d] for row in FRACTIONAL_3[:d]])),
+        object,
+        Fraction,
+    ),
+    "object-over-bound-prime": (
+        lambda d: FunctorSpec.random(d, seed=d, field=PrimeField(2**61 - 1)),
+        object,
+        ModP,
+    ),
+}
+
+
+def cap_first_terms(n):
+    """Terms whose first slice is a cap ``eps(m, n)``, alone, at either edge, inside, or whiskered."""
+    alone = [gen_term(eps(0, n)), gen_term(eps(1, n))]
+    left_edge = compose(whisker(0, eps(0, n), 1), whisker(0, eta(1, 1), 0))
+    inside = compose(whisker(1, eps(0, n), 1), gen_term(eps(0, 1)))
+    right_edge = compose(whisker(1, eps(0, n), 0), whisker(0, eta(0, 1), 1))
+    # stripped to lo = 2, hi = 1, leaving one wire left of the cap's block
+    lifted = compose(whisker(1, eps(1, n), 0), whisker(1, eta(0, 1), 1))
+    stripped = [whiskered(gen_term(eps(1, n)), 1, 1), whiskered(lifted, 1, 1)]
+    return alone + [left_edge, inside, right_edge] + stripped
+
+
+class TestFirstSliceStart:
+    """A cap first starts the contraction from its own image; each route matches the dense oracle."""
+
+    @pytest.mark.parametrize("route", list(ROUTES))
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_cap_first_matches_dense_oracle(self, d, n, route):
+        make_spec, dtype, entry_type = ROUTES[route]
+        spec = make_spec(d)
+        # dense_eval multiplies padded d^w x d^w matrices of Python scalars
+        terms = [t for t in cap_first_terms(n) if d ** max(t.widths()) <= 81]
+        assert terms
+        for t in terms:
+            assert route_dtype(spec, t) == dtype
+            m = eval_term(spec, t)
+            dense = dense_eval(spec, t).entries
+            if entry_type is int:
+                assert all(x.denominator == 1 for row in dense for x in row)
+                dense = tuple(tuple(int(x) for x in row) for row in dense)
+            assert repr(m.entries) == repr(dense), str(t)
+            assert {type(x) for row in m.entries for x in row} == {entry_type}
 
 
 class TestIsoObstruction:
