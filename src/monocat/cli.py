@@ -46,7 +46,7 @@ from .terms import (
     render,
     tensor,
 )
-from .vect import RATIONALS, FunctorSpec, PrimeField, TooLarge, eval_term
+from .vect import FunctorSpec, TooLarge, eval_term, field_of
 
 
 class ParseError(MonocatError):
@@ -159,18 +159,8 @@ def _caps_of(args) -> SearchCaps:
     return SearchCaps(args.max_gens, args.max_width, args.max_n, max_states)
 
 
-def _field_of(text: str):
-    if text == "q":
-        return RATIONALS
-    if text == "p":
-        return PrimeField()
-    if text.startswith("p:"):
-        return PrimeField(int(text[2:]))
-    raise ValueError(f"unknown field {text!r} (use q, p, or p:PRIME)")
-
-
 def _functor_of(args) -> FunctorSpec:
-    field = _field_of(args.field)
+    field = field_of(args.field)
     phi = args.phi
     if phi == "identity":
         return FunctorSpec.identity(args.dim, field)

@@ -190,8 +190,8 @@ _RULE_OF = {
 }
 
 
-def _match_pair(u, v, mode: Mode):
-    """All rule matches on the ordered adjacent pair of layer keys (u, v)."""
+def _match_pair(u, v):
+    """All rule matches, triangles too, on the adjacent pair of layer keys (u, v)."""
     a, ku, mu, nu = u
     c, kv, mv, nv = v
     du = 2 * nu if ku == "eta" else -2 * nu
@@ -210,7 +210,7 @@ def _match_pair(u, v, mode: Mode):
         repl = (v, (a, ku, mu + dv, nu))
         found.append((_RULE_OF[ku, kv], Direction.BACKWARD, repl, binding))
 
-    if mode is Mode.C and ku == "eta" and kv == "eps" and a == c and nu == nv:
+    if ku == "eta" and kv == "eps" and a == c and nu == nv:
         if mv == mu + nu:
             found.append((RuleId.TRIANGLE_A, Direction.FORWARD, (), (("i", mu), ("n", nu))))
         elif mv == mu - nu:
@@ -225,27 +225,21 @@ def _match_pair(u, v, mode: Mode):
 # (a, t) of s and a member m of the class of t.  So a pair at position 0
 # is a front a followed by a front b of t, and every deeper pair step, or
 # cut, is one of t's with a prepended: every result is the least key of
-# some slices prepended to a least key.  Pair steps (per mode) and cuts
-# are memoised per least key, suffix classes first.  Each memo is
-# replaced by an empty one once it holds _MOVES_CAP keys (a call in
-# progress keeps its own).
-
-_MOVES_CAP = 4096
-_moves: dict = {}
+# some slices prepended to a least key.  Pair steps (of both modes) and
+# cuts are memoised per least key, suffix classes first, in the memo of
+# ``terms``, so that they are dropped together with the fronts.
 
 
-def _memoised(kind, lays: tuple, build) -> dict:
-    """The ``kind`` memo's entry for the least key ``lays``.
+def _memoised(kind: str, lays: tuple, build) -> dict:
+    """The ``kind`` entry of the least key ``lays``.
 
     ``build(graph, s, fronts, memo)`` makes the entry of ``s`` from those
     of the suffixes of its fronts, which are made first, on an explicit
     stack rather than by recursion: suffixes nest as deep as the key is
     long.  The work bound of ``terms`` applies to each entry.
     """
-    memo = _moves.get(kind)
-    if memo is None or len(memo) > _MOVES_CAP:
-        memo = _moves[kind] = {}
     graph = _front_graph()
+    memo = graph.entries.setdefault(kind, {})
     todo = [lays]
     while todo:
         s = todo[-1]
@@ -267,14 +261,14 @@ def _pair_steps(state, mode: Mode):
     """Every pair step on the class of ``state``, as (step fields, result).
 
     The memo maps (rule, direction, least key of the result) to the fields
-    of one :class:`RewriteStep` giving it.
+    of one :class:`RewriteStep` giving it; mode D skips the triangles.
     """
 
     def build(graph, s, fronts, memo):
         out = {}
         for a, t in fronts:
             for b, u in graph.fronts(t):
-                for rule, direction, repl, binding in _match_pair(a, b, mode):
+                for rule, direction, repl, binding in _match_pair(a, b):
                     key = (rule, direction, graph.prepend(repl, u))
                     if key not in out:
                         out[key] = (rule, direction, (a, b) + u, 0, binding)
@@ -285,8 +279,9 @@ def _pair_steps(state, mode: Mode):
         return out
 
     source, lays = state
-    for (_, _, result), fields in _memoised(mode, lays, build).items():
-        yield fields, (source, result)
+    for (rule, _, result), fields in _memoised("pairs", lays, build).items():
+        if mode is Mode.C or rule not in TRIANGLE_RULES:
+            yield fields, (source, result)
 
 
 def _cuts(lays: tuple) -> dict:
@@ -368,7 +363,7 @@ def apply(t: Term, step: RewriteStep) -> Term:
     if step.rule not in TRIANGLE_RULES or step.direction is Direction.FORWARD:
         if not (0 <= p < len(row) - 1):
             raise InvalidStep(f"position {p} out of range")
-        for rule, direction, repl, _ in _match_pair(row[p], row[p + 1], Mode.C):
+        for rule, direction, repl, _ in _match_pair(row[p], row[p + 1]):
             if rule is step.rule and direction is step.direction:
                 new = row[:p] + repl + row[p + 2 :]
                 return term_from_key(t.source, _canonical_key(new))

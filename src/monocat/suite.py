@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from . import vect
 from .rewrite import (
@@ -49,7 +49,7 @@ from .terms import (
     term_from_key,
     upside_down,
 )
-from .vect import RATIONALS, FunctorSpec, PrimeField, RationalField
+from .vect import RATIONALS, FunctorSpec, PrimeField, RationalField, field_of
 
 
 def snake_term() -> Term:
@@ -121,29 +121,45 @@ class SuiteConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "SuiteConfig":
+        """The config :meth:`to_dict` describes; omitted keys keep their defaults.
+
+        Raises ValueError on unknown keys and malformed values.
+        """
         base = SuiteConfig()
         values = {}
-        for f in fields(SuiteConfig):
-            default = getattr(base, f.name)
-            value = data.get(f.name, default)
-            if f.name == "field":
-                value = _field_of(data.get("field", "q"))
+        for name, value in _known_keys("suite config", data, base).items():
+            default = getattr(base, name)
+            if name == "field":
+                value = field_of(value)
             elif isinstance(default, SearchCaps):
-                given = data.get(f.name) or {}
-                value = SearchCaps(**{k: given.get(k, v) for k, v in asdict(default).items()})
+                given = _known_keys(name, value, default)
+                value = replace(
+                    default, **{k: _config_int(f"{name}.{k}", v) for k, v in given.items()}
+                )
             elif isinstance(default, tuple):
-                value = tuple(value)
-            values[f.name] = value
-        return SuiteConfig(**values)
+                if not isinstance(value, (list, tuple)):
+                    raise ValueError(f"{name} must be a list of integers, got {value!r}")
+                value = tuple(_config_int(f"{name} entry", v) for v in value)
+            else:
+                value = _config_int(name, value)
+            values[name] = value
+        return replace(base, **values)
 
 
-def _field_of(spec) -> RationalField | PrimeField:
-    """The field named by a config's ``"q"`` or ``"p:PRIME"``."""
-    if spec == "q":
-        return RATIONALS
-    if isinstance(spec, str) and spec.startswith("p:"):
-        return PrimeField(int(spec[2:]))
-    raise ValueError(f"unknown field spec {spec!r}")
+def _known_keys(where: str, given, like) -> dict:
+    """``given``, checked to be an object whose keys name fields of the dataclass ``like``."""
+    if not isinstance(given, dict):
+        raise ValueError(f"{where} must be an object, got {given!r}")
+    unknown = sorted(set(given) - {f.name for f in fields(like)})
+    if unknown:
+        raise ValueError(f"unknown key(s) in {where}: {', '.join(map(repr, unknown))}")
+    return given
+
+
+def _config_int(where: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{where} must be an integer, got {value!r}")
+    return value
 
 
 @dataclass

@@ -17,15 +17,15 @@ Two slice sequences denote the same arrow of the free structure exactly
 when they differ by swapping adjacent slices with disjoint support
 (sliding law).  ``canonical`` picks one representative per class.
 
-All types are immutable values and all functions are pure, so everything
-here is safe for unrestricted concurrent use.
+All types are immutable values.  Canonicalisation and rule matching share
+one bounded, unlocked memo (see ``_front_graph``) whose entries depend only
+on their keys, so results never depend on what it holds.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
 
 
 class MonocatError(Exception):
@@ -271,15 +271,17 @@ class _FrontGraph:
     the least member of the class of ``(b,) + t``, and maps each least key
     to itself, so that equal least keys are one shared tuple; ``_fronts``
     maps each least key of two or more layers to its fronts, sorted.  Both
-    are filled together, when a class is closed.  ``_WORK_CAP`` bounds the
-    swap tests one call makes, or one request after ``restart``.
+    are filled together, when a class is closed; ``entries`` holds rewrite's
+    pair steps and cuts per least key.  ``_WORK_CAP`` bounds the swap tests
+    one call makes, or one request after ``restart``.
     """
 
-    __slots__ = ("_fronts", "_least", "_work")
+    __slots__ = ("_fronts", "_least", "entries", "_work")
 
-    def __init__(self, fronts: dict, least: dict) -> None:
+    def __init__(self, fronts: dict, least: dict, entries: dict) -> None:
         self._fronts = fronts
         self._least = least
+        self.entries = entries
         self._work = 0
 
     def restart(self) -> None:
@@ -288,7 +290,7 @@ class _FrontGraph:
 
     def least(self, key: tuple) -> tuple:
         """The least member of the class of ``key``, built suffix by suffix."""
-        return self.prepend(key[:-1], key[-1:])
+        return self._least.get(key) or self.prepend(key[:-1], key[-1:])
 
     def prepend(self, head: tuple, tail: tuple) -> tuple:
         """The least member of the class of ``head + tail``, ``tail`` least."""
@@ -367,21 +369,20 @@ class _FrontGraph:
 
 
 # the memo all canonicalisations and rule matches share, as (fronts,
-# least); replaced by an empty one once it holds _MEMO_CAP pairs (a call in
-# progress keeps its own).  Every rewrite result is closed in it, so a
-# replacement mid-search makes the search close its states again.
+# least, entries); replaced by an empty one once it holds _MEMO_CAP pairs
+# (a call in progress keeps its own).  Every rewrite result is closed in
+# it, so a replacement mid-search makes the search close its states again.
 _MEMO_CAP = 32768
-_memo: tuple = ({}, {})
+_memo: tuple = ({}, {}, {})
 
 
 def _front_graph() -> _FrontGraph:
     global _memo
     if len(_memo[1]) > _MEMO_CAP:
-        _memo = ({}, {})
+        _memo = ({}, {}, {})
     return _FrontGraph(*_memo)
 
 
-@lru_cache(maxsize=1 << 18)
 def _canonical_key(key: tuple) -> tuple:
     return _front_graph().least(key)
 

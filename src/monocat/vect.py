@@ -200,6 +200,18 @@ class PrimeField:
 RATIONALS = RationalField()
 
 
+def field_of(spec) -> RationalField | PrimeField:
+    """The field named by ``q``, ``p`` (the default prime) or ``p:PRIME``."""
+    if spec == "q":
+        return RATIONALS
+    if spec == "p":
+        return PrimeField()
+    digits = spec[2:] if isinstance(spec, str) and spec.startswith("p:") else ""
+    if digits.isascii() and digits.isdigit():
+        return PrimeField(int(digits))
+    raise ValueError(f"unknown field spec {spec!r} (use q, p, or p:PRIME)")
+
+
 # -- matrices -----------------------------------------------------------------
 
 

@@ -152,6 +152,15 @@ class TestCommands:
         )
         assert capsys.readouterr().out.strip() == "3"
 
+    def test_eval_default_prime_field(self, capsys):
+        assert main(["eval", "eta(0,1) ; eps(0,1)", "--dim", "3", "--field", "p"]) == 0
+        assert capsys.readouterr().out.strip() == "3"
+
+    def test_eval_unknown_field_spec(self, capsys):
+        assert main(["eval", "id(1)", "--field", "p:abc"]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err == "error: unknown field spec 'p:abc' (use q, p, or p:PRIME)"
+
     @pytest.mark.parametrize("modulus", [4, 6])
     def test_eval_composite_modulus_rejected(self, capsys, modulus):
         args = ["eval", "eta(0,1)", "--field", f"p:{modulus}", "--phi", "random:3"]
@@ -275,6 +284,12 @@ class TestSuiteCommand:
         data = json.loads(capsys.readouterr().out)
         assert all(c["status"] in {"pass", "evidence"} for c in data["checks"])
         assert all(c["elapsed_s"] == 0.0 for c in data["checks"])
+
+    def test_malformed_config_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"dims": 2}))
+        assert main(["suite", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.strip() == "error: dims must be a list of integers, got 2"
 
     def test_bad_config_path(self, capsys):
         assert main(["suite", "--config", "/nonexistent/cfg.json"]) == 2

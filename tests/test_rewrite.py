@@ -32,6 +32,7 @@ from monocat import (
     normal_form,
     rule_instance,
     rule_instances,
+    terms,
     whisker,
 )
 from monocat.cli import parse_expr
@@ -355,6 +356,33 @@ class TestExplore:
     def test_start_must_fit_caps(self):
         with pytest.raises(ValueError):
             explore(snake(), Mode.C, SearchCaps(1, 8, 1, 100))
+
+
+class TestMemoDrops:
+    # the memo is dropped whole when full, and a search that outlives a
+    # drop closes its states again; what it finds must not change
+    @staticmethod
+    def results():
+        start = parse_expr("(eta(0,1) * id(1)) ; eps(1,1) ; eta(1,1)")
+        end = parse_expr(
+            "eta(1,1) ; eta(3,1) ; (eta(1,1) * id(4)) ; (eps(2,1) * id(3)) ; (eps(2,1) * id(1))"
+        )
+        w = equal(start, end, Mode.C, SearchCaps(5, 8, 1, 5000))
+        return (
+            explore(snake(), Mode.C, DEFAULT_CAPS, collect_states=True).states,
+            (w.terms, w.steps),
+            enum_hom_detailed(2, 2, Mode.C, SearchCaps(3, 8, 1, 4000)),
+        )
+
+    def test_drops_do_not_change_results(self, fresh_memo, monkeypatch):
+        want = self.results()
+        assert len(want[1][1]) == 3
+        monkeypatch.setattr(terms, "_MEMO_CAP", 40)
+        first = ({}, {}, {})
+        monkeypatch.setattr(terms, "_memo", first)
+        got = self.results()
+        assert terms._memo is not first
+        assert got == want
 
 
 class TestEnumHom:

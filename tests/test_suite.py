@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,7 @@ from monocat import (
     FunctorSpec,
     Mat,
     Mode,
+    PrimeField,
     RuleId,
     SearchCaps,
     Slice,
@@ -198,6 +200,35 @@ class TestSuiteConfig:
         cfg = SuiteConfig.from_dict({"field": "p:97"})
         assert cfg.field.p == 97
         assert cfg.to_dict()["field"] == "p:97"
+
+    def test_default_prime_field_config(self):
+        assert SuiteConfig.from_dict({"field": "p"}).field == PrimeField()
+
+    def test_partial_caps_keep_their_defaults(self):
+        cfg = SuiteConfig.from_dict({"hom_caps": {"max_states": 10}})
+        assert cfg.hom_caps == SearchCaps(3, 8, 1, 10)
+        assert cfg.caps == SuiteConfig().caps
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"hom_cap": {}}, "unknown key(s) in suite config: 'hom_cap'"),
+            ({"caps": {"max_state": 5}}, "unknown key(s) in caps: 'max_state'"),
+            ({"caps": 3}, "caps must be an object, got 3"),
+            ({"hom_caps": {"max_states": "10"}}, "hom_caps.max_states must be an integer"),
+            ({"control_caps": {"max_width": 0}}, "max_width must be >= 1"),
+            ({"dims": 2}, "dims must be a list of integers, got 2"),
+            ({"dims": [1, "2"]}, "dims entry must be an integer, got '2'"),
+            ({"phi_seeds": [1.5]}, "phi_seeds entry must be an integer"),
+            ({"sample_seed": None}, "sample_seed must be an integer, got None"),
+            ({"obstruction_samples": True}, "obstruction_samples must be an integer"),
+            ({"field": "p:abc"}, "unknown field spec 'p:abc' (use q, p, or p:PRIME)"),
+            ([], "suite config must be an object, got []"),
+        ],
+    )
+    def test_malformed_config_rejected(self, data, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SuiteConfig.from_dict(data)
 
     def test_bad_dims_rejected(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -37,6 +38,7 @@ from monocat.vect import (
     _CORE_CACHE_ENTRIES,
     MAX_DIM_DEFAULT,
     _eval_arrays,
+    field_of,
     is_invertible,
 )
 from oracles import dense_eval, nested_cap, nested_cup, random_term, snake
@@ -508,6 +510,18 @@ class TestPrimeField:
     def test_composite_modulus_rejected(self, p):
         with pytest.raises(ValueError, match=f"modulus {p} is not prime"):
             PrimeField(p)
+
+    @pytest.mark.parametrize(
+        "spec, want", [("q", RATIONALS), ("p", PrimeField()), ("p:97", PrimeField(97))]
+    )
+    def test_field_spec(self, spec, want):
+        assert field_of(spec) == want
+
+    @pytest.mark.parametrize("spec", ["p:abc", "p:", "p:-7", "p:٣", "P", "", 97, None])
+    def test_unknown_field_spec_rejected(self, spec):
+        message = f"unknown field spec {spec!r} (use q, p, or p:PRIME)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            field_of(spec)
 
     def test_slice_free_term_has_field_entries(self):
         m = eval_term(FunctorSpec.identity(2, PrimeField(7)), identity(1))
