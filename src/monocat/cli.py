@@ -165,7 +165,11 @@ def _functor_of(args) -> FunctorSpec:
     if phi == "identity":
         return FunctorSpec.identity(args.dim, field)
     if phi.startswith("random:"):
-        return FunctorSpec.random(args.dim, int(phi.split(":", 1)[1]), field)
+        try:
+            seed = int(phi.split(":", 1)[1])
+        except ValueError:
+            raise ValueError(f"--phi {phi!r}: SEED must be an integer") from None
+        return FunctorSpec.random(args.dim, seed, field)
     if phi.startswith("file:"):
         spec = FunctorSpec.from_file(phi.split(":", 1)[1], field)
         if spec.d != args.dim:
@@ -347,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate a term to an exact matrix")
     p.add_argument("expr")
-    p.add_argument("--dim", type=int, default=2)
+    p.add_argument("--dim", type=_positive_int, default=2)
     p.add_argument("--phi", default="identity", help="identity | random:SEED | file:PATH")
     p.add_argument("--field", default="q", help="q | p | p:PRIME")
     p.add_argument("--max-dim", type=_positive_int, default=2**20)

@@ -225,63 +225,108 @@ def _match_pair(u, v):
 # (a, t) of s and a member m of the class of t.  So a pair at position 0
 # is a front a followed by a front b of t, and every deeper pair step, or
 # cut, is one of t's with a prepended: every result is the least key of
-# some slices prepended to a least key.  Pair steps (of both modes) and
-# cuts are memoised per least key, suffix classes first, in the memo of
-# ``terms``, so that they are dropped together with the fronts.
+# some slices prepended to a least key.  Pair results and cuts are
+# memoised per least key, suffix classes first, in the memo of ``terms``,
+# so that they are dropped together with the fronts.  The pair entry
+# holds result keys only: ``match_rules`` derives the step fields again
+# by the same walk, in a memo of its own, and a witness follows that walk
+# into the one suffix class that holds its step.
 
 
-def _memoised(kind: str, lays: tuple, build) -> dict:
-    """The ``kind`` entry of the least key ``lays``.
+def _memoised(lays: tuple, build, memo: dict | None = None):
+    """The entry of the least key ``lays`` in ``memo``, built if missing.
 
+    ``memo`` defaults to the memo of ``terms``, one dict per ``build``.
     ``build(graph, s, fronts, memo)`` makes the entry of ``s`` from those
     of the suffixes of its fronts, which are made first, on an explicit
     stack rather than by recursion: suffixes nest as deep as the key is
     long.  The work bound of ``terms`` applies to each entry.
     """
     graph = _front_graph()
-    memo = graph.entries.setdefault(kind, {})
-    todo = [lays]
+    if memo is None:
+        memo = graph.entries.setdefault(build, {})
+    todo = [(lays, None)]
     while todo:
-        s = todo[-1]
+        s, fronts = todo.pop()
         if s in memo:
-            todo.pop()
             continue
         graph.restart()
-        fronts = graph.fronts(s)
-        need = [t for _, t in fronts if t not in memo]
+        if fronts is None:
+            fronts = graph.fronts(s)
+        need = [(t, None) for _, t in fronts if t not in memo]
         if need:
+            todo.append((s, fronts))
             todo += need
         else:
             memo[s] = build(graph, s, fronts, memo)
-            todo.pop()
     return memo[lays]
 
 
-def _pair_steps(state, mode: Mode):
-    """Every pair step on the class of ``state``, as (step fields, result).
+def _pair_results(lays: tuple) -> tuple:
+    """The pair results on the class of the least key ``lays``.
 
-    The memo maps (rule, direction, least key of the result) to the fields
-    of one :class:`RewriteStep` giving it; mode D skips the triangles.
+    A pair (sliding, triangle) of tuples of least keys, without repeats.
     """
+    return _memoised(lays, _results_entry)
 
-    def build(graph, s, fronts, memo):
-        out = {}
-        for a, t in fronts:
+
+def _results_entry(graph, s, fronts, memo) -> tuple:
+    slide, tri = {}, {}
+    for a, t in fronts:
+        for b, u in graph.fronts(t):
+            for _, _, repl, _ in _match_pair(a, b):
+                # a triangle replaces the pair by nothing
+                (slide if repl else tri)[graph.prepend(repl, u)] = None
+        slide_t, tri_t = memo[t]
+        for r in slide_t:
+            slide[graph.prepend((a,), r)] = None
+        for r in tri_t:
+            tri[graph.prepend((a,), r)] = None
+    return tuple(slide), tuple(tri)
+
+
+def _fields_entry(graph, s, fronts, memo) -> dict:
+    """Maps each (rule, direction, result) to the fields of one step giving it.
+
+    The same walk as ``_results_entry``, keeping the first step met.
+    """
+    out = {}
+    for a, t in fronts:
+        for b, u in graph.fronts(t):
+            for rule, direction, repl, binding in _match_pair(a, b):
+                key = (rule, direction, graph.prepend(repl, u))
+                if key not in out:
+                    out[key] = (rule, direction, (a, b) + u, 0, binding)
+        for (rule, direction, r), (_, _, row, pos, binding) in memo[t].items():
+            key = (rule, direction, graph.prepend((a,), r))
+            if key not in out:
+                out[key] = (rule, direction, (a,) + row, pos + 1, binding)
+    return out
+
+
+def _first_pair_step(lays: tuple, result: tuple):
+    """The fields of the first pair step giving ``result`` in the order of
+    ``_fields_entry`` on the class of ``lays``, or None.
+
+    Follows that walk into the one suffix class where the step lies, by
+    the pair results memoised for each suffix, instead of building every
+    entry.  Mode D needs no filter: a triangle changes the layer count.
+    """
+    graph = _front_graph()
+    head, targets = (), {result}
+    while True:
+        for a, t in graph.fronts(lays):
             for b, u in graph.fronts(t):
                 for rule, direction, repl, binding in _match_pair(a, b):
-                    key = (rule, direction, graph.prepend(repl, u))
-                    if key not in out:
-                        out[key] = (rule, direction, (a, b) + u, 0, binding)
-            for (rule, direction, r), (_, _, row, pos, binding) in memo[t].items():
-                key = (rule, direction, graph.prepend((a,), r))
-                if key not in out:
-                    out[key] = (rule, direction, (a,) + row, pos + 1, binding)
-        return out
-
-    source, lays = state
-    for (rule, _, result), fields in _memoised("pairs", lays, build).items():
-        if mode is Mode.C or rule not in TRIANGLE_RULES:
-            yield fields, (source, result)
+                    if graph.prepend(repl, u) in targets:
+                        return (rule, direction, head + (a, b) + u, len(head), binding)
+            slide, tri = _pair_results(t)
+            inner = {r for r in slide + tri if graph.prepend((a,), r) in targets}
+            if inner:
+                head, lays, targets = head + (a,), t, inner
+                break
+        else:
+            return None
 
 
 def _cuts(lays: tuple) -> dict:
@@ -290,16 +335,16 @@ def _cuts(lays: tuple) -> dict:
     Maps (head, tail), the least keys of the slices below and above a cut,
     to the width of the cut less the source width.
     """
+    return _memoised(lays, _cut_entry)
 
-    def build(graph, s, fronts, memo):
-        out = {((), s): 0}
-        for a, t in fronts:
-            da = 2 * a[3] if a[1] == "eta" else -2 * a[3]
-            for (head, tail), delta in memo[t].items():
-                out.setdefault((graph.prepend((a,), head), tail), delta + da)
-        return out
 
-    return _memoised("cuts", lays, build)
+def _cut_entry(graph, s, fronts, memo) -> dict:
+    out = {((), s): 0}
+    for a, t in fronts:
+        da = 2 * a[3] if a[1] == "eta" else -2 * a[3]
+        for (head, tail), delta in memo[t].items():
+            out.setdefault((graph.prepend((a,), head), tail), delta + da)
+    return out
 
 
 def _expansions(state, caps: SearchCaps):
@@ -325,23 +370,24 @@ def _expansions(state, caps: SearchCaps):
                         yield fields, (source, _front_graph().prepend(head + ins, tail))
 
 
-def _step_results(state, mode: Mode, caps: SearchCaps):
-    """Every step on the class of ``state``, as (step fields, result state)."""
-    yield from _pair_steps(state, mode)
-    if mode is Mode.C:
-        yield from _expansions(state, caps)
-
-
 def match_rules(t: Term, mode: Mode, caps: SearchCaps = DEFAULT_CAPS) -> list[RewriteStep]:
     """All rule applications available on ``t`` modulo interchange.
 
     Pair rules are matched on every interchange-adjacent slice pair;
     expansions are enumerated at every cut, bounded by ``caps``.  Lists
-    one step per rule, direction and result.
+    one step per rule, direction and result.  The memo of ``terms`` keeps
+    pair results only, so the pair steps' fields are derived again here,
+    by the same walk in a memo local to the call.
     """
-    steps: dict = {}
-    for fields, y in _step_results(_state(t), mode, caps):
-        steps.setdefault(fields[:2] + (y,), fields)
+    state = _state(t)
+    steps = {
+        key: fields
+        for key, fields in _memoised(state[1], _fields_entry, {}).items()
+        if mode is Mode.C or key[0] not in TRIANGLE_RULES
+    }
+    if mode is Mode.C:
+        for fields, y in _expansions(state, caps):
+            steps.setdefault(fields[:2] + (y[1],), fields)
     return [RewriteStep(*fields) for fields in steps.values()]
 
 
@@ -416,9 +462,16 @@ def _relaxed_caps(a, b, caps: SearchCaps) -> SearchCaps:
     return SearchCaps(max(gens), max(widths) + 2 * max(ns), max(ns), caps.max_states)
 
 
-def _find_step(src, dst, mode: Mode, caps: SearchCaps) -> RewriteStep:
-    """A step turning src into dst; exists whenever dst was found adjacent."""
-    for fields, result in _step_results(src, mode, _relaxed_caps(src, dst, caps)):
+def _find_step(src, dst, caps: SearchCaps) -> RewriteStep:
+    """A step turning src into dst; exists whenever dst was found adjacent.
+
+    A pair step if there is one (always in mode D), the first that
+    ``match_rules`` lists with that result; else an expansion.
+    """
+    fields = _first_pair_step(src[1], dst[1])
+    if fields is not None:
+        return RewriteStep(*fields)
+    for fields, result in _expansions(src, _relaxed_caps(src, dst, caps)):
         if result == dst:
             return RewriteStep(*fields)
     raise AssertionError("edge of the rewrite graph could not be re-derived")
@@ -426,7 +479,13 @@ def _find_step(src, dst, mode: Mode, caps: SearchCaps) -> RewriteStep:
 
 def _successors(state, mode: Mode, caps: SearchCaps) -> list:
     """Distinct one-step results of ``state`` in key order, caps unchecked."""
-    return sorted({y for _, y in _step_results(state, mode, caps)})
+    source, lays = state
+    slide, tri = _pair_results(lays)
+    if mode is Mode.D:
+        return sorted((source, r) for r in slide)
+    out = {(source, r) for r in slide + tri}
+    out.update(y for _, y in _expansions(state, caps))
+    return sorted(out)
 
 
 def equal(
@@ -472,11 +531,11 @@ def equal(
             frontier_b = new_frontier
         meets = parents_a.keys() & parents_b.keys()
         if meets:
-            return _reconstruct(min(meets), parents_a, parents_b, mode, caps)
+            return _reconstruct(min(meets), parents_a, parents_b, caps)
     return None
 
 
-def _reconstruct(meet, parents_a, parents_b, mode, caps) -> EqualityWitness:
+def _reconstruct(meet, parents_a, parents_b, caps) -> EqualityWitness:
     """Join the two search trees into one verified forward path.
 
     Edges on the b side were discovered pointing away from b, so their
@@ -494,7 +553,7 @@ def _reconstruct(meet, parents_a, parents_b, mode, caps) -> EqualityWitness:
         chain.append(key)
         key = parents_b[key]
     steps = tuple(
-        _find_step(chain[k], chain[k + 1], mode, caps) for k in range(len(chain) - 1)
+        _find_step(chain[k], chain[k + 1], caps) for k in range(len(chain) - 1)
     )
     return EqualityWitness(terms=tuple(term_from_key(*k) for k in chain), steps=steps)
 
@@ -564,11 +623,13 @@ def explore(
 
 
 def _sliding_class(state, limit: int) -> set:
-    """Closure of ``state`` under the sliding rules (mode-D pair steps)."""
+    """Closure of ``state`` under the sliding rules (mode-D pair results)."""
     seen = {state}
     stack = [state]
     while stack:
-        for _, y in _pair_steps(stack.pop(), Mode.D):
+        source, lays = stack.pop()
+        for r in _pair_results(lays)[0]:
+            y = (source, r)
             if y not in seen:
                 if len(seen) >= limit:
                     raise MonocatError(f"sliding class exceeds the max_states limit of {limit}")
@@ -587,9 +648,9 @@ def _normal_form(state, mode: Mode, limit: int):
     members = sorted(_sliding_class(state, limit))
     if mode is Mode.C:
         for x in members:
-            found = [y for fields, y in _pair_steps(x, mode) if fields[0] in TRIANGLE_RULES]
+            found = _pair_results(x[1])[1]
             if found:
-                return _normal_form(min(found), mode, limit)
+                return _normal_form((x[0], min(found)), mode, limit)
     return members[0]
 
 

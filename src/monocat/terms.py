@@ -272,7 +272,7 @@ class _FrontGraph:
     to itself, so that equal least keys are one shared tuple; ``_fronts``
     maps each least key of two or more layers to its fronts, sorted.  Both
     are filled together, when a class is closed; ``entries`` holds rewrite's
-    pair steps and cuts per least key.  ``_WORK_CAP`` bounds the swap tests
+    pair results and cuts per least key.  ``_WORK_CAP`` bounds the swap tests
     one call makes, or one request after ``restart``.
     """
 
@@ -372,7 +372,10 @@ class _FrontGraph:
 # least, entries); replaced by an empty one once it holds _MEMO_CAP pairs
 # (a call in progress keeps its own).  Every rewrite result is closed in
 # it, so a replacement mid-search makes the search close its states again.
-_MEMO_CAP = 32768
+# Rewrite entries hold least keys only, shared with ``least``; at this cap
+# the word-problem explores of the zig-zag and its mirror run without a
+# replacement and TriangleA's (5,313 states) with one.
+_MEMO_CAP = 49152
 _memo: tuple = ({}, {}, {})
 
 

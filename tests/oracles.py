@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from functools import lru_cache
 
 from monocat import (
     FunctorSpec,
@@ -32,7 +33,7 @@ from monocat import (
     rule_instance,
     tensor,
 )
-from monocat.rewrite import RuleId, generate_terms, term_key
+from monocat.rewrite import Direction, RuleId, generate_terms, term_key
 from monocat.terms import GenKind, Generator, Slice, term_from_layers
 
 
@@ -135,8 +136,12 @@ def _whiskered(instance: Term, a: int, b: int) -> Term:
     return tensor(tensor(identity(a), instance), identity(b))
 
 
+@lru_cache(maxsize=None)
 def _instance_pool(max_width: int, max_index_n: int):
-    """All literal relation instances whose sides fit inside max_width."""
+    """All literal relation instances whose sides fit inside max_width.
+
+    Two tuples of (rule, lhs, rhs): sliding instances and triangles.
+    """
     pool = []
     rules = (
         RuleId.NAT_ETA_ETA,
@@ -153,32 +158,40 @@ def _instance_pool(max_width: int, max_index_n: int):
                         for l in range(0, w + 1):
                             if i + j + 2 * k + l + 2 * n > w:
                                 continue
-                            pool.append(rule_instance(rule, i, j, k, l, n))
+                            pool.append((rule, *rule_instance(rule, i, j, k, l, n)))
     tri = []
     for n in range(1, min(max_index_n, w // 2) + 1):
         for i in range(0, w - 2 * n + 1):
-            tri.append(rule_instance(RuleId.TRIANGLE_A, i=i, n=n))
-            tri.append(rule_instance(RuleId.TRIANGLE_B, i=i, n=n))
-    return pool, tri
+            tri.append((RuleId.TRIANGLE_A, *rule_instance(RuleId.TRIANGLE_A, i=i, n=n)))
+            tri.append((RuleId.TRIANGLE_B, *rule_instance(RuleId.TRIANGLE_B, i=i, n=n)))
+    return tuple(pool), tuple(tri)
 
 
 def neighbors_oracle(t: Term, mode: Mode, caps: SearchCaps) -> list[Term]:
     """One-step rewrites by literal substitution inside every representative."""
-    nat_pool, tri_pool = _instance_pool(caps.max_width, caps.max_index_n)
-    results: dict = {}
+    results = {term_key(c): c for (_, _, c) in steps_oracle(t, mode, caps)}
+    return [results[k] for k in sorted(results)]
 
-    def admit(term: Term) -> None:
+
+def steps_oracle(t: Term, mode: Mode, caps: SearchCaps) -> set:
+    """The (rule, direction, canonical result) triples of ``neighbors_oracle``.
+
+    Replacing a whiskered ``lhs`` by its ``rhs`` is the forward direction,
+    and inserting a triangle's ``lhs`` (an expansion) is backward.
+    """
+    nat_pool, tri_pool = _instance_pool(caps.max_width, caps.max_index_n)
+    results: set = set()
+
+    def admit(rule: RuleId, direction: Direction, term: Term) -> None:
         c = canonical(term)
         if gen_count(c) <= caps.max_gen_count and max(c.widths()) <= caps.max_width:
-            results[term_key(c)] = c
+            results.add((rule, direction, c))
 
-    pair_pool = list(nat_pool)
-    if mode is Mode.C:
-        pair_pool += tri_pool
+    pair_pool = nat_pool + tri_pool if mode is Mode.C else nat_pool
 
     for rep in class_representatives(canonical(t)):
         slices = rep.slices
-        for lhs, rhs in pair_pool:
+        for rule, lhs, rhs in pair_pool:
             for a in range(0, caps.max_width + 1):
                 if a + max(lhs.widths()) > caps.max_width + 4:
                     break
@@ -189,26 +202,30 @@ def neighbors_oracle(t: Term, mode: Mode, caps: SearchCaps) -> list[Term]:
                     for pos in range(0, len(slices) - width + 1):
                         if slices[pos : pos + width] == wl.slices:
                             admit(
+                                rule,
+                                Direction.FORWARD,
                                 Term(
                                     rep.source,
                                     slices[:pos] + wr.slices + slices[pos + width :],
-                                )
+                                ),
                             )
                     # backward: replace an occurrence of the 2-slice rhs by lhs
                     if len(wr.slices) == 2:
                         for pos in range(0, len(slices) - 2 + 1):
                             if slices[pos : pos + 2] == wr.slices:
                                 admit(
+                                    rule,
+                                    Direction.BACKWARD,
                                     Term(
                                         rep.source,
                                         slices[:pos] + wl.slices + slices[pos + 2 :],
-                                    )
+                                    ),
                                 )
         if mode is Mode.C and gen_count(rep) + 2 <= caps.max_gen_count:
             widths = rep.widths()
             for pos in range(len(slices) + 1):
                 w = widths[pos]
-                for lhs, _ in tri_pool:
+                for rule, lhs, _ in tri_pool:
                     if lhs.slices[0].gen.n > caps.max_index_n:
                         continue
                     inner = lhs.source
@@ -218,12 +235,11 @@ def neighbors_oracle(t: Term, mode: Mode, caps: SearchCaps) -> list[Term]:
                         if max(wl.widths()) > caps.max_width:
                             continue
                         admit(
-                            Term(
-                                rep.source,
-                                slices[:pos] + wl.slices + slices[pos:],
-                            )
+                            rule,
+                            Direction.BACKWARD,
+                            Term(rep.source, slices[:pos] + wl.slices + slices[pos:]),
                         )
-    return [results[k] for k in sorted(results)]
+    return results
 
 
 def random_term(

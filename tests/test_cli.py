@@ -185,6 +185,17 @@ class TestCommands:
         assert err.startswith("usage: monocat eval")
         assert f"argument --max-dim: must be >= 1, got {max_dim}" in err
 
+    @pytest.mark.parametrize("dim", ["0", "-1"])
+    def test_eval_dim_below_one_rejected(self, capsys, dim):
+        assert main(["eval", "eta(0,1)", "--dim", dim]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: monocat eval")
+        assert f"argument --dim: must be >= 1, got {dim}" in err
+
+    def test_eval_random_seed_not_an_integer(self, capsys):
+        assert main(["eval", "eta(0,1)", "--phi", "random:x"]) == 2
+        assert capsys.readouterr().err.strip() == "error: --phi 'random:x': SEED must be an integer"
+
     def test_eval_unallocatable_state(self, capsys):
         assert main(["eval", "eps(0,1) * id(18) * eta(0,1)", "--dim", "2"]) == 2
         assert "does not fit in memory" in capsys.readouterr().err

@@ -32,11 +32,12 @@ from monocat import (
     normal_form,
     rule_instance,
     rule_instances,
+    rewrite,
     terms,
     whisker,
 )
 from monocat.cli import parse_expr
-from monocat.rewrite import NATURALITY_RULES, TRIANGLE_RULES, term_key
+from monocat.rewrite import NATURALITY_RULES, TRIANGLE_RULES, generate_terms, term_key
 from monocat.terms import term_from_layers
 from oracles import (
     hom_classes_by_search,
@@ -44,9 +45,43 @@ from oracles import (
     random_term,
     slice_options,
     snake,
+    steps_oracle,
 )
 
 SMALL = SearchCaps(4, 8, 1, 2000)
+
+# matched at caps (8, 6, 1)
+SIX_SLICE_CASES = [
+    # the same matched pair, at the same offsets, between other slices
+    # gives a second sliding result
+    (
+        "D",
+        "eta(0,1) ; eps(0,1) ; eta(0,1) ; (eta(0,1) * id(2)) ; "
+        "(eta(3,1) * id(1)) ; (id(3) * eps(0,1) * id(1))",
+    ),
+    # cuts with the same slices below them and the same offsets above give
+    # different expansions
+    (
+        "C",
+        "(eps(0,1) * id(1)) ; (eta(0,1) * id(1)) ; (eps(0,1) * id(1)) ; "
+        "(id(1) * eta(0,1)) ; (eta(2,1) * id(1)) ; (eps(2,1) * id(1))",
+    ),
+    (
+        "C",
+        "eta(0,1) ; eps(0,1) ; eta(0,1) ; eta(2,1) ; "
+        "(id(3) * eta(1,1)) ; (id(2) * eps(0,2))",
+    ),
+]
+
+
+def step_triples(t, mode, caps):
+    """(rule, direction, replayed result) of each step ``match_rules`` lists,
+    results within ``caps`` only; checks that no triple repeats."""
+    got = [(s.rule, s.direction, apply(t, s)) for s in match_rules(t, mode, caps)]
+    assert len(set(got)) == len(got)
+    return {
+        x for x in got if gen_count(x[2]) <= caps.max_gen_count and max(x[2].widths()) <= caps.max_width
+    }
 
 
 def triangle_composite_a(i=0, n=1):
@@ -202,36 +237,15 @@ class TestNeighbors:
                 want = {term_key(x) for x in neighbors_oracle(t, mode, caps)}
                 assert got == want
 
-    @pytest.mark.parametrize(
-        "mode, text",
-        [
-            # the same matched pair, at the same offsets, between other
-            # slices gives a second sliding result
-            (
-                "D",
-                "eta(0,1) ; eps(0,1) ; eta(0,1) ; (eta(0,1) * id(2)) ; "
-                "(eta(3,1) * id(1)) ; (id(3) * eps(0,1) * id(1))",
-            ),
-            # cuts with the same slices below them and the same offsets
-            # above give different expansions
-            (
-                "C",
-                "(eps(0,1) * id(1)) ; (eta(0,1) * id(1)) ; (eps(0,1) * id(1)) ; "
-                "(id(1) * eta(0,1)) ; (eta(2,1) * id(1)) ; (eps(2,1) * id(1))",
-            ),
-            (
-                "C",
-                "eta(0,1) ; eps(0,1) ; eta(0,1) ; eta(2,1) ; "
-                "(id(3) * eta(1,1)) ; (id(2) * eps(0,2))",
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("mode, text", SIX_SLICE_CASES)
     def test_agrees_with_oracle_on_six_slices(self, mode, text):
         caps = SearchCaps(8, 6, 1, 1000)
         t = parse_expr(text)
+        want = steps_oracle(t, Mode[mode], caps)
         got = {term_key(x) for x in neighbors(t, Mode[mode], caps)}
-        want = {term_key(x) for x in neighbors_oracle(t, Mode[mode], caps)}
-        assert got == want
+        assert got == {term_key(c) for _, _, c in want}
+        # and match_rules' steps (see TestStepFields)
+        assert step_triples(t, Mode[mode], caps) == want
 
     def test_rewrites_preserve_matrix_image(self):
         rng = random.Random(25)
@@ -242,6 +256,41 @@ class TestNeighbors:
             for u in neighbors(t, Mode.C, SMALL):
                 for sp, img in zip(specs, images):
                     assert eval_term(sp, u) == img
+
+
+class TestStepFields:
+    # the memo keeps result keys only, and match_rules and equal re-derive
+    # step fields by the same front walk: every step must be one the
+    # literal-substitution oracle finds, and must replay to its result
+    CAPS = SearchCaps(4, 5, 1, 2000)
+
+    @staticmethod
+    def corpus():
+        caps = SearchCaps(2, 5, 1, 2000)
+        return generate_terms(1, 1, caps) + generate_terms(2, 2, caps)
+
+    @pytest.mark.parametrize("mode", [Mode.D, Mode.C])
+    def test_generated_terms_match_oracle(self, mode):
+        corpus = self.corpus()
+        assert len(corpus) == 46
+        for t in corpus:
+            assert step_triples(t, mode, self.CAPS) == steps_oracle(t, mode, self.CAPS), t
+
+    def test_witnesses_replay(self):
+        pairs = [(TestMemoDrops.START, TestMemoDrops.END, Mode.C, SearchCaps(5, 8, 1, 5000))]
+        for t in self.corpus():
+            for mode in (Mode.D, Mode.C):
+                for u in neighbors(t, mode, self.CAPS)[:2]:
+                    pairs += [(t, v, mode, self.CAPS) for v in neighbors(u, mode, self.CAPS)[:2]]
+        assert len(pairs) > 100
+        for a, b, mode, caps in pairs:
+            w = equal(a, b, mode, caps)
+            assert w is not None and w.terms[0] == canonical(a) and w.terms[-1] == canonical(b)
+            for x, step, y in zip(w.terms, w.steps, w.terms[1:]):
+                assert apply(x, step) == y
+                if step.rule not in TRIANGLE_RULES or step.direction is Direction.FORWARD:
+                    # a pair step: the first one match_rules lists for y
+                    assert step == next(s for s in match_rules(x, mode, caps) if apply(x, s) == y)
 
 
 class TestGenCountParity:
@@ -361,27 +410,51 @@ class TestExplore:
 class TestMemoDrops:
     # the memo is dropped whole when full, and a search that outlives a
     # drop closes its states again; what it finds must not change
+    START = parse_expr("(eta(0,1) * id(1)) ; eps(1,1) ; eta(1,1)")
+    END = parse_expr(
+        "eta(1,1) ; eta(3,1) ; (eta(1,1) * id(4)) ; (eps(2,1) * id(3)) ; (eps(2,1) * id(1))"
+    )
+
     @staticmethod
     def results():
-        start = parse_expr("(eta(0,1) * id(1)) ; eps(1,1) ; eta(1,1)")
-        end = parse_expr(
-            "eta(1,1) ; eta(3,1) ; (eta(1,1) * id(4)) ; (eps(2,1) * id(3)) ; (eps(2,1) * id(1))"
-        )
-        w = equal(start, end, Mode.C, SearchCaps(5, 8, 1, 5000))
+        tri = explore(triangle_composite_a(), Mode.C, DEFAULT_CAPS)
+        w = equal(TestMemoDrops.START, TestMemoDrops.END, Mode.C, SearchCaps(5, 8, 1, 5000))
         return (
             explore(snake(), Mode.C, DEFAULT_CAPS, collect_states=True).states,
+            (tri.states_visited, tri.min_gen_count_seen, tri.truncated, tri.witness_path),
             (w.terms, w.steps),
             enum_hom_detailed(2, 2, Mode.C, SearchCaps(3, 8, 1, 4000)),
         )
 
     def test_drops_do_not_change_results(self, fresh_memo, monkeypatch):
         want = self.results()
-        assert len(want[1][1]) == 3
+        assert len(want[2][1]) == 3
         monkeypatch.setattr(terms, "_MEMO_CAP", 40)
         first = ({}, {}, {})
         monkeypatch.setattr(terms, "_memo", first)
         got = self.results()
         assert terms._memo is not first
+        assert got == want
+
+    def test_many_drops_do_not_change_results(self, fresh_memo, monkeypatch):
+        want = self.results()
+        assert len(want[0]) == 2413 and want[1][:3] == (5313, 0, False)
+        drops = []
+        replace = terms._front_graph
+
+        def counting():
+            before = terms._memo
+            graph = replace()
+            if terms._memo is not before:
+                drops.append(True)
+            return graph
+
+        monkeypatch.setattr(terms, "_front_graph", counting)
+        monkeypatch.setattr(rewrite, "_front_graph", counting)
+        monkeypatch.setattr(terms, "_MEMO_CAP", 300)
+        monkeypatch.setattr(terms, "_memo", ({}, {}, {}))
+        got = self.results()
+        assert len(drops) > 50
         assert got == want
 
 
