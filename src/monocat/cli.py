@@ -13,6 +13,9 @@ function-style composition.
 Exit codes: 0 success (or Equal), 10 equality unknown, 1 failed suite
 check, 2 usage, parse, or shape errors.  MONOCAT_MAX_STATES overrides the
 default search state budget; explicit flags win over the environment.
+``eq --json`` gives an unknown answer a ``reason``: ``invariant`` when
+the two terms' rewrite invariants differ (no rewrite path exists),
+``search`` when the capped search ran out.
 """
 
 from __future__ import annotations
@@ -30,21 +33,20 @@ from .rewrite import (
     enum_hom_detailed,
     equal,
     explore,
+    invariant,
 )
 from .suite import SuiteConfig, run_all
 from .terms import (
     Mode,
     MonocatError,
+    NotComposable,
     Term,
     canonical,
-    compose,
     eps,
     eta,
     gen_count,
-    gen_term,
-    identity,
     render,
-    tensor,
+    term_from_layers,
 )
 from .vect import FunctorSpec, TooLarge, eval_term, field_of
 
@@ -55,39 +57,34 @@ class ParseError(MonocatError):
         self.position = position
 
 
-_TOKEN = re.compile(r"\s*(?:(id|eta|eps)|(\d+)|([();,*]))")
+_TOKEN = re.compile(r"\s*(?:(id|eta|eps)|(\d+)|([();,*])|(\S))")
 
 
-def _tokenize(text: str):
-    pos = 0
+def _tokenize(text: str) -> list:
+    """(kind, value, position) tokens, one pass; trailing whitespace is skipped."""
     out = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip() == "":
-                break
-            at = pos + len(text[pos:]) - len(text[pos:].lstrip())
-            raise ParseError(f"unexpected character {text[at]!r}", at)
-        name, nat, punct = m.groups()
-        at = m.start(1) if name else m.start(2) if nat else m.start(3)
+    for m in _TOKEN.finditer(text):
+        name, nat, punct, bad = m.groups()
         if name:
-            out.append(("name", name, at))
+            out.append(("name", name, m.start(1)))
         elif nat:
-            out.append(("nat", int(nat), at))
+            out.append(("nat", int(nat), m.start(2)))
+        elif punct:
+            out.append((punct, punct, m.start(3)))
         else:
-            out.append((punct, punct, at))
-        pos = m.end()
+            raise ParseError(f"unexpected character {bad!r}", m.start(4))
     out.append(("eof", None, len(text)))
     return out
 
 
 def parse_expr(text: str) -> Term:
-    """Parse the expression grammar into a term."""
+    """Parse the expression grammar into a term.
+
+    Each sub-expression is a (source, target, layers) triple, its layers
+    ``(offset, generator)`` pairs; one ``Term`` is built at the end.
+    """
     tokens = _tokenize(text)
     idx = 0
-
-    def peek():
-        return tokens[idx]
 
     def take(kind):
         nonlocal idx
@@ -95,49 +92,56 @@ def parse_expr(text: str) -> Term:
         if tok[0] != kind:
             raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
         idx += 1
-        return tok
+        return tok[1]
 
-    def parse_nat() -> int:
-        return take("nat")[1]
-
-    def parse_atom() -> Term:
-        tok = peek()
-        if tok[0] == "(":
-            take("(")
-            t = parse_expression()
+    def parse_atom():
+        nonlocal idx
+        kind, value, at = tokens[idx]
+        if kind == "(":
+            idx += 1
+            part = parse_expression()
             take(")")
-            return t
-        if tok[0] == "name":
-            take("name")
+            return part
+        if kind == "name":
+            idx += 1
             take("(")
-            if tok[1] == "id":
-                n = parse_nat()
+            if value == "id":
+                n = take("nat")
                 take(")")
-                return identity(n)
-            m = parse_nat()
+                return n, n, []
+            m = take("nat")
             take(",")
-            n = parse_nat()
+            n = take("nat")
             take(")")
-            return gen_term(eta(m, n) if tok[1] == "eta" else eps(m, n))
-        raise ParseError(f"expected an atom, found {tok[1]!r}", tok[2])
+            g = eta(m, n) if value == "eta" else eps(m, n)
+            return g.source, g.target, [(0, g)]
+        raise ParseError(f"expected an atom, found {value!r}", at)
 
-    def parse_tensor() -> Term:
-        t = parse_atom()
-        while peek()[0] == "*":
-            take("*")
-            t = tensor(t, parse_atom())
-        return t
+    def parse_tensor():
+        nonlocal idx
+        source, target, lays = parse_atom()
+        while tokens[idx][0] == "*":
+            idx += 1
+            s, t, more = parse_atom()
+            lays += [(off + target, g) for off, g in more]
+            source, target = source + s, target + t
+        return source, target, lays
 
-    def parse_expression() -> Term:
-        t = parse_tensor()
-        while peek()[0] == ";":
-            take(";")
-            t = compose(t, parse_tensor())
-        return t
+    def parse_expression():
+        nonlocal idx
+        source, target, lays = parse_tensor()
+        while tokens[idx][0] == ";":
+            idx += 1
+            s, t, more = parse_tensor()
+            if target != s:
+                raise NotComposable(f"cannot compose: target {target} != source {s}")
+            lays += more
+            target = t
+        return source, target, lays
 
-    t = parse_expression()
+    source, _, lays = parse_expression()
     take("eof")
-    return t
+    return term_from_layers(source, lays)
 
 
 # -- argument plumbing ---------------------------------------------------------
@@ -225,10 +229,14 @@ def _cmd_eq(args) -> int:
     a = parse_expr(args.a)
     b = parse_expr(args.b)
     caps = _caps_of(args)
-    witness = equal(a, b, Mode[args.mode], caps)
+    mode = Mode[args.mode]
+    witness = equal(a, b, mode, caps)
     if witness is None:
+        reason = "invariant" if invariant(a, mode) != invariant(b, mode) else "search"
         if args.json:
-            print(json.dumps({"status": "unknown"}, indent=2))
+            print(json.dumps({"status": "unknown", "reason": reason}, indent=2))
+        elif reason == "invariant":
+            print("unknown (the rewrite invariant differs, so no rewrite path exists)")
         else:
             print("unknown (search budget exhausted; equality not decided)")
         return 10

@@ -219,6 +219,39 @@ def _match_pair(u, v):
     return found
 
 
+# -- the rewrite invariant ----------------------------------------------------
+
+
+def invariant(t: Term, mode: Mode) -> tuple:
+    """A signature of ``t`` that no rewrite step of ``mode`` changes.
+
+    Mode D: the sorted multiset of ``(kind, m % 2, n)`` over the slices.  A
+    sliding rule moves the family generator's block index ``m`` by the
+    slid slice's width change, which is even, and keeps the slid slice.
+
+    Mode C: for each ``n``, the pair ``(#eta_n - #eps_n, #{eta(m, n): m
+    even} - #{eps(m, n): m = n mod 2})``, zero pairs left out, as sorted
+    ``(n, pair)`` entries.  A triangle removes ``eta(i, n)`` with
+    ``eps(i + n, n)`` (TriangleA) or ``eta(i + n, n)`` with ``eps(i, n)``
+    (TriangleB); in both, ``m`` is even on the insertion exactly when
+    ``m - n`` is even on the deletion.
+
+    Terms with different signatures have no rewrite path between them,
+    under any caps.
+    """
+    lays = layer_key(t)
+    if mode is Mode.D:
+        return tuple(sorted((kv, m % 2, n) for _, kv, m, n in lays))
+    per_n: dict = {}
+    for _, kv, m, n in lays:
+        net, parity = per_n.get(n, (0, 0))
+        if kv == "eta":
+            per_n[n] = (net + 1, parity + (m % 2 == 0))
+        else:
+            per_n[n] = (net - 1, parity - ((m - n) % 2 == 0))
+    return tuple(sorted((n, pair) for n, pair in per_n.items() if pair != (0, 0)))
+
+
 # -- matching on the fronts ----------------------------------------------------
 #
 # Every member of the class of a least key s is (a,) + m, for a front
@@ -497,11 +530,24 @@ def equal(
     found within caps, and None (unknown; sound but incomplete) when the
     budget is exhausted.  Raises :class:`NotEqualShape` when the widths
     disagree.
+
+    Before any canonical form or search, returns None when the two terms'
+    signatures under :func:`invariant` differ, since then no rewrite path
+    joins them: the answer the search would give, at a cost linear in the
+    slices.  In mode D the signature is the multiset of ``(kind, m % 2,
+    n)``: a sliding rule moves the family generator's ``m`` by an even
+    amount and keeps the slid slice.  In mode C it is, per ``n``,
+    ``#eta_n - #eps_n`` and ``#{eta(m, n): m even} - #{eps(m, n): m = n
+    mod 2}``: a triangle removes ``eta(i, n)`` with ``eps(i + n, n)``, or
+    ``eta(i + n, n)`` with ``eps(i, n)``, and the two fall on the same
+    side of the parity count.
     """
     if a.source != b.source or a.target != b.target:
         raise NotEqualShape(
             f"shape mismatch: {a.source}->{a.target} vs {b.source}->{b.target}"
         )
+    if invariant(a, mode) != invariant(b, mode):
+        return None
     ka, kb = _state(a), _state(b)
     if ka == kb:
         return EqualityWitness(terms=(term_from_key(*ka),), steps=())

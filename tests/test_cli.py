@@ -115,6 +115,25 @@ class TestCommands:
         )
         assert code == 10
 
+    ZIGZAG = "(eta(0,1)*id(1)) ; (id(1)*eps(0,1))"
+
+    def test_eq_unknown_by_invariant(self, capsys):
+        assert main(["eq", self.ZIGZAG, "id(1)"]) == 10
+        out = capsys.readouterr().out.strip()
+        assert out == "unknown (the rewrite invariant differs, so no rewrite path exists)"
+        assert main(["eq", self.ZIGZAG, "id(1)", "--json"]) == 10
+        assert json.loads(capsys.readouterr().out) == {"status": "unknown", "reason": "invariant"}
+
+    def test_eq_unknown_by_search(self, capsys):
+        # the mirror image has the zig-zag's invariant, so the search runs
+        args = ["eq", self.ZIGZAG, "(id(1)*eta(0,1)) ; (eps(0,1)*id(1))", "--max-gens", "4"]
+        args += ["--max-n", "1", "--max-states", "2000"]
+        assert main(args) == 10
+        out = capsys.readouterr().out.strip()
+        assert out == "unknown (search budget exhausted; equality not decided)"
+        assert main(args + ["--json"]) == 10
+        assert json.loads(capsys.readouterr().out) == {"status": "unknown", "reason": "search"}
+
     def test_eq_shape_error(self, capsys):
         assert main(["eq", "id(1)", "id(2)"]) == 2
         assert "shape" in capsys.readouterr().err

@@ -27,6 +27,7 @@ from monocat import (
     gen_count,
     gen_term,
     identity,
+    invariant,
     match_rules,
     neighbors,
     normal_form,
@@ -49,6 +50,8 @@ from oracles import (
 )
 
 SMALL = SearchCaps(4, 8, 1, 2000)
+# the zig-zag's mirror image: the same generators, so the same invariant
+MIRROR = parse_expr("(id(1) * eta(0,1)) ; (eps(0,1) * id(1))")
 
 # matched at caps (8, 6, 1)
 SIX_SLICE_CASES = [
@@ -330,6 +333,17 @@ class TestEqual:
     def test_zigzag_not_decided(self):
         assert equal(snake(), identity(1), Mode.C, SMALL) is None
 
+    def test_invariant_answers_before_any_search(self, fresh_memo):
+        # the zig-zag and id(1) agree on #eta_n - #eps_n; only the parity
+        # count separates them, and then no canonical form is computed
+        assert equal(snake(), identity(1), Mode.C, DEFAULT_CAPS) is None
+        assert terms._memo == ({}, {}, {})
+
+    def test_search_still_runs_on_equal_invariants(self, fresh_memo):
+        assert invariant(snake(), Mode.C) == invariant(MIRROR, Mode.C)
+        assert equal(snake(), MIRROR, Mode.C, SMALL) is None
+        assert terms._memo[0]
+
     def test_shape_mismatch(self):
         with pytest.raises(NotEqualShape):
             equal(identity(1), identity(2), Mode.C, SMALL)
@@ -496,11 +510,11 @@ class TestEnumHom:
 
 
 @st.composite
-def small_terms(draw, max_source=3, max_len=3, max_width=6):
+def small_terms(draw, max_source=3, max_len=3, max_width=6, max_index_n=1):
     width = source = draw(st.integers(0, max_source))
     lays = []
     for _ in range(draw(st.integers(0, max_len))):
-        options = slice_options(width, max_width, 1)
+        options = slice_options(width, max_width, max_index_n)
         if not options:
             break
         off, g = draw(st.sampled_from(options))
@@ -571,3 +585,36 @@ class TestRuleInstanceTable:
                 if apply(lhs, step) == want and step.rule is rule
             ]
             assert found, (rule, params)
+
+
+class TestInvariant:
+    def test_rule_instances_agree(self):
+        table = rule_instances((0, 1, 2, 3), (0, 1, 2, 3), (1, 2, 3), (0, 1, 2, 3), (1, 2, 3))
+        assert len(table) == 4 * 576 + 2 * 12
+        for rule, params, lhs, rhs in table:
+            modes = (Mode.C,) if rule in TRIANGLE_RULES else (Mode.C, Mode.D)
+            for mode in modes:
+                assert invariant(lhs, mode) == invariant(rhs, mode), (rule, params, mode)
+
+    def test_triangles_change_the_mode_d_invariant(self):
+        lhs, rhs = rule_instance(RuleId.TRIANGLE_A, i=0, n=1)
+        assert invariant(lhs, Mode.D) != invariant(rhs, Mode.D)
+
+    @pytest.mark.parametrize(
+        "start, states", [(snake, 2413), (triangle_composite_a, 5313)], ids=["zigzag", "triangleA"]
+    )
+    def test_constant_over_explored_states(self, start, states):
+        rep = explore(start(), Mode.C, DEFAULT_CAPS, collect_states=True)
+        assert not rep.truncated and len(rep.states) == states
+        assert {invariant(x, Mode.C) for x in rep.states} == {invariant(start(), Mode.C)}
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(small_terms(max_width=7, max_index_n=2), st.sampled_from([Mode.C, Mode.D]))
+    def test_preserved_by_every_step(self, t, mode):
+        want = invariant(t, mode)
+        for step in match_rules(t, mode, SearchCaps(5, 7, 2, 4000)):
+            assert invariant(apply(t, step), mode) == want, (t, step)
+
+    def test_separates_the_zigzag_from_the_identity(self):
+        assert invariant(snake(), Mode.C) == ((1, (0, 1)),)
+        assert invariant(identity(1), Mode.C) == ()
