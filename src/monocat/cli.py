@@ -12,7 +12,8 @@ function-style composition.
 
 Exit codes: 0 success (or Equal), 10 equality unknown, 1 failed suite
 check, 2 usage, parse, or shape errors.  MONOCAT_MAX_STATES overrides the
-default search state budget; explicit flags win over the environment.
+default search state budget (a value below 1, or not an integer, is a
+usage error); explicit flags win over the environment.
 ``eq --json`` gives an unknown answer a ``reason``: ``invariant`` when
 the two terms' rewrite invariants differ (no rewrite path exists),
 ``search`` when the capped search ran out.
@@ -159,7 +160,10 @@ def _caps_of(args) -> SearchCaps:
     max_states = args.max_states
     if max_states is None:
         env = os.environ.get("MONOCAT_MAX_STATES")
-        max_states = int(env) if env else DEFAULT_CAPS.max_states
+        try:
+            max_states = _int_at_least(1)(env) if env else DEFAULT_CAPS.max_states
+        except argparse.ArgumentTypeError as exc:
+            raise ValueError(f"MONOCAT_MAX_STATES: {exc}") from None
     return SearchCaps(args.max_gens, args.max_width, args.max_n, max_states)
 
 
@@ -323,14 +327,19 @@ def _cmd_suite(args) -> int:
     return 1 if report.failed else 0
 
 
-def _positive_int(text: str) -> int:
-    try:
-        k = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if k < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {k}")
-    return k
+def _int_at_least(low: int):
+    """The argparse type of an integer that is at least ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            k = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if k < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {k}")
+        return k
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -359,10 +368,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate a term to an exact matrix")
     p.add_argument("expr")
-    p.add_argument("--dim", type=_positive_int, default=2)
+    p.add_argument("--dim", type=_int_at_least(1), default=2)
     p.add_argument("--phi", default="identity", help="identity | random:SEED | file:PATH")
     p.add_argument("--field", default="q", help="q | p | p:PRIME")
-    p.add_argument("--max-dim", type=_positive_int, default=2**20)
+    p.add_argument("--max-dim", type=_int_at_least(1), default=2**20)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_eval)
 
@@ -373,8 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_explore)
 
     p = sub.add_parser("homset", help="enumerate rewrite classes between two widths")
-    p.add_argument("m", type=int)
-    p.add_argument("n", type=int)
+    p.add_argument("m", type=_int_at_least(0))
+    p.add_argument("n", type=_int_at_least(0))
     _add_caps_args(p)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_homset)

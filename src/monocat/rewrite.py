@@ -32,9 +32,7 @@ frontier expansion would have to produce the same visit sets.
 from __future__ import annotations
 
 import enum
-from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import vect
 from .terms import (
@@ -258,26 +256,25 @@ def invariant(t: Term, mode: Mode) -> tuple:
 # (a, t) of s and a member m of the class of t.  So a pair at position 0
 # is a front a followed by a front b of t, and every deeper pair step, or
 # cut, is one of t's with a prepended: every result is the least key of
-# some slices prepended to a least key.  Pair results and cuts are
-# memoised per least key, suffix classes first, in the memo of ``terms``,
-# so that they are dropped together with the fronts.  The pair entry
-# holds result keys only: ``match_rules`` derives the step fields again
-# by the same walk, in a memo of its own, and a witness follows that walk
-# into the one suffix class that holds its step.
+# some slices prepended to a least key.  Pair results, step fields and
+# cuts are memoised per least key, suffix classes first, in the memo of
+# ``terms``, so that they are dropped together with the fronts.  Searches
+# read the pair results, two tuples of result keys; the step fields are
+# built by the same walk only where a step is returned (``match_rules``
+# and witnesses), so both give the same step for a result.
 
 
-def _memoised(lays: tuple, build, memo: dict | None = None):
-    """The entry of the least key ``lays`` in ``memo``, built if missing.
+def _memoised(lays: tuple, build):
+    """The entry of the least key ``lays`` for ``build``, built if missing.
 
-    ``memo`` defaults to the memo of ``terms``, one dict per ``build``.
+    Entries live in the memo of ``terms``, one dict per ``build``.
     ``build(graph, s, fronts, memo)`` makes the entry of ``s`` from those
     of the suffixes of its fronts, which are made first, on an explicit
     stack rather than by recursion: suffixes nest as deep as the key is
     long.  The work bound of ``terms`` applies to each entry.
     """
     graph = _front_graph()
-    if memo is None:
-        memo = graph.entries.setdefault(build, {})
+    memo = graph.entries.setdefault(build, {})
     todo = [(lays, None)]
     while todo:
         s, fronts = todo.pop()
@@ -337,31 +334,6 @@ def _fields_entry(graph, s, fronts, memo) -> dict:
     return out
 
 
-def _first_pair_step(lays: tuple, result: tuple):
-    """The fields of the first pair step giving ``result`` in the order of
-    ``_fields_entry`` on the class of ``lays``, or None.
-
-    Follows that walk into the one suffix class where the step lies, by
-    the pair results memoised for each suffix, instead of building every
-    entry.  Mode D needs no filter: a triangle changes the layer count.
-    """
-    graph = _front_graph()
-    head, targets = (), {result}
-    while True:
-        for a, t in graph.fronts(lays):
-            for b, u in graph.fronts(t):
-                for rule, direction, repl, binding in _match_pair(a, b):
-                    if graph.prepend(repl, u) in targets:
-                        return (rule, direction, head + (a, b) + u, len(head), binding)
-            slide, tri = _pair_results(t)
-            inner = {r for r in slide + tri if graph.prepend((a,), r) in targets}
-            if inner:
-                head, lays, targets = head + (a,), t, inner
-                break
-        else:
-            return None
-
-
 def _cuts(lays: tuple) -> dict:
     """The cuts of the class of the least key ``lays``.
 
@@ -408,14 +380,13 @@ def match_rules(t: Term, mode: Mode, caps: SearchCaps = DEFAULT_CAPS) -> list[Re
 
     Pair rules are matched on every interchange-adjacent slice pair;
     expansions are enumerated at every cut, bounded by ``caps``.  Lists
-    one step per rule, direction and result.  The memo of ``terms`` keeps
-    pair results only, so the pair steps' fields are derived again here,
-    by the same walk in a memo local to the call.
+    one step per rule, direction and result: for a pair step, the first
+    that the walk of the fronts meets.
     """
     state = _state(t)
     steps = {
         key: fields
-        for key, fields in _memoised(state[1], _fields_entry, {}).items()
+        for key, fields in _memoised(state[1], _fields_entry).items()
         if mode is Mode.C or key[0] not in TRIANGLE_RULES
     }
     if mode is Mode.C:
@@ -501,9 +472,9 @@ def _find_step(src, dst, caps: SearchCaps) -> RewriteStep:
     A pair step if there is one (always in mode D), the first that
     ``match_rules`` lists with that result; else an expansion.
     """
-    fields = _first_pair_step(src[1], dst[1])
-    if fields is not None:
-        return RewriteStep(*fields)
+    for (_, _, result), fields in _memoised(src[1], _fields_entry).items():
+        if result == dst[1]:
+            return RewriteStep(*fields)
     for fields, result in _expansions(src, _relaxed_caps(src, dst, caps)):
         if result == dst:
             return RewriteStep(*fields)
@@ -519,6 +490,34 @@ def _successors(state, mode: Mode, caps: SearchCaps) -> list:
     out = {(source, r) for r in slide + tri}
     out.update(y for _, y in _expansions(state, caps))
     return sorted(out)
+
+
+def _grow(frontier: list, parents: dict, mode: Mode, caps: SearchCaps, room: int):
+    """One layer of a breadth-first search from ``frontier``.
+
+    Returns the states within ``caps`` first reached from it, in order,
+    each recorded in ``parents`` with the state it was reached from; None
+    once more than ``room`` states would be new, with those recorded until
+    then left in ``parents``.
+    """
+    new = []
+    for x in frontier:
+        for y in _successors(x, mode, caps):
+            if y not in parents and _respects(y, caps):
+                if len(new) >= room:
+                    return None
+                parents[y] = x
+                new.append(y)
+    return new
+
+
+def _path(parents: dict, key) -> list:
+    """The states from the start of a search to ``key``, by ``parents``."""
+    path = []
+    while key is not None:
+        path.append(key)
+        key = parents[key]
+    return path[::-1]
 
 
 def equal(
@@ -555,26 +554,14 @@ def equal(
     parents_a: dict = {ka: None}
     parents_b: dict = {kb: None}
     frontier_a, frontier_b = [ka], [kb]
-    visited = 2
-
     while frontier_a and frontier_b:
-        grow_a = len(frontier_a) <= len(frontier_b)
-        frontier = frontier_a if grow_a else frontier_b
-        parents = parents_a if grow_a else parents_b
-        new_frontier = []
-        for x in frontier:
-            for y in _successors(x, mode, caps):
-                if y in parents or not _respects(y, caps):
-                    continue
-                visited += 1
-                if visited > caps.max_states:
-                    return None
-                parents[y] = x
-                new_frontier.append(y)
-        if grow_a:
-            frontier_a = new_frontier
+        room = caps.max_states - len(parents_a) - len(parents_b)
+        if len(frontier_a) <= len(frontier_b):
+            frontier_a = _grow(frontier_a, parents_a, mode, caps, room)
         else:
-            frontier_b = new_frontier
+            frontier_b = _grow(frontier_b, parents_b, mode, caps, room)
+        if frontier_a is None or frontier_b is None:
+            return None
         meets = parents_a.keys() & parents_b.keys()
         if meets:
             return _reconstruct(min(meets), parents_a, parents_b, caps)
@@ -588,16 +575,7 @@ def _reconstruct(meet, parents_a, parents_b, caps) -> EqualityWitness:
     forward steps are re-derived; the rewrite relation is symmetric, so
     the matching step always exists.
     """
-    chain = []
-    key = meet
-    while key is not None:
-        chain.append(key)
-        key = parents_a[key]
-    chain.reverse()
-    key = parents_b[meet]
-    while key is not None:
-        chain.append(key)
-        key = parents_b[key]
+    chain = _path(parents_a, meet) + _path(parents_b, meet)[::-1][1:]
     steps = tuple(
         _find_step(chain[k], chain[k + 1], caps) for k in range(len(chain) - 1)
     )
@@ -617,40 +595,23 @@ def explore(
     if not _respects(start, caps):
         raise ValueError("start term exceeds the search caps")
     parents = {start: None}
-    queue = deque([start])
-    identity_key = (t.source, ()) if t.source == t.target else None
-    min_gens = len(start[1])
-    truncated = False
-    while queue:
-        x = queue.popleft()
-        for y in _successors(x, mode, caps):
-            if y in parents or not _respects(y, caps):
-                continue
-            if len(parents) >= caps.max_states:
-                truncated = True
-                queue.clear()
-                break
-            parents[y] = x
-            min_gens = min(min_gens, len(y[1]))
-            queue.append(y)
-
-    found = identity_key is not None and identity_key in parents
+    frontier = [start]
+    while frontier:
+        frontier = _grow(frontier, parents, mode, caps, caps.max_states - len(parents))
+    # every state shares the start's widths, so this is in parents only if
+    # the source equals the target
+    identity_key = (start[0], ())
     witness = None
-    if found:
-        chain = []
-        key = identity_key
-        while key is not None:
-            chain.append(term_from_key(*key))
-            key = parents[key]
-        witness = tuple(reversed(chain))
+    if identity_key in parents:
+        witness = tuple(term_from_key(*k) for k in _path(parents, identity_key))
     return ExploreReport(
         start=term_from_key(*start),
         mode=mode,
         caps=caps,
         states_visited=len(parents),
-        identity_found=found,
-        min_gen_count_seen=min_gens,
-        truncated=truncated,
+        identity_found=witness is not None,
+        min_gen_count_seen=min(len(k[1]) for k in parents),
+        truncated=frontier is None,
         witness_path=witness,
         states=tuple(term_from_key(*k) for k in sorted(parents)) if collect_states else None,
     )
@@ -684,20 +645,27 @@ def _sliding_class(state, limit: int) -> set:
     return seen
 
 
-@lru_cache(maxsize=1 << 16)
 def _normal_form(state, mode: Mode, limit: int):
     """Packed-key normal form; see :func:`normal_form`.
 
     Contracts the least triangle result of the least member that has one,
-    so the route depends on the class alone.
+    so the route depends on the class alone.  Forms are memoised per
+    ``(mode, limit)`` in the memo of ``terms`` current when they are found
+    (closing a large class may replace it).
     """
-    members = sorted(_sliding_class(state, limit))
-    if mode is Mode.C:
-        for x in members:
-            found = _pair_results(x[1])[1]
-            if found:
-                return _normal_form((x[0], min(found)), mode, limit)
-    return members[0]
+    key = (_normal_form, mode, limit)
+    form = _front_graph().entries.get(key, {}).get(state)
+    if form is None:
+        members = sorted(_sliding_class(state, limit))
+        form = members[0]
+        if mode is Mode.C:
+            for x in members:
+                found = _pair_results(x[1])[1]
+                if found:
+                    form = _normal_form((x[0], min(found)), mode, limit)
+                    break
+        _front_graph().entries.setdefault(key, {})[state] = form
+    return form
 
 
 def normal_form(t: Term, mode: Mode, caps: SearchCaps = DEFAULT_CAPS) -> Term:

@@ -272,8 +272,9 @@ class _FrontGraph:
     to itself, so that equal least keys are one shared tuple; ``_fronts``
     maps each least key of two or more layers to its fronts, sorted.  Both
     are filled together, when a class is closed; ``entries`` holds rewrite's
-    pair results and cuts per least key.  ``_WORK_CAP`` bounds the swap tests
-    one call makes, or one request after ``restart``.
+    pair results, step fields and cuts per least key, and its normal forms
+    per state.  ``_WORK_CAP`` bounds the swap tests one call makes, or one
+    request after ``restart``.
     """
 
     __slots__ = ("_fronts", "_least", "entries", "_work")
@@ -368,13 +369,14 @@ class _FrontGraph:
         self._fronts.setdefault(hit, tuple(nodes))
 
 
-# the memo all canonicalisations and rule matches share, as (fronts,
-# least, entries); replaced by an empty one once it holds _MEMO_CAP pairs
-# (a call in progress keeps its own).  Every rewrite result is closed in
-# it, so a replacement mid-search makes the search close its states again.
-# Rewrite entries hold least keys only, shared with ``least``; at this cap
-# the word-problem explores of the zig-zag and its mirror run without a
-# replacement and TriangleA's (5,313 states) with one.
+# the memo all canonicalisations, rule matches and normal forms share, as
+# (fronts, least, entries); replaced by an empty one once it holds
+# _MEMO_CAP pairs (a call in progress keeps its own).  Every rewrite result
+# is closed in it, so a replacement mid-search makes the search close its
+# states again.  The entries that searches read hold least keys only, shared
+# with ``least``; step fields are built only for returned steps.  At this
+# cap the word-problem explores of the zig-zag and its mirror run without
+# a replacement and TriangleA's (5,313 states) with one.
 _MEMO_CAP = 49152
 _memo: tuple = ({}, {}, {})
 

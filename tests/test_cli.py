@@ -254,6 +254,20 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "id(0)" in out and "eta(0,1) ; eps(0,1)" in out
 
+    @pytest.mark.parametrize(
+        "widths, message",
+        [
+            (["-1", "1"], "argument m: must be >= 0, got -1"),
+            (["1", "-2"], "argument n: must be >= 0, got -2"),
+        ],
+        ids=["m", "n"],
+    )
+    def test_homset_negative_width_rejected(self, capsys, widths, message):
+        assert main(["homset", *widths]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: monocat homset")
+        assert message in err
+
     def test_homset_sliding_class_over_state_cap(self, capsys):
         args = ["homset", "3", "1", "--mode", "D", "--max-gens", "4", "--max-n", "1"]
         assert main(args + ["--max-states", "2"]) == 2
@@ -268,6 +282,16 @@ class TestCommands:
         data = json.loads(capsys.readouterr().out)
         assert data["truncated"] is True
         assert data["states_visited"] <= 10
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [("abc", "invalid int value: 'abc'"), ("0", "must be >= 1, got 0")],
+        ids=["not_an_int", "zero"],
+    )
+    def test_malformed_env_var_is_a_usage_error(self, capsys, monkeypatch, value, message):
+        monkeypatch.setenv("MONOCAT_MAX_STATES", value)
+        assert main(["explore", "eta(0,1) ; eps(0,1)"]) == 2
+        assert capsys.readouterr().err.strip() == f"error: MONOCAT_MAX_STATES: {message}"
 
     def test_explicit_flag_beats_env(self, capsys, monkeypatch):
         monkeypatch.setenv("MONOCAT_MAX_STATES", "10")

@@ -344,6 +344,13 @@ class TestEqual:
         assert equal(snake(), MIRROR, Mode.C, SMALL) is None
         assert terms._memo[0]
 
+    def test_budget_edge(self):
+        # the search needs 92 states: 91 leave it unknown
+        pair = (TestMemoDrops.START, TestMemoDrops.END)
+        assert equal(*pair, Mode.C, SearchCaps(5, 8, 1, 91)) is None
+        w = equal(*pair, Mode.C, SearchCaps(5, 8, 1, 92))
+        assert w is not None and len(w) == 3
+
     def test_shape_mismatch(self):
         with pytest.raises(NotEqualShape):
             equal(identity(1), identity(2), Mode.C, SMALL)
@@ -405,6 +412,14 @@ class TestExplore:
         assert rep.truncated
         assert rep.states_visited <= 50
 
+    @pytest.mark.parametrize(
+        "budget, want", [(2412, (2412, True)), (2413, (2413, False)), (2414, (2413, False))]
+    )
+    def test_budget_edge(self, budget, want):
+        # the class has 2,413 states: truncated only when one more would be new
+        rep = explore(snake(), Mode.C, SearchCaps(6, 8, 2, budget))
+        assert (rep.states_visited, rep.truncated) == want
+
     def test_whole_reachable_class_shares_the_zigzag_image(self):
         # rewriting preserves the matrix semantics, so everything reachable
         # from the zig-zag term evaluates to the identity; this is why the
@@ -438,6 +453,8 @@ class TestMemoDrops:
             (tri.states_visited, tri.min_gen_count_seen, tri.truncated, tri.witness_path),
             (w.terms, w.steps),
             enum_hom_detailed(2, 2, Mode.C, SearchCaps(3, 8, 1, 4000)),
+            match_rules(snake(), Mode.C, DEFAULT_CAPS),
+            match_rules(TestMemoDrops.START, Mode.C, DEFAULT_CAPS),
         )
 
     def test_drops_do_not_change_results(self, fresh_memo, monkeypatch):
@@ -470,6 +487,36 @@ class TestMemoDrops:
         got = self.results()
         assert len(drops) > 50
         assert got == want
+
+    @staticmethod
+    def closings(monkeypatch) -> list:
+        """The states whose sliding class is closed from now on."""
+        seen = []
+        close = rewrite._sliding_class
+
+        def counting(state, limit):
+            seen.append(state)
+            return close(state, limit)
+
+        monkeypatch.setattr(rewrite, "_sliding_class", counting)
+        return seen
+
+    def test_normal_forms_drop_with_the_memo(self, fresh_memo, monkeypatch):
+        closings = self.closings(monkeypatch)
+        want = normal_form(snake(), Mode.C)
+        assert normal_form(snake(), Mode.C) == want and len(closings) == 1
+        monkeypatch.setattr(terms, "_memo", ({}, {}, {}))
+        assert normal_form(snake(), Mode.C) == want and len(closings) == 2
+
+    def test_normal_form_found_across_a_drop_is_kept(self, fresh_memo, monkeypatch):
+        # closing END's class replaces a memo of 40 pairs; the form is kept
+        # in the memo that replaced it
+        closings = self.closings(monkeypatch)
+        monkeypatch.setattr(terms, "_MEMO_CAP", 40)
+        first = terms._memo
+        want = normal_form(self.END, Mode.D)
+        assert terms._memo is not first
+        assert normal_form(self.END, Mode.D) == want and len(closings) == 1
 
 
 class TestEnumHom:
