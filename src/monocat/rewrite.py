@@ -19,10 +19,12 @@ that can be made adjacent by sliding disjoint slices out of the way, and
 expansions are offered at every vertical cut of the diagram.  Both are
 read off the fronts of the class (its pairs of first slice and least
 suffix, see ``terms.canonical``), without listing its orderings.  Searches
-run on packed keys ``(source, ((offset, kind, m, n), ...))`` of
-canonical forms (see ``terms.term_key``) and build ``Term`` objects only
-for what they return: witnesses, reports, neighbour lists and
-``apply`` results.
+run on packed states ``(source, layers)`` of canonical forms, ``layers``
+a tuple of the packed layer ints of ``terms`` (see its "packed layers"
+comment), and build ``Term`` objects only for what they return:
+witnesses, reports, neighbour lists and ``apply`` results.  A
+``RewriteStep`` row is decoded to ``(offset, kind, m, n)`` layer keys
+when the step is built, and ``apply`` packs it again.
 
 Everything here is deterministic: neighbour lists, exploration order and
 reports depend only on the inputs.  The search is sequential; a parallel
@@ -36,11 +38,15 @@ from dataclasses import dataclass
 
 from . import vect
 from .terms import (
+    M_MASK,
+    M_SHIFT,
+    N_MASK,
     Mode,
     MonocatError,
     Term,
     _canonical_key,
     _front_graph,
+    _out_of_range,
     canonical,
     compose,
     eps,
@@ -49,9 +55,14 @@ from .terms import (
     gen_term,
     identity,
     layer_key,
+    pack_layer,
+    packed_layers,
     term_from_key,
-    term_key,
+    term_from_packed,
+    term_key,  # read from here by the tests
+    unpack_layer,
     whisker,
+    width_change,
 )
 
 
@@ -159,8 +170,9 @@ class ExploreReport:
 
 
 def _state(t: Term) -> tuple:
-    """The search state of ``t``: the packed key of its canonical form."""
-    return (t.source, _canonical_key(layer_key(t)))
+    """The search state of ``t``: its source and the packed layers of its
+    canonical form."""
+    return (t.source, _canonical_key(packed_layers(t)))
 
 
 # -- pair matching ------------------------------------------------------------
@@ -188,31 +200,37 @@ _RULE_OF = {
 }
 
 
-def _match_pair(u, v):
-    """All rule matches, triangles too, on the adjacent pair of layer keys (u, v)."""
-    a, ku, mu, nu = u
-    c, kv, mv, nv = v
+def _match_pair(u: int, v: int) -> tuple:
+    """All rule matches, triangles too, on the adjacent pair of packed layers (u, v).
+
+    Each is ``(rule, direction, replacement, binding)``.  Searches read it
+    memoised per pair (see ``_after``), so it works on the tuple view; a
+    family generator whose ``m`` a sliding rule moves past its field raises
+    in ``pack_layer``.
+    """
+    a, ku, mu, nu = unpack_layer(u)
+    c, kv, mv, nv = unpack_layer(v)
     du = 2 * nu if ku == "eta" else -2 * nu
     dv = 2 * nv if kv == "eta" else -2 * nv
     tgt_u = mu + 2 * nu if ku == "eta" else mu
     src_v = mv if kv == "eta" else mv + 2 * nv
-    found = []
+    found = ()
 
     if c <= a and a + tgt_u <= c + mv:
         binding = (("i", a - c), ("j", mu), ("k", nu), ("l", c + mv - a - tgt_u), ("n", nv))
-        repl = ((c, kv, mv - du, nv), u)
-        found.append((_RULE_OF[kv, ku], Direction.FORWARD, repl, binding))
+        repl = (pack_layer(c, kv, mv - du, nv), u)
+        found += ((_RULE_OF[kv, ku], Direction.FORWARD, repl, binding),)
 
     if a <= c and c + src_v <= a + mu:
         binding = (("i", c - a), ("j", mv), ("k", nv), ("l", a + mu - c - src_v), ("n", nu))
-        repl = (v, (a, ku, mu + dv, nu))
-        found.append((_RULE_OF[ku, kv], Direction.BACKWARD, repl, binding))
+        repl = (v, pack_layer(a, ku, mu + dv, nu))
+        found += ((_RULE_OF[ku, kv], Direction.BACKWARD, repl, binding),)
 
     if ku == "eta" and kv == "eps" and a == c and nu == nv:
         if mv == mu + nu:
-            found.append((RuleId.TRIANGLE_A, Direction.FORWARD, (), (("i", mu), ("n", nu))))
+            found += ((RuleId.TRIANGLE_A, Direction.FORWARD, (), (("i", mu), ("n", nu))),)
         elif mv == mu - nu:
-            found.append((RuleId.TRIANGLE_B, Direction.FORWARD, (), (("i", mv), ("n", nu))))
+            found += ((RuleId.TRIANGLE_B, Direction.FORWARD, (), (("i", mv), ("n", nu))),)
 
     return found
 
@@ -258,10 +276,13 @@ def invariant(t: Term, mode: Mode) -> tuple:
 # cut, is one of t's with a prepended: every result is the least key of
 # some slices prepended to a least key.  Pair results, step fields and
 # cuts are memoised per least key, suffix classes first, in the memo of
-# ``terms``, so that they are dropped together with the fronts.  Searches
-# read the pair results, two tuples of result keys; the step fields are
-# built by the same walk only where a step is returned (``match_rules``
-# and witnesses), so both give the same step for a result.
+# ``terms``, so that they are dropped together with the fronts; so are the
+# matches of each layer pair.  Searches read the pair results, two tuples
+# of result keys; the step fields are built by the same walk only where a
+# step is returned (``match_rules`` and witnesses), so both give the same
+# step for a result.  A step field deeper than position 0 points at the
+# step of the suffix entry it extends; its row is read off that chain and
+# decoded to layer keys only when the step is built.
 
 
 def _memoised(lays: tuple, build):
@@ -274,21 +295,22 @@ def _memoised(lays: tuple, build):
     long.  The work bound of ``terms`` applies to each entry.
     """
     graph = _front_graph()
-    memo = graph.entries.setdefault(build, {})
+    memo = graph.table(build)
+    entry = memo.get(lays)
+    if entry is not None:
+        return entry
+    # (s, None) asks for the entry of s; (s, fronts) builds it, once the
+    # entries it needs, pushed after it, are built
     todo = [(lays, None)]
     while todo:
         s, fronts = todo.pop()
-        if s in memo:
-            continue
         graph.restart()
-        if fronts is None:
-            fronts = graph.fronts(s)
-        need = [(t, None) for _, t in fronts if t not in memo]
-        if need:
-            todo.append((s, fronts))
-            todo += need
-        else:
+        if fronts is not None:
             memo[s] = build(graph, s, fronts, memo)
+        elif s not in memo:
+            fronts = graph.fronts(s)
+            todo.append((s, fronts))
+            todo += [(t, None) for _, t in fronts if t not in memo]
     return memo[lays]
 
 
@@ -300,38 +322,67 @@ def _pair_results(lays: tuple) -> tuple:
     return _memoised(lays, _results_entry)
 
 
+def _after(graph, a: int, t: tuple):
+    """``(b, u, matches)`` for each front (b, u) of the least key ``t``,
+    with the ``_match_pair`` results of ``(a, b)``, memoised per layer
+    pair in the memo of ``graph``."""
+    memo = graph.table(_match_pair)
+    matches = memo.get(a) or memo.setdefault(a, {})
+    for b, u in graph.fronts(t):
+        found = matches.get(b)
+        if found is None:
+            found = matches[b] = _match_pair(a, b)
+        yield b, u, found
+
+
 def _results_entry(graph, s, fronts, memo) -> tuple:
     slide, tri = {}, {}
     for a, t in fronts:
-        for b, u in graph.fronts(t):
-            for _, _, repl, _ in _match_pair(a, b):
+        for _, u, found in _after(graph, a, t):
+            for _, _, repl, _ in found:
                 # a triangle replaces the pair by nothing
                 (slide if repl else tri)[graph.prepend(repl, u)] = None
         slide_t, tri_t = memo[t]
         for r in slide_t:
-            slide[graph.prepend((a,), r)] = None
+            slide[graph.lead(a, r)] = None
         for r in tri_t:
-            tri[graph.prepend((a,), r)] = None
+            tri[graph.lead(a, r)] = None
     return tuple(slide), tuple(tri)
 
 
 def _fields_entry(graph, s, fronts, memo) -> dict:
-    """Maps each (rule, direction, result) to the fields of one step giving it.
+    """Maps each (rule, direction, result) to where one step giving it is.
 
-    The same walk as ``_results_entry``, keeping the first step met.
+    The same walk as ``_results_entry``, keeping the first step met: a
+    pair at position 0 as ``(binding, a, b, u)``, the row being ``(a, b) +
+    u``, and a deeper step as ``(a, entry, key)``, the step of ``key`` in
+    the suffix entry ``entry`` with ``a`` prepended (see ``_pair_step``).
     """
     out = {}
     for a, t in fronts:
-        for b, u in graph.fronts(t):
-            for rule, direction, repl, binding in _match_pair(a, b):
+        for b, u, found in _after(graph, a, t):
+            for rule, direction, repl, binding in found:
                 key = (rule, direction, graph.prepend(repl, u))
                 if key not in out:
-                    out[key] = (rule, direction, (a, b) + u, 0, binding)
-        for (rule, direction, r), (_, _, row, pos, binding) in memo[t].items():
-            key = (rule, direction, graph.prepend((a,), r))
+                    out[key] = (binding, a, b, u)
+        entry = memo[t]
+        for sub in entry:
+            key = (sub[0], sub[1], graph.lead(a, sub[2]))
             if key not in out:
-                out[key] = (rule, direction, (a,) + row, pos + 1, binding)
+                out[key] = (a, entry, sub)
     return out
+
+
+def _pair_step(key: tuple, where: tuple) -> RewriteStep:
+    """The step of ``key`` in a ``_fields_entry`` that maps it to ``where``."""
+    head = []
+    while len(where) == 3:
+        a, entry, sub = where
+        head.append(a)
+        where = entry[sub]
+    binding, a, b, u = where
+    row = tuple(head) + (a, b) + u
+    return RewriteStep(key[0], key[1], tuple(map(unpack_layer, row)), len(head), binding)
 
 
 def _cuts(lays: tuple) -> dict:
@@ -346,33 +397,56 @@ def _cuts(lays: tuple) -> dict:
 def _cut_entry(graph, s, fronts, memo) -> dict:
     out = {((), s): 0}
     for a, t in fronts:
-        da = 2 * a[3] if a[1] == "eta" else -2 * a[3]
+        da = width_change(a)
         for (head, tail), delta in memo[t].items():
-            out.setdefault((graph.prepend((a,), head), tail), delta + da)
+            out.setdefault((graph.lead(a, head), tail), delta + da)
     return out
 
 
 def _expansions(state, caps: SearchCaps):
-    """Every triangle expansion on the class of ``state`` within ``caps``."""
+    """Every triangle expansion on the class of ``state`` within ``caps``.
+
+    Yields ``(rule, head, tail, i, a, block, n)`` with the result; see
+    ``_expansion_step``.
+    """
     source, lays = state
     if len(lays) + 2 > caps.max_gen_count:
         return
     for (head, tail), delta in _cuts(lays).items():
         width = source + delta
-        row, pos = head + tail, len(head)
+        prepend = _front_graph().prepend
         for nn in range(1, caps.max_index_n + 1):
             if width + 2 * nn > caps.max_width:
                 continue
+            # the block indices below reach ``width``
+            if width > M_MASK or nn > N_MASK:
+                raise _out_of_range("eta", width, nn)
             for a in range(0, width - nn + 1):
+                cup, cap = pack_layer(a, "eta", 0, nn), pack_layer(a, "eps", 0, nn)
                 for i in range(0, width - nn - a + 1):
-                    binding = (("i", i), ("n", nn))
                     for rule, ins_blk, del_blk in (
                         (RuleId.TRIANGLE_A, i, i + nn),
                         (RuleId.TRIANGLE_B, i + nn, i),
                     ):
-                        fields = (rule, Direction.BACKWARD, row, pos, binding, a, ins_blk, nn)
-                        ins = ((a, "eta", ins_blk, nn), (a, "eps", del_blk, nn))
-                        yield fields, (source, _front_graph().prepend(head + ins, tail))
+                        ins = (cup + (ins_blk << M_SHIFT), cap + (del_blk << M_SHIFT))
+                        yield (rule, head, tail, i, a, ins_blk, nn), (
+                            source,
+                            prepend(head + ins, tail),
+                        )
+
+
+def _expansion_step(fields: tuple) -> RewriteStep:
+    rule, head, tail, i, a, block, nn = fields
+    return RewriteStep(
+        rule,
+        Direction.BACKWARD,
+        tuple(map(unpack_layer, head + tail)),
+        len(head),
+        (("i", i), ("n", nn)),
+        a,
+        block,
+        nn,
+    )
 
 
 def match_rules(t: Term, mode: Mode, caps: SearchCaps = DEFAULT_CAPS) -> list[RewriteStep]:
@@ -384,15 +458,17 @@ def match_rules(t: Term, mode: Mode, caps: SearchCaps = DEFAULT_CAPS) -> list[Re
     that the walk of the fronts meets.
     """
     state = _state(t)
-    steps = {
-        key: fields
-        for key, fields in _memoised(state[1], _fields_entry).items()
+    steps = [
+        _pair_step(key, where)
+        for key, where in _memoised(state[1], _fields_entry).items()
         if mode is Mode.C or key[0] not in TRIANGLE_RULES
-    }
+    ]
     if mode is Mode.C:
+        expansions: dict = {}
         for fields, y in _expansions(state, caps):
-            steps.setdefault(fields[:2] + (y[1],), fields)
-    return [RewriteStep(*fields) for fields in steps.values()]
+            expansions.setdefault((fields[0], y[1]), fields)
+        steps += map(_expansion_step, expansions.values())
+    return steps
 
 
 def apply(t: Term, step: RewriteStep) -> Term:
@@ -406,17 +482,18 @@ def apply(t: Term, step: RewriteStep) -> Term:
         term_from_key(t.source, row)
     except (ValueError, MonocatError) as exc:
         raise InvalidStep(f"row does not chain: {exc}") from exc
-    if _canonical_key(row) != _canonical_key(layer_key(t)):
+    packed = tuple(pack_layer(*lay) for lay in row)
+    if _canonical_key(packed) != _canonical_key(packed_layers(t)):
         raise InvalidStep("row is not an ordering of the term's slices")
     p = step.pos
 
     if step.rule not in TRIANGLE_RULES or step.direction is Direction.FORWARD:
         if not (0 <= p < len(row) - 1):
             raise InvalidStep(f"position {p} out of range")
-        for rule, direction, repl, _ in _match_pair(row[p], row[p + 1]):
+        for rule, direction, repl, _ in _match_pair(packed[p], packed[p + 1]):
             if rule is step.rule and direction is step.direction:
-                new = row[:p] + repl + row[p + 2 :]
-                return term_from_key(t.source, _canonical_key(new))
+                new = packed[:p] + repl + packed[p + 2 :]
+                return term_from_packed(t.source, _canonical_key(new))
         raise InvalidStep(f"{step.describe()} does not match at position {p}")
 
     if step.offset is None or step.block is None or step.index_n is None:
@@ -436,12 +513,9 @@ def apply(t: Term, step: RewriteStep) -> Term:
 
 def _peak_width(state) -> int:
     width = peak = state[0]
-    for _, kv, _, n in state[1]:
-        if kv == "eta":
-            width += 2 * n
-            peak = max(peak, width)
-        else:
-            width -= 2 * n
+    for k in state[1]:
+        width += width_change(k)
+        peak = max(peak, width)
     return peak
 
 
@@ -451,7 +525,7 @@ def _respects(state, caps: SearchCaps) -> bool:
 
 def neighbors(t: Term, mode: Mode, caps: SearchCaps = DEFAULT_CAPS) -> list[Term]:
     """Canonical, deduplicated one-step rewrites of ``t`` within caps."""
-    return [term_from_key(*y) for y in _successors(_state(t), mode, caps) if _respects(y, caps)]
+    return [term_from_packed(*y) for y in _successors(_state(t), mode, caps) if _respects(y, caps)]
 
 
 def _relaxed_caps(a, b, caps: SearchCaps) -> SearchCaps:
@@ -460,7 +534,7 @@ def _relaxed_caps(a, b, caps: SearchCaps) -> SearchCaps:
     widths = [caps.max_width]
     gens = [caps.max_gen_count]
     for state in (a, b):
-        ns.extend(n for _, _, _, n in state[1])
+        ns.extend(k & N_MASK for k in state[1])
         widths.append(_peak_width(state))
         gens.append(len(state[1]))
     return SearchCaps(max(gens), max(widths) + 2 * max(ns), max(ns), caps.max_states)
@@ -472,12 +546,12 @@ def _find_step(src, dst, caps: SearchCaps) -> RewriteStep:
     A pair step if there is one (always in mode D), the first that
     ``match_rules`` lists with that result; else an expansion.
     """
-    for (_, _, result), fields in _memoised(src[1], _fields_entry).items():
-        if result == dst[1]:
-            return RewriteStep(*fields)
+    for key, where in _memoised(src[1], _fields_entry).items():
+        if key[2] == dst[1]:
+            return _pair_step(key, where)
     for fields, result in _expansions(src, _relaxed_caps(src, dst, caps)):
         if result == dst:
-            return RewriteStep(*fields)
+            return _expansion_step(fields)
     raise AssertionError("edge of the rewrite graph could not be re-derived")
 
 
@@ -549,7 +623,7 @@ def equal(
         return None
     ka, kb = _state(a), _state(b)
     if ka == kb:
-        return EqualityWitness(terms=(term_from_key(*ka),), steps=())
+        return EqualityWitness(terms=(term_from_packed(*ka),), steps=())
 
     parents_a: dict = {ka: None}
     parents_b: dict = {kb: None}
@@ -579,7 +653,7 @@ def _reconstruct(meet, parents_a, parents_b, caps) -> EqualityWitness:
     steps = tuple(
         _find_step(chain[k], chain[k + 1], caps) for k in range(len(chain) - 1)
     )
-    return EqualityWitness(terms=tuple(term_from_key(*k) for k in chain), steps=steps)
+    return EqualityWitness(terms=tuple(term_from_packed(*k) for k in chain), steps=steps)
 
 
 def explore(
@@ -603,9 +677,9 @@ def explore(
     identity_key = (start[0], ())
     witness = None
     if identity_key in parents:
-        witness = tuple(term_from_key(*k) for k in _path(parents, identity_key))
+        witness = tuple(term_from_packed(*k) for k in _path(parents, identity_key))
     return ExploreReport(
-        start=term_from_key(*start),
+        start=term_from_packed(*start),
         mode=mode,
         caps=caps,
         states_visited=len(parents),
@@ -613,7 +687,7 @@ def explore(
         min_gen_count_seen=min(len(k[1]) for k in parents),
         truncated=frontier is None,
         witness_path=witness,
-        states=tuple(term_from_key(*k) for k in sorted(parents)) if collect_states else None,
+        states=tuple(term_from_packed(*k) for k in sorted(parents)) if collect_states else None,
     )
 
 
@@ -654,7 +728,7 @@ def _normal_form(state, mode: Mode, limit: int):
     (closing a large class may replace it).
     """
     key = (_normal_form, mode, limit)
-    form = _front_graph().entries.get(key, {}).get(state)
+    form = _front_graph().table(key).get(state)
     if form is None:
         members = sorted(_sliding_class(state, limit))
         form = members[0]
@@ -664,7 +738,7 @@ def _normal_form(state, mode: Mode, limit: int):
                 if found:
                     form = _normal_form((x[0], min(found)), mode, limit)
                     break
-        _front_graph().entries.setdefault(key, {})[state] = form
+        _front_graph().table(key)[state] = form
     return form
 
 
@@ -678,7 +752,7 @@ def normal_form(t: Term, mode: Mode, caps: SearchCaps = DEFAULT_CAPS) -> Term:
     is confluent modulo sliding.  Raises :class:`MonocatError` when a
     sliding class has more than ``caps.max_states`` members.
     """
-    return term_from_key(*_normal_form(_state(t), mode, caps.max_states))
+    return term_from_packed(*_normal_form(_state(t), mode, caps.max_states))
 
 
 # -- hom-set enumeration ------------------------------------------------------
@@ -704,15 +778,15 @@ class HomEnumeration:
 
 
 def _slice_choices(width: int, caps: SearchCaps):
-    """Layer keys that fit on ``width`` wires, with the width after them."""
+    """Packed layers that fit on ``width`` wires, with the width after them."""
     for nn in range(1, caps.max_index_n + 1):
         if width + 2 * nn <= caps.max_width:
             for mm in range(0, width + 1):
                 for off in range(0, width - mm + 1):
-                    yield (off, "eta", mm, nn), width + 2 * nn
+                    yield pack_layer(off, "eta", mm, nn), width + 2 * nn
         for mm in range(0, width - 2 * nn + 1):
             for off in range(0, width - mm - 2 * nn + 1):
-                yield (off, "eps", mm, nn), width - 2 * nn
+                yield pack_layer(off, "eps", mm, nn), width - 2 * nn
 
 
 def generate_terms(m: int, n: int, caps: SearchCaps) -> list[Term]:
@@ -735,7 +809,7 @@ def generate_terms(m: int, n: int, caps: SearchCaps) -> list[Term]:
 
     if m <= caps.max_width:
         rec([], m)
-    return [term_from_key(m, k) for k in sorted(out)]
+    return [term_from_packed(m, k) for k in sorted(out)]
 
 
 # built once, so their cup/cap cores are cached across hom shapes
@@ -759,7 +833,7 @@ def enum_hom_detailed(
     """
     limit = (merge_caps if merge_caps is not None else caps).max_states
     raw = generate_terms(m, n, caps)
-    raw.sort(key=lambda t: (gen_count(t), term_key(t)))
+    raw.sort(key=lambda t: (gen_count(t), packed_layers(t)))
     by_form: dict = {}
     for t in raw:
         by_form.setdefault(_normal_form(_state(t), mode, limit), []).append(t)

@@ -46,7 +46,7 @@ from .terms import (
     identity,
     render,
     tensor,
-    term_from_key,
+    term_from_packed,
     upside_down,
 )
 from .vect import RATIONALS, FunctorSpec, PrimeField, RationalField, field_of
@@ -325,7 +325,7 @@ def _random_term(rng: random.Random, source: int, max_len: int, max_width: int) 
             break
         lay, width = rng.choice(options)
         lays.append(lay)
-    return term_from_key(source, tuple(lays))
+    return term_from_packed(source, tuple(lays))
 
 
 def check_skeletal_and_obstructions(cfg: SuiteConfig) -> CheckResult:

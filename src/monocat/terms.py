@@ -194,16 +194,68 @@ def gen_count(t: Term) -> int:
     return len(t.slices)
 
 
-# -- packed keys and interchange machinery ------------------------------------
+# -- packed layers and interchange machinery ----------------------------------
 #
-# Inside the engine a slice list is a tuple of *layer keys*
-# (offset, kind_value, m, n), the right whisker being recomputed from the
-# running width; ``term_key`` adds the source width.  Kind values are the
-# strings "eta"/"eps", and every normal form relies on "eps" < "eta".
+# Inside ``terms`` and ``rewrite`` a slice list is a tuple of *packed
+# layers*, one int per slice:
+#
+#     ((offset << 1 | kind) << 16 | m) << 8 | n      kind: eps 0, eta 1
+#
+# the right whisker being recomputed from the running width.  Int order is
+# the order of the tuples (offset, kind_value, m, n) with "eps" < "eta", so
+# least members, sorts and minima are those of the tuple view.  The offset
+# is the top field and has no bound; ``m`` and ``n`` have fixed fields, and
+# a layer past them raises ``LayerOutOfRange`` where it is packed
+# (``pack_layer``, which rewriting goes through too), so no key ever wraps.
+#
+# The tuple view ``(offset, kind_value, m, n)`` is the API boundary:
+# ``layer_key``/``term_key`` give it (``vect`` reads it), ``term_from_key``
+# builds a ``Term`` from it, ``RewriteStep.row`` holds it, and ``_fronts``
+# returns it.  ``packed_layers`` and ``term_from_packed`` convert a ``Term``
+# to and from packed layers.
+#
 # Two adjacent layers commute when their active blocks are disjoint at
 # the common interface.  A zero-width block strictly inside another block
 # does not commute with it (the insertion point is pinned between two
 # wires of that block); at either edge it does.
+
+N_BITS = 8
+M_BITS = 16
+M_SHIFT = N_BITS
+KIND_SHIFT = N_BITS + M_BITS
+OFF_SHIFT = KIND_SHIFT + 1
+N_MASK = (1 << N_BITS) - 1
+M_MASK = (1 << M_BITS) - 1
+ETA_BIT = 1 << KIND_SHIFT
+_KINDS = (GenKind.EPS, GenKind.ETA)
+
+
+class LayerOutOfRange(MonocatError):
+    """A generator index past the fields of a packed layer."""
+
+
+def _out_of_range(kind: str, m: int, n: int) -> LayerOutOfRange:
+    return LayerOutOfRange(
+        f"{kind}({m},{n}) is outside the packed layer range: "
+        f"m must be below {1 << M_BITS} and n below {1 << N_BITS}"
+    )
+
+
+def pack_layer(off: int, kind: str, m: int, n: int) -> int:
+    """The packed layer of the layer key ``(off, kind, m, n)``."""
+    if m > M_MASK or n > N_MASK:
+        raise _out_of_range(kind, m, n)
+    return ((off << 1 | (kind == "eta")) << M_BITS | m) << N_BITS | n
+
+
+def unpack_layer(k: int) -> tuple:
+    """The layer key ``(offset, kind_value, m, n)`` of the packed layer ``k``."""
+    return (k >> OFF_SHIFT, "eta" if k & ETA_BIT else "eps", k >> M_SHIFT & M_MASK, k & N_MASK)
+
+
+def width_change(k: int) -> int:
+    """The width change of the packed layer ``k``: +2n for eta, -2n for eps."""
+    return 2 * (k & N_MASK) if k & ETA_BIT else -2 * (k & N_MASK)
 
 
 def layer_key(t: Term) -> tuple:
@@ -212,6 +264,10 @@ def layer_key(t: Term) -> tuple:
 
 def term_key(t: Term) -> tuple:
     return (t.source, layer_key(t))
+
+
+def packed_layers(t: Term) -> tuple:
+    return tuple(pack_layer(s.left, s.gen.kind.value, s.gen.m, s.gen.n) for s in t.slices)
 
 
 def term_from_layers(source: int, lays: list[tuple[int, Generator]]) -> Term:
@@ -233,6 +289,15 @@ def term_from_key(source: int, key: tuple) -> Term:
     )
 
 
+def term_from_packed(source: int, lays: tuple) -> Term:
+    """The term with packed layers ``lays``; raises when they do not chain."""
+    gens = [
+        (k >> OFF_SHIFT, Generator(_KINDS[k >> KIND_SHIFT & 1], k >> M_SHIFT & M_MASK, k & N_MASK))
+        for k in lays
+    ]
+    return term_from_layers(source, gens)
+
+
 def upside_down(t: Term) -> Term:
     """The mirror image of ``t``: slices reversed, insertions and deletions swapped."""
     flip = {"eta": "eps", "eps": "eta"}
@@ -240,21 +305,29 @@ def upside_down(t: Term) -> Term:
     return term_from_key(t.target, lays)
 
 
-def _swaps(u: tuple, v: tuple) -> tuple:
-    """Every legal transposition of the adjacent layers ``u`` then ``v``.
+def _swaps(u: int, v: int) -> tuple:
+    """Every legal transposition of the adjacent packed layers ``u`` then ``v``.
 
     Either ``v``'s source block lies left of ``u``'s offset (``u`` then
     shifts by ``v``'s width change), or it lies right of ``u``'s target
     block (``v`` shifts back by ``u``'s).  Both hold at once only for two
-    zero-width blocks at the same gap.
+    zero-width blocks at the same gap.  Only offsets change, and the
+    offset is the top field, so a shift is one addition.
     """
-    ou, ku, mu, nu = u
-    ov, kv, mv, nv = v
+    ou, ov = u >> OFF_SHIFT, v >> OFF_SHIFT
+    mu, mv = u >> M_SHIFT & M_MASK, v >> M_SHIFT & M_MASK
+    wu, wv = 2 * (u & N_MASK), 2 * (v & N_MASK)
     out = ()
-    if ov + (mv if kv == "eta" else mv + 2 * nv) <= ou:
-        out = ((v, (ou + (2 * nv if kv == "eta" else -2 * nv), ku, mu, nu)),)
-    if ov >= ou + (mu + 2 * nu if ku == "eta" else mu):
-        out += (((ov - (2 * nu if ku == "eta" else -2 * nu), kv, mv, nv), u),)
+    if v & ETA_BIT:
+        if ov + mv <= ou:
+            out = ((v, u + (wv << OFF_SHIFT)),)
+    elif ov + mv + wv <= ou:
+        out = ((v, u - (wv << OFF_SHIFT)),)
+    if u & ETA_BIT:
+        if ov >= ou + mu + wu:
+            out += ((v - (wu << OFF_SHIFT), u),)
+    elif ov >= ou + mu:
+        out += ((v + (wu << OFF_SHIFT), u),)
     return out
 
 
@@ -271,19 +344,28 @@ class _FrontGraph:
     the least member of the class of ``(b,) + t``, and maps each least key
     to itself, so that equal least keys are one shared tuple; ``_fronts``
     maps each least key of two or more layers to its fronts, sorted.  Both
-    are filled together, when a class is closed; ``entries`` holds rewrite's
-    pair results, step fields and cuts per least key, and its normal forms
-    per state.  ``_WORK_CAP`` bounds the swap tests one call makes, or one
-    request after ``restart``.
+    are filled together, when a class is closed.  ``entries`` holds the
+    ``_swaps`` of each layer pair met (under the key ``_swaps``, per first
+    layer), and rewrite's pair matches, pair results, step fields and cuts
+    per least key, and its normal forms per state.  ``_WORK_CAP`` bounds
+    the swap tests one call makes, or one request after ``restart``.
     """
 
-    __slots__ = ("_fronts", "_least", "entries", "_work")
+    __slots__ = ("_fronts", "_least", "entries", "_swapped", "_work")
 
     def __init__(self, fronts: dict, least: dict, entries: dict) -> None:
         self._fronts = fronts
         self._least = least
         self.entries = entries
+        self._swapped = self.table(_swaps)
         self._work = 0
+
+    def table(self, key) -> dict:
+        """The dict ``entries[key]``, added empty if missing."""
+        table = self.entries.get(key)
+        if table is None:
+            table = self.entries[key] = {}
+        return table
 
     def restart(self) -> None:
         """Count the swap tests of the next request from zero."""
@@ -292,6 +374,10 @@ class _FrontGraph:
     def least(self, key: tuple) -> tuple:
         """The least member of the class of ``key``, built suffix by suffix."""
         return self._least.get(key) or self.prepend(key[:-1], key[-1:])
+
+    def lead(self, b: int, t: tuple) -> tuple:
+        """The least member of the class of ``(b,) + t``, ``t`` least."""
+        return self._least.get((b, t)) or self._lead(b, t)
 
     def prepend(self, head: tuple, tail: tuple) -> tuple:
         """The least member of the class of ``head + tail``, ``tail`` least."""
@@ -313,7 +399,7 @@ class _FrontGraph:
         except KeyError:
             return self._fronts[self.least(s)]
 
-    def _lead(self, b: tuple, t: tuple) -> tuple:
+    def _lead(self, b: int, t: tuple) -> tuple:
         """The least member of the class of ``(b,) + t``, ``t`` least.
 
         Closing a class needs the least members of classes one layer
@@ -339,20 +425,28 @@ class _FrontGraph:
         whose least member is not yet known, and resumes once it is.
         """
         least = self._least
+        known = self._fronts
+        swapped = self._swapped
         nodes = [start]
         seen = None
         for x, s in nodes:
-            fronts = self.fronts(s)
+            fronts = known.get(s) or self.fronts(s)
             self._work += len(fronts) * len(s)
             if self._work > _WORK_CAP:
                 raise MonocatError("interchange class too large to normalise")
+            swaps = swapped.get(x) or swapped.setdefault(x, {})
             for c, u in fronts:
-                for c2, x2 in _swaps(x, c):
+                moves = swaps.get(c)
+                if moves is None:
+                    moves = swaps[c] = _swaps(x, c)
+                for c2, x2 in moves:
                     if u:
                         pair = (x2, u)
-                        if pair not in least:
+                        rest = least.get(pair)
+                        if rest is None:
                             yield pair
-                        node = (c2, least[pair])
+                            rest = least[pair]
+                        node = (c2, rest)
                     else:
                         node = (c2, (x2,))
                     if seen is None:
@@ -374,9 +468,11 @@ class _FrontGraph:
 # _MEMO_CAP pairs (a call in progress keeps its own).  Every rewrite result
 # is closed in it, so a replacement mid-search makes the search close its
 # states again.  The entries that searches read hold least keys only, shared
-# with ``least``; step fields are built only for returned steps.  At this
-# cap the word-problem explores of the zig-zag and its mirror run without
-# a replacement and TriangleA's (5,313 states) with one.
+# with ``least``, and the swaps and matches of each layer pair met, so that
+# the keys built from one result share its packed layers; step fields are
+# built only for returned steps.  At this cap the word-problem explores of
+# the zig-zag and its mirror run without a replacement and TriangleA's
+# (5,313 states) with one.
 _MEMO_CAP = 49152
 _memo: tuple = ({}, {}, {})
 
@@ -389,13 +485,16 @@ def _front_graph() -> _FrontGraph:
 
 
 def _canonical_key(key: tuple) -> tuple:
+    """The least member of the class of the packed layers ``key``."""
     return _front_graph().least(key)
 
 
 def _fronts(key: tuple) -> tuple:
-    """The pairs (first layer, least suffix) over the class of ``key``."""
+    """The pairs (first layer, least suffix) over the class of the layer
+    keys ``key``, in the tuple view."""
     graph = _front_graph()
-    return graph.fronts(graph.least(key))
+    fronts = graph.fronts(graph.least(tuple(pack_layer(*lay) for lay in key)))
+    return tuple((unpack_layer(a), tuple(map(unpack_layer, t))) for a, t in fronts)
 
 
 def canonical(t: Term) -> Term:
@@ -404,7 +503,8 @@ def canonical(t: Term) -> Term:
     The interchange class of a term is finite (the slice orderings of one
     diagram); ``canonical`` returns its least member in the lexicographic
     order on (offset, kind, m, n) layer sequences, so the result depends
-    only on the class and is idempotent.
+    only on the class and is idempotent.  It runs on packed layers and
+    raises :class:`LayerOutOfRange` for a slice past their fields.
 
     The class is not listed.  Its *fronts* are the pairs (first layer,
     least suffix) over its members, and its least member is the least
@@ -427,7 +527,7 @@ def canonical(t: Term) -> Term:
     exponentially with the number of independent slices; past
     ``_WORK_CAP`` in one call this raises :class:`MonocatError`.
     """
-    return term_from_key(t.source, _canonical_key(layer_key(t)))
+    return term_from_packed(t.source, _canonical_key(packed_layers(t)))
 
 
 # -- rendering ---------------------------------------------------------------

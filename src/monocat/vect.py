@@ -547,9 +547,11 @@ def eval_term(spec: FunctorSpec, t: Term, max_dim: int = MAX_DIM_DEFAULT) -> Mat
     return Mat(state.shape[0], state.shape[1], ent, spec.field)
 
 
-# Below, a term is its packed key ``(source, layers)`` with layers
-# ``(offset, kind_value, m, n)`` as in ``terms.layer_key``; cores are keyed
-# by ``(kind_value, n)``.
+# Below, a term is its key ``(source, layers)`` in the tuple view of
+# ``terms.term_key``, layers ``(offset, kind_value, m, n)``; the packed int
+# layers that canonical forms and searches run on stay inside ``terms`` and
+# ``rewrite``, which decode them at their boundary.  Cores are keyed by
+# ``(kind_value, n)``.
 
 
 def _widths(source: int, lays: tuple) -> list[int]:
