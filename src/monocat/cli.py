@@ -29,7 +29,6 @@ import sys
 
 from .rewrite import (
     DEFAULT_CAPS,
-    NotEqualShape,
     SearchCaps,
     enum_hom_detailed,
     equal,
@@ -49,7 +48,7 @@ from .terms import (
     render,
     term_from_layers,
 )
-from .vect import FunctorSpec, TooLarge, eval_term, field_of
+from .vect import FunctorSpec, eval_term, field_of
 
 
 class ParseError(MonocatError):
@@ -405,7 +404,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (MonocatError, NotEqualShape, TooLarge, ValueError, OSError) as exc:
+    except (MonocatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -41,6 +41,8 @@ from .terms import (
     M_MASK,
     M_SHIFT,
     N_MASK,
+    GenKind,
+    LayerOutOfRange,
     Mode,
     MonocatError,
     Term,
@@ -54,12 +56,10 @@ from .terms import (
     gen_count,
     gen_term,
     identity,
-    layer_key,
     pack_layer,
     packed_layers,
     term_from_key,
     term_from_packed,
-    term_key,  # read from here by the tests
     unpack_layer,
     whisker,
     width_change,
@@ -255,13 +255,14 @@ def invariant(t: Term, mode: Mode) -> tuple:
     Terms with different signatures have no rewrite path between them,
     under any caps.
     """
-    lays = layer_key(t)
+    gens = [s.gen for s in t.slices]
     if mode is Mode.D:
-        return tuple(sorted((kv, m % 2, n) for _, kv, m, n in lays))
+        return tuple(sorted((g.kind.value, g.m % 2, g.n) for g in gens))
     per_n: dict = {}
-    for _, kv, m, n in lays:
+    for g in gens:
+        m, n = g.m, g.n
         net, parity = per_n.get(n, (0, 0))
-        if kv == "eta":
+        if g.kind is GenKind.ETA:
             per_n[n] = (net + 1, parity + (m % 2 == 0))
         else:
             per_n[n] = (net - 1, parity - ((m - n) % 2 == 0))
@@ -479,10 +480,11 @@ def apply(t: Term, step: RewriteStep) -> Term:
     """
     row = step.row
     try:
-        term_from_key(t.source, row)
+        packed = packed_layers(term_from_key(t.source, row))
+    except LayerOutOfRange as exc:
+        raise InvalidStep(str(exc)) from exc
     except (ValueError, MonocatError) as exc:
         raise InvalidStep(f"row does not chain: {exc}") from exc
-    packed = tuple(pack_layer(*lay) for lay in row)
     if _canonical_key(packed) != _canonical_key(packed_layers(t)):
         raise InvalidStep("row is not an ordering of the term's slices")
     p = step.pos
@@ -607,13 +609,7 @@ def equal(
     Before any canonical form or search, returns None when the two terms'
     signatures under :func:`invariant` differ, since then no rewrite path
     joins them: the answer the search would give, at a cost linear in the
-    slices.  In mode D the signature is the multiset of ``(kind, m % 2,
-    n)``: a sliding rule moves the family generator's ``m`` by an even
-    amount and keeps the slid slice.  In mode C it is, per ``n``,
-    ``#eta_n - #eps_n`` and ``#{eta(m, n): m even} - #{eps(m, n): m = n
-    mod 2}``: a triangle removes ``eta(i, n)`` with ``eps(i + n, n)``, or
-    ``eta(i + n, n)`` with ``eps(i, n)``, and the two fall on the same
-    side of the parity count.
+    slices.
     """
     if a.source != b.source or a.target != b.target:
         raise NotEqualShape(

@@ -146,10 +146,7 @@ class Term:
 
     @property
     def target(self) -> int:
-        w = self.source
-        for s in self.slices:
-            w += s.gen.delta
-        return w
+        return self.slices[-1].target_width if self.slices else self.source
 
     def widths(self) -> tuple[int, ...]:
         """All interface widths, source first, target last."""
@@ -208,11 +205,9 @@ def gen_count(t: Term) -> int:
 # a layer past them raises ``LayerOutOfRange`` where it is packed
 # (``pack_layer``, which rewriting goes through too), so no key ever wraps.
 #
-# The tuple view ``(offset, kind_value, m, n)`` is the API boundary:
-# ``layer_key``/``term_key`` give it (``vect`` reads it), ``term_from_key``
-# builds a ``Term`` from it, ``RewriteStep.row`` holds it, and ``_fronts``
-# returns it.  ``packed_layers`` and ``term_from_packed`` convert a ``Term``
-# to and from packed layers.
+# The tuple view ``(offset, kind_value, m, n)`` is the format of
+# ``RewriteStep.row``.  ``packed_layers`` and ``term_from_packed`` convert a
+# ``Term`` to and from packed layers.
 #
 # Two adjacent layers commute when their active blocks are disjoint at
 # the common interface.  A zero-width block strictly inside another block
@@ -258,14 +253,6 @@ def width_change(k: int) -> int:
     return 2 * (k & N_MASK) if k & ETA_BIT else -2 * (k & N_MASK)
 
 
-def layer_key(t: Term) -> tuple:
-    return tuple((s.left, s.gen.kind.value, s.gen.m, s.gen.n) for s in t.slices)
-
-
-def term_key(t: Term) -> tuple:
-    return (t.source, layer_key(t))
-
-
 def packed_layers(t: Term) -> tuple:
     return tuple(pack_layer(s.left, s.gen.kind.value, s.gen.m, s.gen.n) for s in t.slices)
 
@@ -300,9 +287,14 @@ def term_from_packed(source: int, lays: tuple) -> Term:
 
 def upside_down(t: Term) -> Term:
     """The mirror image of ``t``: slices reversed, insertions and deletions swapped."""
-    flip = {"eta": "eps", "eps": "eta"}
-    lays = tuple((off, flip[kv], m, n) for off, kv, m, n in reversed(layer_key(t)))
-    return term_from_key(t.target, lays)
+    flip = {GenKind.ETA: GenKind.EPS, GenKind.EPS: GenKind.ETA}
+    return Term(
+        t.target,
+        tuple(
+            Slice(s.left, Generator(flip[s.gen.kind], s.gen.m, s.gen.n), s.right)
+            for s in reversed(t.slices)
+        ),
+    )
 
 
 def _swaps(u: int, v: int) -> tuple:
@@ -489,12 +481,11 @@ def _canonical_key(key: tuple) -> tuple:
     return _front_graph().least(key)
 
 
-def _fronts(key: tuple) -> tuple:
-    """The pairs (first layer, least suffix) over the class of the layer
-    keys ``key``, in the tuple view."""
+def first_kinds(t: Term) -> frozenset:
+    """The kinds of the slices that members of the interchange class of ``t`` start with."""
     graph = _front_graph()
-    fronts = graph.fronts(graph.least(tuple(pack_layer(*lay) for lay in key)))
-    return tuple((unpack_layer(a), tuple(map(unpack_layer, t))) for a, t in fronts)
+    fronts = graph.fronts(graph.least(packed_layers(t)))
+    return frozenset(_KINDS[a >> KIND_SHIFT & 1] for a, _ in fronts)
 
 
 def canonical(t: Term) -> Term:

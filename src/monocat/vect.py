@@ -36,10 +36,9 @@ outer wires no slice touches contribute an identity factor, so the image
 is ``id ⊗ A ⊗ id`` and only ``A`` is built from slices.  The contraction
 starts from the image of the first slice, not from an identity on the
 source: a first cap is its core broadcast against the identity on the
-wires it leaves, ``d^(2n)`` times smaller per side.  Inside, a term is
-its packed key ``(source, layers)``; ``Term`` is converted at the API
-boundary.  Matrices are immutable; functions are pure apart from the
-per-configuration core cache.
+wires it leaves, ``d^(2n)`` times smaller per side.  Evaluation reads the
+slices of each ``Term`` directly.  Matrices are immutable; functions are
+pure apart from the per-configuration core cache.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .terms import MonocatError, Term, _fronts, layer_key, term_key, upside_down
+from .terms import GenKind, MonocatError, Term, first_kinds, upside_down
 
 
 class TooLarge(MonocatError):
@@ -527,7 +526,7 @@ def eval_term(spec: FunctorSpec, t: Term, max_dim: int = MAX_DIM_DEFAULT) -> Mat
     """
     if max_dim < 1:
         raise ValueError(f"max_dim must be >= 1, got {max_dim}")
-    lo, hi, (state,) = _eval_arrays(spec, (term_key(t),), max_dim)
+    lo, hi, (state,) = _eval_arrays(spec, (t,), max_dim)
     if lo or hi:
         (rows, cols), left, right = state.shape, spec.d**lo, spec.d**hi
         zero = spec.field.zero if state.dtype == object else 0
@@ -547,19 +546,8 @@ def eval_term(spec: FunctorSpec, t: Term, max_dim: int = MAX_DIM_DEFAULT) -> Mat
     return Mat(state.shape[0], state.shape[1], ent, spec.field)
 
 
-# Below, a term is its key ``(source, layers)`` in the tuple view of
-# ``terms.term_key``, layers ``(offset, kind_value, m, n)``; the packed int
-# layers that canonical forms and searches run on stay inside ``terms`` and
-# ``rewrite``, which decode them at their boundary.  Cores are keyed by
-# ``(kind_value, n)``.
-
-
-def _widths(source: int, lays: tuple) -> list[int]:
-    """All interface widths, source first, as ``Term.widths``."""
-    out = [source]
-    for _, kv, _, n in lays:
-        out.append(out[-1] + (2 * n if kv == "eta" else -2 * n))
-    return out
+# Below, terms are read slice by slice from ``Term.slices``.  A slice's core
+# is found under its key ``(kind.value, n)``, read once per slice.
 
 
 def _unallocatable(rows: int, cols: int) -> TooLarge:
@@ -575,34 +563,41 @@ def _identity(n: int, dtype, field) -> np.ndarray:
 
 
 def _eval_arrays(
-    spec: FunctorSpec, keys: tuple[tuple, ...], max_dim: int
+    spec: FunctorSpec, terms: tuple[Term, ...], max_dim: int
 ) -> tuple[int, int, list[np.ndarray]]:
-    """``(lo, hi, images)`` for terms ``keys`` of one source width.
+    """``(lo, hi, images)`` for ``terms`` of one source width.
 
-    ``lo`` and ``hi`` count the leftmost and rightmost wires no layer of
+    ``lo`` and ``hi`` count the leftmost and rightmost wires no slice of
     any term touches; the images are those of the inner blocks, less those
     wires.  All of them come back in one scalar representation, so they
     compare entry by entry: int64 (residues mod p over a prime field) or
     field elements.
     """
     d = spec.d
-    source = lo = hi = keys[0][0]
-    for _, lays in keys:
-        widths = _widths(source, lays)
+    source = lo = hi = terms[0].source
+    keys = []  # per term, the core key of each slice
+    for t in terms:
+        widths, term_keys = [source], []
+        for s in t.slices:
+            g = s.gen
+            kv = g.kind.value
+            term_keys.append((kv, g.n))
+            lo = min(lo, s.left + g.m)
+            hi = min(hi, s.right)
+            widths.append(widths[-1] + (2 * g.n if kv == "eta" else -2 * g.n))
         for w in widths:
             if d**w > max_dim:
                 raise TooLarge(f"width {w} at dimension {d} exceeds {max_dim} entries per side")
-        for (off, kv, m, n), w in zip(lays, widths):
-            lo = min(lo, off + m)
-            hi = min(hi, w - off - m - (2 * n if kv == "eps" else 0))
+        keys.append(term_keys)
     hi = min(hi, source - lo)
+    cols = d ** (source - lo - hi)
 
-    cores = {(kv, n): _core(spec, kv, n) for _, lays in keys for _, kv, _, n in lays}
+    cores = {key: _core(spec, *key) for term_keys in keys for key in term_keys}
     field = spec.field
     modulus = field.p if isinstance(field, PrimeField) else None
     integral = all(c.peak is not None for c in cores.values())
     if integral and modulus is None:
-        integral = all(_growth(lays, cores) < _INT64_BOUND for _, lays in keys)
+        integral = all(_growth(term_keys, cores) < _INT64_BOUND for term_keys in keys)
     if integral:
         arrays, dtype = {key: c.array for key, c in cores.items()}, np.int64
     else:
@@ -610,39 +605,36 @@ def _eval_arrays(
         dtype, modulus = object, None
 
     images = []
-    for w, lays in keys:
-        cols = d ** (w - lo - hi)
+    for t, term_keys in zip(terms, keys):
+        layers = list(zip(t.slices, term_keys))
+        s = None
         try:
-            if lays and lays[0][1] == "eps":
+            if term_keys and term_keys[0][0] == "eps":
                 # id ⊗ cap ⊗ id: the identity on the wires the cap leaves, times its core
-                off, _, m, n = lays[0]
-                w -= 2 * n
-                a, r = d ** (off + m - lo), d ** (w - off - m - hi)
+                s, key = layers.pop(0)
+                a, r = d ** (s.left + s.gen.m - lo), d ** (s.right - hi)
                 eye = _identity(a * r, dtype, field).reshape(a, r, a, 1, r)
-                state = eye * arrays["eps", n].reshape(1, 1, 1, -1, 1)
-                lays = lays[1:]
+                state = eye * arrays[key].reshape(1, 1, 1, -1, 1)
             else:
                 state = _identity(cols, dtype, field)
-            for off, kv, m, n in lays:
-                a_dim = d ** (off + m - lo)
-                core = arrays[kv, n]
-                if kv == "eta":
-                    rest = d ** (w - off - m - hi) * cols
-                    w += 2 * n
+            for s, key in layers:
+                a_dim, rest = d ** (s.left + s.gen.m - lo), d ** (s.right - hi) * cols
+                core = arrays[key]
+                if key[0] == "eta":
                     state = state.reshape(a_dim, 1, rest) * core.reshape(1, -1, 1)
                 else:
-                    w -= 2 * n
-                    rest = d ** (w - off - m - hi) * cols
                     state = core @ state.reshape(a_dim, core.size, rest)
                 if modulus is not None:
                     state %= modulus
         except MemoryError:
+            # the state after ``s``, the slice being contracted
+            w = source if s is None else s.target_width
             raise _unallocatable(d ** (w - lo - hi), cols) from None
         images.append(state.reshape(-1, cols))
     return lo, hi, images
 
 
-def _growth(lays: tuple, cores: dict) -> int:
+def _growth(term_keys: list, cores: dict) -> int:
     """Bound on the entries of a term's state over the rationals.
 
     A cup multiplies the largest magnitude by at most its core's peak, a cap
@@ -651,9 +643,9 @@ def _growth(lays: tuple, cores: dict) -> int:
     multiplies an identity by its core), so it is conservative there.
     """
     bound = 1
-    for _, kv, _, n in lays:
-        c = cores[kv, n]
-        bound *= c.peak if kv == "eta" else c.peak * c.array.size
+    for key in term_keys:
+        c = cores[key]
+        bound *= c.peak if key[0] == "eta" else c.peak * c.array.size
     return bound
 
 
@@ -665,10 +657,9 @@ def check_rule_instance(spec: FunctorSpec, lhs: Term, rhs: Term) -> bool:
     contracted in one scalar representation, so a slice-free side compares
     with the other in the same form.
     """
-    keys = (term_key(lhs), term_key(rhs))
-    if lhs.source != rhs.source or _widths(*keys[0])[-1] != _widths(*keys[1])[-1]:
+    if lhs.source != rhs.source or lhs.target != rhs.target:
         raise ValueError("rule instance sides have different shapes")
-    _, _, (a, b) = _eval_arrays(spec, keys, MAX_DIM_DEFAULT)
+    _, _, (a, b) = _eval_arrays(spec, (lhs, rhs), MAX_DIM_DEFAULT)
     return bool(np.array_equal(a, b))
 
 
@@ -687,7 +678,7 @@ class IsoVerdict:
 
 def has_leading_deletion(t: Term) -> bool:
     """Does the arrow factor as a padded deletion followed by something?"""
-    return any(first[1] == "eps" for first, _ in _fronts(layer_key(t)))
+    return GenKind.EPS in first_kinds(t)
 
 
 def has_trailing_insertion(t: Term) -> bool:

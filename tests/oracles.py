@@ -33,8 +33,13 @@ from monocat import (
     rule_instance,
     tensor,
 )
-from monocat.rewrite import Direction, RuleId, generate_terms, term_key
+from monocat.rewrite import Direction, RuleId, generate_terms
 from monocat.terms import GenKind, Generator, Slice, term_from_layers
+
+
+def term_order(t: Term) -> tuple:
+    """A sort key for terms: the source, then each slice as (left, kind, m, n)."""
+    return (t.source, tuple((s.left, s.gen.kind.value, s.gen.m, s.gen.n) for s in t.slices))
 
 
 def nested_cup(spec: FunctorSpec, n: int) -> Mat:
@@ -114,7 +119,7 @@ def swap_adjacent(
 def class_representatives(t: Term, cap: int = 50_000) -> list[Term]:
     """Every slice ordering of the diagram, by exhausting adjacent swaps."""
     start = Term(t.source, t.slices)
-    seen = {term_key(start): start}
+    seen = {term_order(start): start}
     queue = deque([start])
     while queue:
         x = queue.popleft()
@@ -123,7 +128,7 @@ def class_representatives(t: Term, cap: int = 50_000) -> list[Term]:
             for u2, v2 in swap_adjacent(lays[pos], lays[pos + 1]):
                 new_lays = lays[:pos] + [u2, v2] + lays[pos + 2 :]
                 y = term_from_layers(x.source, new_lays)
-                k = term_key(y)
+                k = term_order(y)
                 if k not in seen:
                     if len(seen) >= cap:
                         raise RuntimeError("representative cap exceeded")
@@ -169,7 +174,7 @@ def _instance_pool(max_width: int, max_index_n: int):
 
 def neighbors_oracle(t: Term, mode: Mode, caps: SearchCaps) -> list[Term]:
     """One-step rewrites by literal substitution inside every representative."""
-    results = {term_key(c): c for (_, _, c) in steps_oracle(t, mode, caps)}
+    results = {term_order(c): c for (_, _, c) in steps_oracle(t, mode, caps)}
     return [results[k] for k in sorted(results)]
 
 
@@ -303,7 +308,7 @@ def hom_classes_by_search(
     recorded as unresolved against every earlier class of the bucket.
     """
     specs = (FunctorSpec.identity(2), FunctorSpec.random(2, seed=11))
-    raw = sorted(generate_terms(m, n, caps), key=lambda t: (gen_count(t), term_key(t)))
+    raw = sorted(generate_terms(m, n, caps), key=lambda t: (gen_count(t), term_order(t)))
     buckets: dict = {}
     for t in raw:
         buckets.setdefault(tuple(eval_term(s, t).entries for s in specs), []).append(t)
@@ -322,7 +327,7 @@ def hom_classes_by_search(
                 unresolved += [(c[0], t) for c in bucket_classes]
                 bucket_classes.append([t])
         classes += bucket_classes
-    classes.sort(key=lambda c: (gen_count(c[0]), term_key(c[0])))
+    classes.sort(key=lambda c: (gen_count(c[0]), term_order(c[0])))
     return HomEnumeration(tuple(map(tuple, classes)), tuple(unresolved))
 
 

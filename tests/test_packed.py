@@ -34,11 +34,10 @@ from monocat.rewrite import Direction, _match_pair
 from monocat.terms import (
     LayerOutOfRange,
     _swaps,
-    layer_key,
     pack_layer,
     unpack_layer,
 )
-from oracles import random_term
+from oracles import random_term, term_order
 
 M_LIMIT = 1 << terms.M_BITS
 N_LIMIT = 1 << terms.N_BITS
@@ -70,7 +69,7 @@ class TestPacking:
         t = whisker(0, eps(M_LIMIT - 1, 1), 0)
         assert canonical(t) == t
         u = tensor(gen_term(eta(0, N_LIMIT - 1)), gen_term(eps(0, 1)))
-        assert layer_key(canonical(u)) == ((0, "eps", 0, 1), (0, "eta", 0, N_LIMIT - 1))
+        assert term_order(canonical(u))[1] == ((0, "eps", 0, 1), (0, "eta", 0, N_LIMIT - 1))
 
     @pytest.mark.parametrize(
         "g", [lambda: eps(M_LIMIT, 1), lambda: eta(0, N_LIMIT)], ids=["m", "n"]
@@ -155,7 +154,7 @@ def check_pair(u, v):
 
 
 def adjacent_pairs(t):
-    lays = layer_key(t)
+    lays = term_order(t)[1]
     return zip(lays, lays[1:])
 
 

@@ -26,7 +26,7 @@ from monocat import (
 )
 from monocat.rewrite import generate_terms
 from monocat.suite import SuiteConfig
-from monocat.terms import term_from_key, term_from_layers
+from monocat.terms import term_from_key, term_from_layers, upside_down
 from monocat.vect import has_leading_deletion, has_trailing_insertion
 from oracles import class_representatives, random_term, shuffled, slice_options
 
@@ -199,6 +199,16 @@ def check_against_representatives(t: Term, reps: list[Term]) -> None:
     assert has_trailing_insertion(t) == any(
         r.slices and r.slices[-1].gen.kind is GenKind.ETA for r in reps
     ), t
+
+
+class TestUpsideDown:
+    def test_involution(self):
+        rng = random.Random(30)
+        for _ in range(200):
+            t = random_term(rng)
+            u = upside_down(t)
+            assert (u.source, u.target) == (t.target, t.source)
+            assert upside_down(u) == t
 
 
 class TestCanonicalAgainstRepresentatives:

@@ -33,7 +33,6 @@ from monocat import (
     whisker,
 )
 from monocat.rewrite import TRIANGLE_RULES
-from monocat.terms import term_key
 from monocat.vect import (
     _CORE_CACHE_ENTRIES,
     MAX_DIM_DEFAULT,
@@ -194,6 +193,13 @@ class TestEvalTerm:
         with pytest.raises(TooLarge):
             eval_term(spec, identity(8), max_dim=2**7)
 
+    @pytest.mark.parametrize("max_dim, width", [(16, 5), (64, 7)])
+    def test_width_guard_names_first_width_past(self, max_dim, width):
+        # source width 5 is checked before target width 7
+        t = whisker(0, eta(0, 1), 5)
+        with pytest.raises(TooLarge, match=f"^width {width} at dimension 2 exceeds {max_dim} entries"):
+            eval_term(FunctorSpec.identity(2), t, max_dim=max_dim)
+
     @pytest.mark.parametrize("max_dim", [0, -1])
     def test_max_dim_below_one_rejected(self, max_dim):
         with pytest.raises(ValueError, match=f"max_dim must be >= 1, got {max_dim}"):
@@ -315,7 +321,7 @@ class TestOuterWires:
 
 
 def route_dtype(spec, t):
-    _, _, (state,) = _eval_arrays(spec, (term_key(t),), MAX_DIM_DEFAULT)
+    _, _, (state,) = _eval_arrays(spec, (t,), MAX_DIM_DEFAULT)
     return state.dtype
 
 
