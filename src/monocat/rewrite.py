@@ -22,9 +22,10 @@ suffix, see ``terms.canonical``), without listing its orderings.  Searches
 run on packed states ``(source, layers)`` of canonical forms, ``layers``
 a tuple of the packed layer ints of ``terms`` (see its "packed layers"
 comment), and build ``Term`` objects only for what they return:
-witnesses, reports, neighbour lists and ``apply`` results.  A
-``RewriteStep`` row is decoded to ``(offset, kind, m, n)`` layer keys
-when the step is built, and ``apply`` packs it again.
+witnesses, step rows, reports, neighbour lists and ``apply`` results.  A
+``RewriteStep`` row is a ``Term`` whose slices are in the order the step
+applies to; ``apply`` packs it again.  A witness step that expands a
+triangle is the contraction of its target back to its source, reversed.
 
 Everything here is deterministic: neighbour lists, exploration order and
 reports depend only on the inputs.  The search is sequential; a parallel
@@ -38,14 +39,17 @@ from dataclasses import dataclass
 
 from . import vect
 from .terms import (
+    KIND_SHIFT,
     M_MASK,
     M_SHIFT,
     N_MASK,
+    OFF_SHIFT,
     GenKind,
     LayerOutOfRange,
     Mode,
     MonocatError,
     Term,
+    _KINDS,
     _canonical_key,
     _front_graph,
     _out_of_range,
@@ -58,9 +62,7 @@ from .terms import (
     identity,
     pack_layer,
     packed_layers,
-    term_from_key,
     term_from_packed,
-    unpack_layer,
     whisker,
     width_change,
 )
@@ -118,17 +120,17 @@ DEFAULT_CAPS = SearchCaps()
 class RewriteStep:
     """One rule application, replayable against its source term.
 
-    ``row`` is the ordering of the source term's slices, as layer keys
-    ``(offset, kind, m, n)``, that the step applies to, and ``pos`` a
-    position in it.  Pair steps rewrite the slices at (pos, pos + 1).
-    Expansions insert before position ``pos``; ``offset``/``block``/
-    ``index_n`` place the inserted insertion/deletion pair.  ``binding``
-    records the parameter values of the matched relation instance.
+    ``row`` is the source term with its slices in the order the step
+    applies to, and ``pos`` a position in it.  Pair steps rewrite the
+    slices at (pos, pos + 1).  Expansions insert before position ``pos``;
+    ``offset``/``block``/``index_n`` place the inserted insertion/deletion
+    pair.  ``binding`` records the parameter values of the matched
+    relation instance.
     """
 
     rule: RuleId
     direction: Direction
-    row: tuple = ()
+    row: Term
     pos: int = 0
     binding: tuple[tuple[str, int], ...] = ()
     offset: int | None = None
@@ -192,11 +194,12 @@ def _state(t: Term) -> tuple:
 # The family generator's block index absorbs the slid slice's width
 # change; everything else is fixed by the interface widths.
 
+_ETA, _EPS = GenKind.ETA, GenKind.EPS
 _RULE_OF = {
-    ("eta", "eta"): RuleId.NAT_ETA_ETA,
-    ("eta", "eps"): RuleId.NAT_ETA_EPS,
-    ("eps", "eta"): RuleId.NAT_EPS_ETA,
-    ("eps", "eps"): RuleId.NAT_EPS_EPS,
+    (_ETA, _ETA): RuleId.NAT_ETA_ETA,
+    (_ETA, _EPS): RuleId.NAT_ETA_EPS,
+    (_EPS, _ETA): RuleId.NAT_EPS_ETA,
+    (_EPS, _EPS): RuleId.NAT_EPS_EPS,
 }
 
 
@@ -204,16 +207,15 @@ def _match_pair(u: int, v: int) -> tuple:
     """All rule matches, triangles too, on the adjacent pair of packed layers (u, v).
 
     Each is ``(rule, direction, replacement, binding)``.  Searches read it
-    memoised per pair (see ``_after``), so it works on the tuple view; a
-    family generator whose ``m`` a sliding rule moves past its field raises
-    in ``pack_layer``.
+    memoised per pair (see ``_after``), so it unpacks the fields; a family
+    generator whose ``m`` a sliding rule moves past its field raises in
+    ``pack_layer``.
     """
-    a, ku, mu, nu = unpack_layer(u)
-    c, kv, mv, nv = unpack_layer(v)
-    du = 2 * nu if ku == "eta" else -2 * nu
-    dv = 2 * nv if kv == "eta" else -2 * nv
-    tgt_u = mu + 2 * nu if ku == "eta" else mu
-    src_v = mv if kv == "eta" else mv + 2 * nv
+    a, ku, mu, nu = u >> OFF_SHIFT, _KINDS[u >> KIND_SHIFT & 1], u >> M_SHIFT & M_MASK, u & N_MASK
+    c, kv, mv, nv = v >> OFF_SHIFT, _KINDS[v >> KIND_SHIFT & 1], v >> M_SHIFT & M_MASK, v & N_MASK
+    du, dv = width_change(u), width_change(v)
+    tgt_u = mu + 2 * nu if ku is _ETA else mu
+    src_v = mv if kv is _ETA else mv + 2 * nv
     found = ()
 
     if c <= a and a + tgt_u <= c + mv:
@@ -226,7 +228,7 @@ def _match_pair(u: int, v: int) -> tuple:
         repl = (v, pack_layer(a, ku, mu + dv, nu))
         found += ((_RULE_OF[ku, kv], Direction.BACKWARD, repl, binding),)
 
-    if ku == "eta" and kv == "eps" and a == c and nu == nv:
+    if ku is _ETA and kv is _EPS and a == c and nu == nv:
         if mv == mu + nu:
             found += ((RuleId.TRIANGLE_A, Direction.FORWARD, (), (("i", mu), ("n", nu))),)
         elif mv == mu - nu:
@@ -283,7 +285,7 @@ def invariant(t: Term, mode: Mode) -> tuple:
 # step is returned (``match_rules`` and witnesses), so both give the same
 # step for a result.  A step field deeper than position 0 points at the
 # step of the suffix entry it extends; its row is read off that chain and
-# decoded to layer keys only when the step is built.
+# made a ``Term`` only when the step is built.
 
 
 def _memoised(lays: tuple, build):
@@ -374,16 +376,16 @@ def _fields_entry(graph, s, fronts, memo) -> dict:
     return out
 
 
-def _pair_step(key: tuple, where: tuple) -> RewriteStep:
-    """The step of ``key`` in a ``_fields_entry`` that maps it to ``where``."""
+def _pair_step(key: tuple, where: tuple, source: int) -> RewriteStep:
+    """The step on ``source`` wires of ``key`` in a ``_fields_entry`` that maps it to ``where``."""
     head = []
     while len(where) == 3:
         a, entry, sub = where
         head.append(a)
         where = entry[sub]
     binding, a, b, u = where
-    row = tuple(head) + (a, b) + u
-    return RewriteStep(key[0], key[1], tuple(map(unpack_layer, row)), len(head), binding)
+    row = term_from_packed(source, tuple(head) + (a, b) + u)
+    return RewriteStep(key[0], key[1], row, len(head), binding)
 
 
 def _cuts(lays: tuple) -> dict:
@@ -421,9 +423,9 @@ def _expansions(state, caps: SearchCaps):
                 continue
             # the block indices below reach ``width``
             if width > M_MASK or nn > N_MASK:
-                raise _out_of_range("eta", width, nn)
+                raise _out_of_range(_ETA, width, nn)
             for a in range(0, width - nn + 1):
-                cup, cap = pack_layer(a, "eta", 0, nn), pack_layer(a, "eps", 0, nn)
+                cup, cap = pack_layer(a, _ETA, 0, nn), pack_layer(a, _EPS, 0, nn)
                 for i in range(0, width - nn - a + 1):
                     for rule, ins_blk, del_blk in (
                         (RuleId.TRIANGLE_A, i, i + nn),
@@ -436,12 +438,12 @@ def _expansions(state, caps: SearchCaps):
                         )
 
 
-def _expansion_step(fields: tuple) -> RewriteStep:
+def _expansion_step(fields: tuple, source: int) -> RewriteStep:
     rule, head, tail, i, a, block, nn = fields
     return RewriteStep(
         rule,
         Direction.BACKWARD,
-        tuple(map(unpack_layer, head + tail)),
+        term_from_packed(source, head + tail),
         len(head),
         (("i", i), ("n", nn)),
         a,
@@ -460,7 +462,7 @@ def match_rules(t: Term, mode: Mode, caps: SearchCaps = DEFAULT_CAPS) -> list[Re
     """
     state = _state(t)
     steps = [
-        _pair_step(key, where)
+        _pair_step(key, where, t.source)
         for key, where in _memoised(state[1], _fields_entry).items()
         if mode is Mode.C or key[0] not in TRIANGLE_RULES
     ]
@@ -468,7 +470,7 @@ def match_rules(t: Term, mode: Mode, caps: SearchCaps = DEFAULT_CAPS) -> list[Re
         expansions: dict = {}
         for fields, y in _expansions(state, caps):
             expansions.setdefault((fields[0], y[1]), fields)
-        steps += map(_expansion_step, expansions.values())
+        steps += (_expansion_step(fields, t.source) for fields in expansions.values())
     return steps
 
 
@@ -476,21 +478,18 @@ def apply(t: Term, step: RewriteStep) -> Term:
     """Replay ``step`` against ``t``; canonicalized result.
 
     Raises :class:`InvalidStep` when ``step.row`` is not an ordering of
-    ``t``'s slices or the step does not match it.
+    ``t``'s slices on ``t``'s source or the step does not match it.
     """
-    row = step.row
     try:
-        packed = packed_layers(term_from_key(t.source, row))
+        packed = packed_layers(step.row)
     except LayerOutOfRange as exc:
         raise InvalidStep(str(exc)) from exc
-    except (ValueError, MonocatError) as exc:
-        raise InvalidStep(f"row does not chain: {exc}") from exc
-    if _canonical_key(packed) != _canonical_key(packed_layers(t)):
+    if (step.row.source, _canonical_key(packed)) != _state(t):
         raise InvalidStep("row is not an ordering of the term's slices")
     p = step.pos
 
     if step.rule not in TRIANGLE_RULES or step.direction is Direction.FORWARD:
-        if not (0 <= p < len(row) - 1):
+        if not (0 <= p < len(packed) - 1):
             raise InvalidStep(f"position {p} out of range")
         for rule, direction, repl, _ in _match_pair(packed[p], packed[p + 1]):
             if rule is step.rule and direction is step.direction:
@@ -498,16 +497,16 @@ def apply(t: Term, step: RewriteStep) -> Term:
                 return term_from_packed(t.source, _canonical_key(new))
         raise InvalidStep(f"{step.describe()} does not match at position {p}")
 
-    if step.offset is None or step.block is None or step.index_n is None:
-        raise InvalidStep("malformed step")
-    if not (0 <= p <= len(row)):
-        raise InvalidStep(f"position {p} out of range")
     a, blk, nn = step.offset, step.block, step.index_n
+    if a is None or blk is None or nn is None:
+        raise InvalidStep("malformed step")
+    if not (0 <= p <= len(packed)):
+        raise InvalidStep(f"position {p} out of range")
     del_blk = blk + nn if step.rule is RuleId.TRIANGLE_A else blk - nn
     try:
-        new = term_from_key(
-            t.source, row[:p] + ((a, "eta", blk, nn), (a, "eps", del_blk, nn)) + row[p:]
-        )
+        # the generators check the indices before they are packed
+        pair = tuple(pack_layer(a, g.kind, g.m, g.n) for g in (eta(blk, nn), eps(del_blk, nn)))
+        new = term_from_packed(t.source, packed[:p] + pair + packed[p:])
     except (ValueError, MonocatError) as exc:
         raise InvalidStep(str(exc)) from exc
     return canonical(new)
@@ -530,30 +529,28 @@ def neighbors(t: Term, mode: Mode, caps: SearchCaps = DEFAULT_CAPS) -> list[Term
     return [term_from_packed(*y) for y in _successors(_state(t), mode, caps) if _respects(y, caps)]
 
 
-def _relaxed_caps(a, b, caps: SearchCaps) -> SearchCaps:
-    """Caps wide enough to re-derive any edge between two in-cap states."""
-    ns = [caps.max_index_n]
-    widths = [caps.max_width]
-    gens = [caps.max_gen_count]
-    for state in (a, b):
-        ns.extend(k & N_MASK for k in state[1])
-        widths.append(_peak_width(state))
-        gens.append(len(state[1]))
-    return SearchCaps(max(gens), max(widths) + 2 * max(ns), max(ns), caps.max_states)
-
-
-def _find_step(src, dst, caps: SearchCaps) -> RewriteStep:
+def _find_step(src, dst) -> RewriteStep:
     """A step turning src into dst; exists whenever dst was found adjacent.
 
     A pair step if there is one (always in mode D), the first that
-    ``match_rules`` lists with that result; else an expansion.
+    ``match_rules`` lists with that result.  Else the first triangle
+    contraction of dst giving src, reversed: its row less the contracted
+    pair, placed by the pair's insertion.
     """
+    source = src[0]
     for key, where in _memoised(src[1], _fields_entry).items():
         if key[2] == dst[1]:
-            return _pair_step(key, where)
-    for fields, result in _expansions(src, _relaxed_caps(src, dst, caps)):
-        if result == dst:
-            return _expansion_step(fields)
+            return _pair_step(key, where, source)
+    for key, where in _memoised(dst[1], _fields_entry).items():
+        # only a contraction removes slices
+        if key[2] == src[1]:
+            step = _pair_step(key, where, source)
+            p, s = step.pos, step.row.slices
+            row = Term(source, s[:p] + s[p + 2 :])
+            cup = s[p]
+            return RewriteStep(
+                key[0], Direction.BACKWARD, row, p, step.binding, cup.left, cup.gen.m, cup.gen.n
+            )
     raise AssertionError("edge of the rewrite graph could not be re-derived")
 
 
@@ -634,11 +631,11 @@ def equal(
             return None
         meets = parents_a.keys() & parents_b.keys()
         if meets:
-            return _reconstruct(min(meets), parents_a, parents_b, caps)
+            return _reconstruct(min(meets), parents_a, parents_b)
     return None
 
 
-def _reconstruct(meet, parents_a, parents_b, caps) -> EqualityWitness:
+def _reconstruct(meet, parents_a, parents_b) -> EqualityWitness:
     """Join the two search trees into one verified forward path.
 
     Edges on the b side were discovered pointing away from b, so their
@@ -646,9 +643,7 @@ def _reconstruct(meet, parents_a, parents_b, caps) -> EqualityWitness:
     the matching step always exists.
     """
     chain = _path(parents_a, meet) + _path(parents_b, meet)[::-1][1:]
-    steps = tuple(
-        _find_step(chain[k], chain[k + 1], caps) for k in range(len(chain) - 1)
-    )
+    steps = tuple(_find_step(chain[k], chain[k + 1]) for k in range(len(chain) - 1))
     return EqualityWitness(terms=tuple(term_from_packed(*k) for k in chain), steps=steps)
 
 
@@ -779,10 +774,10 @@ def _slice_choices(width: int, caps: SearchCaps):
         if width + 2 * nn <= caps.max_width:
             for mm in range(0, width + 1):
                 for off in range(0, width - mm + 1):
-                    yield pack_layer(off, "eta", mm, nn), width + 2 * nn
+                    yield pack_layer(off, _ETA, mm, nn), width + 2 * nn
         for mm in range(0, width - 2 * nn + 1):
             for off in range(0, width - mm - 2 * nn + 1):
-                yield pack_layer(off, "eps", mm, nn), width - 2 * nn
+                yield pack_layer(off, _EPS, mm, nn), width - 2 * nn
 
 
 def generate_terms(m: int, n: int, caps: SearchCaps) -> list[Term]:

@@ -100,6 +100,9 @@ class SuiteConfig:
     def __post_init__(self) -> None:
         if not self.dims or not set(self.dims) <= {1, 2, 3}:
             raise ValueError("dims must be a non-empty subset of {1, 2, 3}")
+        for name in ("obstruction_samples", "nonsquare_samples"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
 
     def functor_specs(self, d: int) -> list[FunctorSpec]:
         specs = [FunctorSpec.identity(d, self.field)]

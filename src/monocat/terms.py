@@ -45,6 +45,9 @@ class GenKind(enum.Enum):
     EPS = "eps"
 
 
+_ETA = GenKind.ETA
+
+
 class Mode(enum.Enum):
     """Which presentation a term is read in.
 
@@ -73,16 +76,16 @@ class Generator:
 
     @property
     def source(self) -> int:
-        return self.m if self.kind is GenKind.ETA else self.m + 2 * self.n
+        return self.m if self.kind is _ETA else self.m + 2 * self.n
 
     @property
     def target(self) -> int:
-        return self.m + 2 * self.n if self.kind is GenKind.ETA else self.m
+        return self.m + 2 * self.n if self.kind is _ETA else self.m
 
     @property
     def delta(self) -> int:
         """Width change: +2n for eta, -2n for eps."""
-        return self.target - self.source
+        return 2 * self.n if self.kind is _ETA else -2 * self.n
 
     def __str__(self) -> str:
         return f"{self.kind.value}({self.m},{self.n})"
@@ -199,15 +202,15 @@ def gen_count(t: Term) -> int:
 #     ((offset << 1 | kind) << 16 | m) << 8 | n      kind: eps 0, eta 1
 #
 # the right whisker being recomputed from the running width.  Int order is
-# the order of the tuples (offset, kind_value, m, n) with "eps" < "eta", so
-# least members, sorts and minima are those of the tuple view.  The offset
-# is the top field and has no bound; ``m`` and ``n`` have fixed fields, and
-# a layer past them raises ``LayerOutOfRange`` where it is packed
+# the order of the slices by (left, kind, m, n) with eps before eta, so
+# least members, sorts and minima are those of the slices.  The offset is
+# the top field and has no bound; ``m`` and ``n`` have fixed fields, and a
+# layer past them raises ``LayerOutOfRange`` where it is packed
 # (``pack_layer``, which rewriting goes through too), so no key ever wraps.
 #
-# The tuple view ``(offset, kind_value, m, n)`` is the format of
-# ``RewriteStep.row``.  ``packed_layers`` and ``term_from_packed`` convert a
-# ``Term`` to and from packed layers.
+# ``packed_layers`` and ``term_from_packed`` convert a ``Term`` to and from
+# packed layers; outside these two modules, rewrite step rows included, a
+# slice list is a ``Term``.
 #
 # Two adjacent layers commute when their active blocks are disjoint at
 # the common interface.  A zero-width block strictly inside another block
@@ -229,23 +232,18 @@ class LayerOutOfRange(MonocatError):
     """A generator index past the fields of a packed layer."""
 
 
-def _out_of_range(kind: str, m: int, n: int) -> LayerOutOfRange:
+def _out_of_range(kind: GenKind, m: int, n: int) -> LayerOutOfRange:
     return LayerOutOfRange(
-        f"{kind}({m},{n}) is outside the packed layer range: "
+        f"{kind.value}({m},{n}) is outside the packed layer range: "
         f"m must be below {1 << M_BITS} and n below {1 << N_BITS}"
     )
 
 
-def pack_layer(off: int, kind: str, m: int, n: int) -> int:
-    """The packed layer of the layer key ``(off, kind, m, n)``."""
+def pack_layer(off: int, kind: GenKind, m: int, n: int) -> int:
+    """The packed layer of ``kind(m, n)`` at offset ``off``."""
     if m > M_MASK or n > N_MASK:
         raise _out_of_range(kind, m, n)
-    return ((off << 1 | (kind == "eta")) << M_BITS | m) << N_BITS | n
-
-
-def unpack_layer(k: int) -> tuple:
-    """The layer key ``(offset, kind_value, m, n)`` of the packed layer ``k``."""
-    return (k >> OFF_SHIFT, "eta" if k & ETA_BIT else "eps", k >> M_SHIFT & M_MASK, k & N_MASK)
+    return ((off << 1 | (kind is _ETA)) << M_BITS | m) << N_BITS | n
 
 
 def width_change(k: int) -> int:
@@ -254,7 +252,7 @@ def width_change(k: int) -> int:
 
 
 def packed_layers(t: Term) -> tuple:
-    return tuple(pack_layer(s.left, s.gen.kind.value, s.gen.m, s.gen.n) for s in t.slices)
+    return tuple(pack_layer(s.left, s.gen.kind, s.gen.m, s.gen.n) for s in t.slices)
 
 
 def term_from_layers(source: int, lays: list[tuple[int, Generator]]) -> Term:
@@ -267,13 +265,6 @@ def term_from_layers(source: int, lays: list[tuple[int, Generator]]) -> Term:
         out.append(Slice(off, g, right))
         w += g.delta
     return Term(source, tuple(out))
-
-
-def term_from_key(source: int, key: tuple) -> Term:
-    """The term with layer keys ``key``; raises when they do not chain."""
-    return term_from_layers(
-        source, [(off, Generator(GenKind(kv), m, n)) for off, kv, m, n in key]
-    )
 
 
 def term_from_packed(source: int, lays: tuple) -> Term:

@@ -407,10 +407,17 @@ class FunctorSpec:
         body = tokens[1:]
         if len(body) != need:
             raise ValueError(f"{path}: expected {need} entries for d={d}, got {len(body)}")
-        rows = [
-            [field.parse(body[i * d + j]) for j in range(d)] for i in range(d)
-        ]
-        return cls(d, Mat(d, d, tuple(tuple(r) for r in rows), field))
+        entries = []
+        for k, text in enumerate(body):
+            where = f"{path}: entry ({k // d + 1},{k % d + 1}) {text!r}"
+            try:
+                entries.append(field.parse(text))
+            except ZeroDivisionError:
+                raise ValueError(f"{where} has a zero denominator") from None
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+        rows = tuple(tuple(entries[i * d : i * d + d]) for i in range(d))
+        return cls(d, Mat(d, d, rows, field))
 
 
 # no int64 intermediate of the contraction may reach this

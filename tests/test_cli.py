@@ -227,6 +227,13 @@ class TestCommands:
         path.write_text("2\n1 1\n1 1\n")
         assert main(["eval", "id(1)", "--dim", "2", "--phi", f"file:{path}"]) == 2
 
+    def test_eval_phi_file_zero_denominator(self, tmp_path, capsys):
+        path = tmp_path / "phi.txt"
+        path.write_text("2\n0 1\n1/0 0\n")
+        assert main(["eval", "eps(0,1)", "--dim", "2", "--phi", f"file:{path}"]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err == f"error: {path}: entry (2,1) '1/0' has a zero denominator"
+
     def test_explore_json(self, capsys):
         code = main(
             [

@@ -1,8 +1,9 @@
 """The packed layer form that ``terms`` and ``rewrite`` run on.
 
 A layer ``(offset, kind, m, n)`` is one int inside the engine; these tests
-hold it to the tuple view: the round trip, the order, the field limits,
-and the swap and match routines against literal tuple-level versions.
+hold it to the slices it stands for: the round trip, the order, the field
+limits, and the swap and match routines against literal versions on
+``(offset, kind_value, m, n)`` tuples.
 """
 
 import random
@@ -13,10 +14,12 @@ from hypothesis import strategies as st
 
 from monocat import (
     DEFAULT_CAPS,
+    GenKind,
     Mode,
     MonocatError,
     RuleId,
     SearchCaps,
+    Term,
     canonical,
     eps,
     equal,
@@ -35,7 +38,7 @@ from monocat.terms import (
     LayerOutOfRange,
     _swaps,
     pack_layer,
-    unpack_layer,
+    term_from_packed,
 )
 from oracles import random_term, term_order
 
@@ -50,20 +53,41 @@ layers = st.tuples(
 )
 
 
+def pack(lay) -> int:
+    """The packed layer of the tuple ``(offset, kind_value, m, n)``."""
+    off, kv, m, n = lay
+    return pack_layer(off, GenKind(kv), m, n)
+
+
+def unpack(k: int) -> tuple:
+    """The tuple ``(offset, kind_value, m, n)`` of the packed layer ``k``."""
+    kv = "eta" if k & terms.ETA_BIT else "eps"
+    return (k >> terms.OFF_SHIFT, kv, k >> terms.M_SHIFT & terms.M_MASK, k & terms.N_MASK)
+
+
+def decoded(lay, k: int) -> tuple:
+    """The packed layer ``k`` read back as a one-slice term, on the source
+    width of the tuple ``lay``, as its ``term_order`` tuple."""
+    off, kv, m, n = lay
+    source = off + (m if kv == "eta" else m + 2 * n)
+    (got,) = term_order(term_from_packed(source, (k,)))[1]
+    return got
+
+
 class TestPacking:
     @settings(max_examples=300, deadline=None, database=None)
     @given(layers, layers)
     def test_round_trip_and_order(self, u, v):
-        pu, pv = pack_layer(*u), pack_layer(*v)
-        assert unpack_layer(pu) == u and unpack_layer(pv) == v
+        pu, pv = pack(u), pack(v)
+        assert decoded(u, pu) == u and decoded(v, pv) == v
         assert (pu < pv) == (u < v) and (pu == pv) == (u == v)
 
     def test_limits(self):
         top = (7, "eta", M_LIMIT - 1, N_LIMIT - 1)
-        assert unpack_layer(pack_layer(*top)) == top
+        assert decoded(top, pack(top)) == top
         for past in ((0, "eta", M_LIMIT, 1), (0, "eps", 0, N_LIMIT)):
             with pytest.raises(LayerOutOfRange, match=f"below {M_LIMIT} and n below {N_LIMIT}"):
-                pack_layer(*past)
+                pack(past)
 
     def test_term_at_the_limit(self):
         t = whisker(0, eps(M_LIMIT - 1, 1), 0)
@@ -82,7 +106,7 @@ class TestPacking:
         # sliding eps(0,1) under eta(m,1) raises that eta's m by 2
         t = tensor(gen_term(eps(0, 1)), gen_term(eta(M_LIMIT - 3, 1)))
         (step,) = match_rules(t, Mode.D)
-        assert step.rule is RuleId.NAT_ETA_EPS and step.row[1] == (0, "eta", M_LIMIT - 3, 1)
+        assert step.rule is RuleId.NAT_ETA_EPS and step.row.slices[1].gen == eta(M_LIMIT - 3, 1)
         t = tensor(gen_term(eps(0, 1)), gen_term(eta(M_LIMIT - 2, 1)))
         assert canonical(t) == t
         with pytest.raises(LayerOutOfRange, match=str(M_LIMIT)):
@@ -143,11 +167,11 @@ def match_pair_tuple(u, v):
 
 
 def check_pair(u, v):
-    pu, pv = pack_layer(*u), pack_layer(*v)
-    got = [tuple(map(unpack_layer, sw)) for sw in _swaps(pu, pv)]
+    pu, pv = pack(u), pack(v)
+    got = [tuple(map(unpack, sw)) for sw in _swaps(pu, pv)]
     assert got == swaps_tuple(u, v), (u, v)
     got = [
-        (rule, direction, tuple(map(unpack_layer, repl)), binding)
+        (rule, direction, tuple(map(unpack, repl)), binding)
         for rule, direction, repl, binding in _match_pair(pu, pv)
     ]
     assert got == match_pair_tuple(u, v), (u, v)
@@ -180,31 +204,24 @@ class TestAgainstTupleLevel:
         assert count > 1000
 
 
-def is_row(row) -> bool:
-    return isinstance(row, tuple) and all(
-        isinstance(lay, tuple)
-        and len(lay) == 4
-        and isinstance(lay[0], int)
-        and lay[1] in ("eta", "eps")
-        and isinstance(lay[2], int)
-        and isinstance(lay[3], int)
-        for lay in row
-    )
+def is_row_of(row, t) -> bool:
+    """``row`` is a non-empty ``Term`` in the interchange class of ``t``."""
+    return isinstance(row, Term) and bool(row.slices) and canonical(row) == canonical(t)
 
 
 class TestStepRows:
-    def test_match_rules_rows_are_layer_keys(self):
+    def test_match_rules_rows_are_terms(self):
         sliding = next(r for r in rule_instances() if r[0] is RuleId.NAT_EPS_ETA)
         triangle = next(r for r in rule_instances() if r[0] is RuleId.TRIANGLE_B)
         t = tensor(sliding[2], triangle[2])
         for mode in (Mode.C, Mode.D):
             steps = match_rules(t, mode, DEFAULT_CAPS)
-            assert steps and all(is_row(s.row) and s.row for s in steps)
+            assert steps and all(is_row_of(s.row, t) for s in steps)
         kinds = {(s.rule, s.direction) for s in match_rules(t, Mode.C, DEFAULT_CAPS)}
         want = {(RuleId.TRIANGLE_B, Direction.FORWARD), (RuleId.TRIANGLE_A, Direction.BACKWARD)}
         assert want <= kinds
 
-    def test_witness_rows_are_layer_keys(self):
+    def test_witness_rows_are_terms(self):
         sliding = next(r for r in rule_instances() if r[0] is RuleId.NAT_ETA_EPS)
         triangle = next(r for r in rule_instances() if r[0] is RuleId.TRIANGLE_A)
         cup = gen_term(eta(0, 1))
@@ -216,4 +233,4 @@ class TestStepRows:
         for a, b, mode in pairs:
             w = equal(a, b, mode, SearchCaps(5, 8, 2, 2000))
             assert w is not None and len(w) >= 1
-            assert all(is_row(s.row) and s.row for s in w.steps)
+            assert all(is_row_of(s.row, x) for x, s in zip(w.terms, w.steps))

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -34,12 +35,13 @@ from monocat import (
     rule_instance,
     rule_instances,
     rewrite,
+    tensor,
     terms,
     whisker,
 )
 from monocat.cli import parse_expr
 from monocat.rewrite import NATURALITY_RULES, TRIANGLE_RULES, generate_terms
-from monocat.terms import term_from_layers
+from monocat.terms import packed_layers, term_from_layers
 from oracles import (
     hom_classes_by_search,
     neighbors_oracle,
@@ -164,7 +166,7 @@ class TestApply:
         step = RewriteStep(
             RuleId.TRIANGLE_A,
             Direction.BACKWARD,
-            row=(),
+            row=identity(1),
             offset=0,
             block=block,
             index_n=index_n,
@@ -172,16 +174,38 @@ class TestApply:
         with pytest.raises(InvalidStep):
             apply(identity(1), step)
 
-    def test_row_that_does_not_chain_rejected(self):
+    def test_row_with_another_source_rejected(self):
+        # a wire more on the right leaves every slice's offset, and so the
+        # packed layers, as they were
         t = triangle_composite_a()
         step = next(s for s in match_rules(t, Mode.C, SMALL) if s.rule is RuleId.TRIANGLE_A)
-        with pytest.raises(InvalidStep, match="does not chain"):
-            apply(t, RewriteStep(step.rule, step.direction, step.row[::-1], step.pos))
+        row = tensor(step.row, identity(1))
+        assert packed_layers(row) == packed_layers(step.row)
+        with pytest.raises(InvalidStep, match="not an ordering"):
+            apply(t, dataclasses.replace(step, row=row))
 
     def test_row_past_the_packed_range_rejected(self):
-        step = RewriteStep(RuleId.NAT_ETA_ETA, Direction.FORWARD, ((0, "eta", 70000, 1),), 0)
+        step = RewriteStep(RuleId.NAT_ETA_ETA, Direction.FORWARD, gen_term(eta(70000, 1)), 0)
         with pytest.raises(InvalidStep, match="outside the packed layer range"):
             apply(identity(70000), step)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"offset": -1}, "negative whisker"),
+            ({"offset": 2}, "does not fit in width"),
+            ({"block": 1 << terms.M_BITS}, "outside the packed layer range"),
+            ({"row": identity(3)}, "not an ordering"),
+        ],
+        ids=["negative-offset", "offset-past-width", "block-past-field", "other-source"],
+    )
+    def test_bad_expansion_rejected(self, change, message):
+        (step,) = [
+            s for s in match_rules(identity(1), Mode.C, SMALL)
+            if s.rule is RuleId.TRIANGLE_A and apply(identity(1), s) == triangle_composite_a()
+        ]
+        with pytest.raises(InvalidStep, match=message):
+            apply(identity(1), dataclasses.replace(step, **change))
 
     def test_widths_preserved(self):
         rng = random.Random(20)
@@ -299,6 +323,30 @@ class TestStepFields:
                 if step.rule not in TRIANGLE_RULES or step.direction is Direction.FORWARD:
                     # a pair step: the first one match_rules lists for y
                     assert step == next(s for s in match_rules(x, mode, caps) if apply(x, s) == y)
+                else:
+                    assert_listed_expansion(x, step, y)
+
+    def test_expansions_past_the_caps(self):
+        # the far side starts with four generators, past max_gen_count, so
+        # the last step expands into a term the caps do not admit
+        a = triangle_composite_a()
+        w = equal(identity(1), compose(a, a), Mode.C, SearchCaps(2, 3, 1, 1000))
+        assert [s.describe() for s in w.steps] == ["TriangleA-(i=0,n=1)"] * 2
+        for x, step, y in zip(w.terms, w.steps, w.terms[1:]):
+            assert apply(x, step) == y
+            assert_listed_expansion(x, step, y)
+
+
+def assert_listed_expansion(x, step, y):
+    """``step``, an expansion of ``x`` into ``y``, is in rule, binding and
+    result a step that ``match_rules`` lists on ``x`` at caps that admit ``y``."""
+    caps = SearchCaps(gen_count(y), max(y.widths()), max(s.gen.n for s in y.slices))
+    listed = {
+        (s.rule, s.binding, apply(x, s))
+        for s in match_rules(x, Mode.C, caps)
+        if s.direction is Direction.BACKWARD
+    }
+    assert (step.rule, step.binding, y) in listed
 
 
 class TestGenCountParity:

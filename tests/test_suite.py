@@ -224,6 +224,8 @@ class TestSuiteConfig:
             ({"obstruction_samples": True}, "obstruction_samples must be an integer"),
             ({"field": "p:abc"}, "unknown field spec 'p:abc' (use q, p, or p:PRIME)"),
             ([], "suite config must be an object, got []"),
+            ({"obstruction_samples": -5}, "obstruction_samples must be >= 0"),
+            ({"nonsquare_samples": -1}, "nonsquare_samples must be >= 0"),
         ],
     )
     def test_malformed_config_rejected(self, data, message):

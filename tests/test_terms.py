@@ -26,9 +26,14 @@ from monocat import (
 )
 from monocat.rewrite import generate_terms
 from monocat.suite import SuiteConfig
-from monocat.terms import term_from_key, term_from_layers, upside_down
+from monocat.terms import term_from_layers, upside_down
 from monocat.vect import has_leading_deletion, has_trailing_insertion
 from oracles import class_representatives, random_term, shuffled, slice_options
+
+
+def term_of_keys(source: int, keys) -> Term:
+    """The term whose slices are the layer keys ``(offset, kind_value, m, n)``."""
+    return term_from_layers(source, [(off, generator(GenKind(kv), m, n)) for off, kv, m, n in keys])
 
 
 class TestGenerator:
@@ -252,9 +257,9 @@ class TestCanonicalAgainstRepresentatives:
         # the nested pair; only one route leads to the least member, so
         # bubbling the least slice to the front along the first route found
         # gets this wrong
-        t = term_from_key(0, ((0, "eta", 0, 2), (1, "eps", 1, 1), (0, "eta", 0, 1), (2, "eps", 0, 1)))
+        t = term_of_keys(0, ((0, "eta", 0, 2), (1, "eps", 1, 1), (0, "eta", 0, 1), (2, "eps", 0, 1)))
         least = ((0, "eta", 0, 1), (0, "eta", 0, 2), (1, "eps", 1, 1), (0, "eps", 0, 1))
-        assert canonical(t) == term_from_key(0, least)
+        assert canonical(t) == term_of_keys(0, least)
         assert class_representatives(t)[0] == canonical(t)
 
 
