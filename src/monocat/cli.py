@@ -77,6 +77,11 @@ def _tokenize(text: str) -> list:
     return out
 
 
+def _shown(kind: str, value) -> str:
+    """A token in a parse error: its value, or the end of input."""
+    return "end of input" if kind == "eof" else repr(value)
+
+
 def parse_expr(text: str) -> Term:
     """Parse the expression grammar into a term.
 
@@ -90,7 +95,7 @@ def parse_expr(text: str) -> Term:
         nonlocal idx
         tok = tokens[idx]
         if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
+            raise ParseError(f"expected {_shown(kind, kind)}, found {_shown(*tok[:2])}", tok[2])
         idx += 1
         return tok[1]
 
@@ -115,7 +120,7 @@ def parse_expr(text: str) -> Term:
             take(")")
             g = eta(m, n) if value == "eta" else eps(m, n)
             return g.source, g.target, [(0, g)]
-        raise ParseError(f"expected an atom, found {value!r}", at)
+        raise ParseError(f"expected an atom, found {_shown(kind, value)}", at)
 
     def parse_tensor():
         nonlocal idx

@@ -687,61 +687,59 @@ def explore(
 # The sliding rules, which are the whole of mode D, keep the generator
 # count and the (kind, n) multiset, so the sliding class of a term is
 # finite.  Mode C adds the triangles, read as contractions: each removes
-# two generators, so contracting until no member of the sliding class
-# admits one terminates.  This is rewriting modulo an equivalence (Huet,
-# JACM 27(4), 1980); the normal form is the least member of the class
-# reached.  Classes are unique only if contraction is confluent modulo
-# sliding, which is checked on enumerated hom-sets, not proved.
+# two generators, so contracting terminates.  This is rewriting modulo an
+# equivalence (Huet, JACM 27(4), 1980): walk the class depth first,
+# contract at the first triangle met, and take the least member of a
+# class with none.  Forms are unique only if contraction is confluent
+# modulo sliding, which is checked on enumerated hom-sets, not proved.
 
 
-def _sliding_class(state, limit: int) -> set:
-    """Closure of ``state`` under the sliding rules (mode-D pair results)."""
+def _sliding_class(state, limit: int):
+    """The members of the sliding class of ``state``, depth first."""
     seen = {state}
     stack = [state]
     while stack:
-        source, lays = stack.pop()
-        for r in _pair_results(lays)[0]:
-            y = (source, r)
+        x = stack.pop()
+        yield x
+        for r in _pair_results(x[1])[0]:
+            y = (x[0], r)
             if y not in seen:
                 if len(seen) >= limit:
                     raise MonocatError(f"sliding class exceeds the max_states limit of {limit}")
                 seen.add(y)
                 stack.append(y)
-    return seen
 
 
 def _normal_form(state, mode: Mode, limit: int):
     """Packed-key normal form; see :func:`normal_form`.
 
-    Contracts the least triangle result of the least member that has one,
-    so the route depends on the class alone.  Forms are memoised per
-    ``(mode, limit)`` in the memo of ``terms`` current when they are found
-    (closing a large class may replace it).
+    In mode C the least triangle result of the first member met that has
+    one starts the next walk.  A class with none, and in mode D every
+    class, is walked in full, and its least member is the form.  ``limit``
+    bounds each walk; the route depends on the start member.
     """
-    key = (_normal_form, mode, limit)
-    form = _front_graph().table(key).get(state)
-    if form is None:
-        members = sorted(_sliding_class(state, limit))
-        form = members[0]
-        if mode is Mode.C:
-            for x in members:
-                found = _pair_results(x[1])[1]
-                if found:
-                    form = _normal_form((x[0], min(found)), mode, limit)
-                    break
-        _front_graph().table(key)[state] = form
-    return form
+    while True:
+        form = state
+        for x in _sliding_class(state, limit):
+            form = min(form, x)
+            tri = mode is Mode.C and _pair_results(x[1])[1]
+            if tri:
+                state = (x[0], min(tri))
+                break
+        else:
+            return form
 
 
 def normal_form(t: Term, mode: Mode, caps: SearchCaps = DEFAULT_CAPS) -> Term:
     """The canonical member of ``t``'s class after all triangle contractions.
 
-    In mode D this is the least term of the sliding class, so two terms
-    are equal iff their normal forms are.  In mode C triangles are
-    contracted first; terms with the same normal form are equal, and
-    different normal forms mean different classes as long as contraction
-    is confluent modulo sliding.  Raises :class:`MonocatError` when a
-    sliding class has more than ``caps.max_states`` members.
+    Mode D gives the least term of the sliding class, so two terms are
+    equal iff their normal forms are.  Mode C contracts at the first
+    triangle met on each depth-first walk of the sliding class; terms with
+    the same normal form are equal.  The route depends on the start, so
+    different forms mean different classes only as long as contraction is
+    confluent modulo sliding.  Raises :class:`MonocatError` when one walk
+    meets more than ``caps.max_states`` members.
     """
     return term_from_packed(*_normal_form(_state(t), mode, caps.max_states))
 
@@ -818,9 +816,9 @@ def enum_hom_detailed(
 
     Every term ``generate_terms(m, n, caps)`` lists joins the class of its
     normal form (see :func:`normal_form`).  Only ``max_states`` of
-    ``merge_caps`` (default ``caps``) is read: it caps each sliding
-    class.  ``unresolved`` pairs up the representatives that exact matrix
-    images under two functor configurations do not separate.
+    ``merge_caps`` (default ``caps``) is read: it bounds each walk of a
+    sliding class.  ``unresolved`` pairs up the representatives that exact
+    matrix images under two functor configurations do not separate.
     """
     limit = (merge_caps if merge_caps is not None else caps).max_states
     raw = generate_terms(m, n, caps)

@@ -329,9 +329,9 @@ class _FrontGraph:
     maps each least key of two or more layers to its fronts, sorted.  Both
     are filled together, when a class is closed.  ``entries`` holds the
     ``_swaps`` of each layer pair met (under the key ``_swaps``, per first
-    layer), and rewrite's pair matches, pair results, step fields and cuts
-    per least key, and its normal forms per state.  ``_WORK_CAP`` bounds
-    the swap tests one call makes, or one request after ``restart``.
+    layer), and rewrite's pair matches, and its pair results, step fields
+    and cuts per least key.  ``_WORK_CAP`` bounds the swap tests one call
+    makes, or one request after ``restart``.
     """
 
     __slots__ = ("_fronts", "_least", "entries", "_swapped", "_work")
@@ -446,7 +446,7 @@ class _FrontGraph:
         self._fronts.setdefault(hit, tuple(nodes))
 
 
-# the memo all canonicalisations, rule matches and normal forms share, as
+# the memo all canonicalisations and rule matches share, as
 # (fronts, least, entries); replaced by an empty one once it holds
 # _MEMO_CAP pairs (a call in progress keeps its own).  Every rewrite result
 # is closed in it, so a replacement mid-search makes the search close its

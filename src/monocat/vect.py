@@ -402,7 +402,12 @@ class FunctorSpec:
         tokens = Path(path).read_text().split()
         if not tokens:
             raise ValueError(f"{path}: empty pairing matrix file")
-        d = int(tokens[0])
+        try:
+            d = int(tokens[0])
+        except ValueError:
+            d = 0
+        if d < 1:
+            raise ValueError(f"{path}: dimension {tokens[0]!r} must be a positive integer")
         need = d * d
         body = tokens[1:]
         if len(body) != need:

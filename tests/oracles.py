@@ -137,6 +137,7 @@ def class_representatives(t: Term, cap: int = 50_000) -> list[Term]:
     return [seen[k] for k in sorted(seen)]
 
 
+@lru_cache(maxsize=None)
 def _whiskered(instance: Term, a: int, b: int) -> Term:
     return tensor(tensor(identity(a), instance), identity(b))
 
@@ -176,6 +177,35 @@ def neighbors_oracle(t: Term, mode: Mode, caps: SearchCaps) -> list[Term]:
     """One-step rewrites by literal substitution inside every representative."""
     results = {term_order(c): c for (_, _, c) in steps_oracle(t, mode, caps)}
     return [results[k] for k in sorted(results)]
+
+
+# every member of a class closes the same class again
+_neighbours = lru_cache(maxsize=None)(neighbors_oracle)
+
+
+def normal_form_by_closure(t: Term, mode: Mode, caps: SearchCaps) -> Term:
+    """A normal form by closing whole sliding classes of oracle neighbours.
+
+    Closes the class of ``t`` under mode-D neighbours.  In mode C, the
+    least member with a contraction (a mode-C neighbour with fewer
+    generators) is replaced by its least contraction, and the class of
+    that is closed in turn.  Returns the least member of the last class.
+    ``caps`` must be wide enough for every member of every class met.
+    """
+    while True:
+        members = [canonical(t)]
+        for x in members:
+            members += [u for u in _neighbours(x, Mode.D, caps) if u not in members]
+        members.sort(key=term_order)
+        if mode is Mode.D:
+            return members[0]
+        for x in members:
+            fewer = [u for u in _neighbours(x, Mode.C, caps) if gen_count(u) < gen_count(x)]
+            if fewer:
+                t = min(fewer, key=term_order)
+                break
+        else:
+            return members[0]
 
 
 def steps_oracle(t: Term, mode: Mode, caps: SearchCaps) -> set:

@@ -38,6 +38,19 @@ class TestParseExpr:
             parse_expr("eta(0,1) @ id(2)")
         assert err.value.position == 9
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "expected an atom, found end of input (at position 0)"),
+            ("eta(0,1", "expected ')', found end of input (at position 7)"),
+            ("id(1) ;", "expected an atom, found end of input (at position 7)"),
+            ("id(1) )", "expected end of input, found ')' (at position 6)"),
+        ],
+    )
+    def test_end_of_input_named(self, capsys, text, message):
+        assert main(["parse", text]) == 2
+        assert capsys.readouterr().err.strip() == f"error: {message}"
+
     def test_nested_parens(self):
         t = parse_expr("((eta(0,1))) ; ((id(2)) * (id(0)))")
         assert t.target == 2
@@ -233,6 +246,14 @@ class TestCommands:
         assert main(["eval", "eps(0,1)", "--dim", "2", "--phi", f"file:{path}"]) == 2
         err = capsys.readouterr().err.strip()
         assert err == f"error: {path}: entry (2,1) '1/0' has a zero denominator"
+
+    @pytest.mark.parametrize("dim", ["2.5", "x", "-1", "0"])
+    def test_eval_phi_file_bad_dimension(self, tmp_path, capsys, dim):
+        path = tmp_path / "phi.txt"
+        path.write_text(f"{dim}\n1\n")
+        assert main(["eval", "id(1)", "--dim", "2", "--phi", f"file:{path}"]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err == f"error: {path}: dimension {dim!r} must be a positive integer"
 
     def test_explore_json(self, capsys):
         code = main(

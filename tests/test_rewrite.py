@@ -45,6 +45,7 @@ from monocat.terms import packed_layers, term_from_layers
 from oracles import (
     hom_classes_by_search,
     neighbors_oracle,
+    normal_form_by_closure,
     random_term,
     slice_options,
     snake,
@@ -541,35 +542,20 @@ class TestMemoDrops:
         assert len(drops) > 50
         assert got == want
 
-    @staticmethod
-    def closings(monkeypatch) -> list:
-        """The states whose sliding class is closed from now on."""
-        seen = []
-        close = rewrite._sliding_class
-
-        def counting(state, limit):
-            seen.append(state)
-            return close(state, limit)
-
-        monkeypatch.setattr(rewrite, "_sliding_class", counting)
-        return seen
-
     def test_normal_forms_drop_with_the_memo(self, fresh_memo, monkeypatch):
-        closings = self.closings(monkeypatch)
         want = normal_form(snake(), Mode.C)
-        assert normal_form(snake(), Mode.C) == want and len(closings) == 1
+        assert normal_form(snake(), Mode.C) == want
         monkeypatch.setattr(terms, "_memo", ({}, {}, {}))
-        assert normal_form(snake(), Mode.C) == want and len(closings) == 2
+        assert normal_form(snake(), Mode.C) == want
 
     def test_normal_form_found_across_a_drop_is_kept(self, fresh_memo, monkeypatch):
-        # closing END's class replaces a memo of 40 pairs; the form is kept
-        # in the memo that replaced it
-        closings = self.closings(monkeypatch)
+        # walking END's class replaces a memo of 40 pairs; the form found
+        # across the replacement is found again
         monkeypatch.setattr(terms, "_MEMO_CAP", 40)
         first = terms._memo
         want = normal_form(self.END, Mode.D)
         assert terms._memo is not first
-        assert normal_form(self.END, Mode.D) == want and len(closings) == 1
+        assert normal_form(self.END, Mode.D) == want
 
 
 class TestEnumHom:
@@ -646,6 +632,37 @@ class TestNormalForm:
         lhs, _ = rule_instance(RuleId.NAT_ETA_ETA, 0, 0, 1, 0, 1)
         with pytest.raises(MonocatError, match="max_states limit of 1"):
             normal_form(lhs, Mode.D, SearchCaps(max_states=1))
+
+    def test_contracts_at_the_first_triangle_met(self, fresh_memo, monkeypatch):
+        # four TriangleA composites composed: the sliding class of this
+        # 8-slice term has 11,726 members, and closing it is not needed
+        tri = triangle_composite_a()
+        t = compose(compose(tri, tri), compose(tri, tri))
+        caps = SearchCaps(max_states=20)
+        with pytest.raises(MonocatError, match="max_states limit of 20"):
+            normal_form(t, Mode.D, caps)
+        walked = []
+        walk = rewrite._sliding_class
+
+        def counting(state, limit):
+            for x in walk(state, limit):
+                walked.append(x)
+                yield x
+
+        monkeypatch.setattr(rewrite, "_sliding_class", counting)
+        assert normal_form(t, Mode.C, caps) == identity(1)
+        assert len(walked) < 50
+
+    @pytest.mark.parametrize("m, n, gens", [(1, 1, 4), (2, 2, 3), (2, 0, 4)])
+    def test_matches_closing_oracle(self, m, n, gens):
+        # a member of a class has the term's generators: at most two cups
+        # on one wire or one on two, so none is wider than 5 wires.  The
+        # oracle closes each class and contracts its least member, so the
+        # two agree by confluence modulo sliding
+        caps = SearchCaps(gens, 5, 1)
+        for t in generate_terms(m, n, caps):
+            for mode in (Mode.C, Mode.D):
+                assert normal_form(t, mode, caps) == normal_form_by_closure(t, mode, caps), (t, mode)
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(small_terms())
