@@ -11,9 +11,10 @@ Expression grammar (whitespace-insensitive)::
 function-style composition.
 
 Exit codes: 0 success (or Equal), 10 equality unknown, 1 failed suite
-check, 2 usage, parse, or shape errors.  MONOCAT_MAX_STATES overrides the
-default search state budget (a value below 1, or not an integer, is a
-usage error); explicit flags win over the environment.
+check, 2 usage, parse, or shape errors, 141 stdout closed by its reader
+(as by ``| head``; nothing is printed to stderr).  MONOCAT_MAX_STATES
+overrides the default search state budget (a value below 1, or not an
+integer, is a usage error); explicit flags win over the environment.
 ``eq --json`` gives an unknown answer a ``reason``: ``invariant`` when
 the two terms' rewrite invariants differ (no rewrite path exists),
 ``search`` when the capped search ran out.
@@ -30,9 +31,9 @@ import sys
 from .rewrite import (
     DEFAULT_CAPS,
     SearchCaps,
-    enum_hom_detailed,
     equal,
     explore,
+    hom_classes,
     invariant,
 )
 from .suite import SuiteConfig, run_all
@@ -49,6 +50,10 @@ from .terms import (
     term_from_layers,
 )
 from .vect import FunctorSpec, eval_term, field_of
+
+
+# the status of a process killed by SIGPIPE in POSIX shells (128 + 13)
+EXIT_BROKEN_PIPE = 141
 
 
 class ParseError(MonocatError):
@@ -95,7 +100,8 @@ def parse_expr(text: str) -> Term:
         nonlocal idx
         tok = tokens[idx]
         if tok[0] != kind:
-            raise ParseError(f"expected {_shown(kind, kind)}, found {_shown(*tok[:2])}", tok[2])
+            wanted = "a natural number" if kind == "nat" else _shown(kind, kind)
+            raise ParseError(f"expected {wanted}, found {_shown(*tok[:2])}", tok[2])
         idx += 1
         return tok[1]
 
@@ -305,7 +311,7 @@ def _cmd_explore(args) -> int:
 
 def _cmd_homset(args) -> int:
     caps = _caps_of(args)
-    reps = enum_hom_detailed(args.m, args.n, Mode[args.mode], caps).representatives
+    reps = [cls[0] for cls in hom_classes(args.m, args.n, Mode[args.mode], caps)]
     if args.json:
         print(json.dumps({"classes": [render(t) for t in reps]}, indent=2))
     else:
@@ -408,7 +414,19 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader of stdout is gone (as after ``| head``): stop without an
+        # error, and point stdout at devnull so the flush at exit cannot fail
+        try:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        except (OSError, ValueError):  # a stdout with no descriptor has nothing left to flush
+            pass
+        return EXIT_BROKEN_PIPE
     except (MonocatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -57,7 +57,6 @@ from .terms import (
     compose,
     eps,
     eta,
-    gen_count,
     gen_term,
     identity,
     pack_layer,
@@ -778,31 +777,76 @@ def _slice_choices(width: int, caps: SearchCaps):
                 yield pack_layer(off, _EPS, mm, nn), width - 2 * nn
 
 
-def generate_terms(m: int, n: int, caps: SearchCaps) -> list[Term]:
-    """All canonical terms m -> n within caps (distinct canonical forms)."""
-    out = set()
+def _hom_keys(m: int, n: int, caps: SearchCaps) -> set:
+    """The least keys of the terms m -> n within caps.
+
+    Built from the target backwards, one class per key: level ``k`` holds
+    the least keys of the terms of ``k`` slices that end at width ``n``,
+    by the width they start from.  Every word within caps is a layer
+    followed by a word within caps, and the class of ``lay`` followed by
+    ``w`` depends only on the class of ``w``, so level ``k + 1`` is the
+    ``lead`` of each layer ending at the source of a key of level ``k``.
+    A width from which ``m`` is out of reach in the slices left is pruned,
+    and layers are listed only on widths within reach of ``m``.  The memo
+    is fetched per ``lead``, so its cap holds during a long run.
+    """
+    if m > caps.max_width or n > caps.max_width:
+        return set()
     step = 2 * caps.max_index_n
+    reach = step * caps.max_gen_count
+    ending_at: dict = {}  # width -> the (source width, layer) pairs that end there
+    for w in range(max(m - reach, 0), min(m + reach, caps.max_width) + 1):
+        for lay, after in _slice_choices(w, caps):
+            ending_at.setdefault(after, []).append((w, lay))
+    level = {n: {()}}
+    out = {()} if m == n else set()
+    for left in range(caps.max_gen_count - 1, -1, -1):
+        grown: dict = {}
+        for after, keys in level.items():
+            for w, lay in ending_at.get(after, ()):
+                if abs(w - m) <= step * left:
+                    into = grown.setdefault(w, set())
+                    for key in keys:
+                        into.add(_front_graph().lead(lay, key))
+        level = grown
+        out |= level.get(m, set())
+    return out
 
-    def rec(lays: list, width: int) -> None:
-        if width == n:
-            out.add(_canonical_key(tuple(lays)))
-        remaining = caps.max_gen_count - len(lays)
-        if remaining <= 0 or abs(width - n) > step * remaining:
-            return
-        for lay, after in _slice_choices(width, caps):
-            if abs(after - n) > step * (remaining - 1):
-                continue
-            lays.append(lay)
-            rec(lays, after)
-            lays.pop()
 
-    if m <= caps.max_width:
-        rec([], m)
-    return [term_from_packed(m, k) for k in sorted(out)]
+def generate_terms(m: int, n: int, caps: SearchCaps) -> list[Term]:
+    """All canonical terms m -> n within caps (distinct canonical forms).
+
+    One term per interchange class that has a member within caps, sorted
+    by packed layers; see :func:`_hom_keys`.
+    """
+    return [term_from_packed(m, k) for k in sorted(_hom_keys(m, n, caps))]
 
 
 # built once, so their cup/cap cores are cached across hom shapes
 _BUCKET_SPECS = (vect.FunctorSpec.identity(2), vect.FunctorSpec.random(2, seed=11))
+
+
+def hom_classes(
+    m: int,
+    n: int,
+    mode: Mode,
+    caps: SearchCaps = DEFAULT_CAPS,
+    merge_caps: SearchCaps | None = None,
+) -> tuple[tuple[Term, ...], ...]:
+    """The enumerated hom classes m -> n, one per normal form.
+
+    Every term ``generate_terms(m, n, caps)`` lists joins the class of its
+    normal form (see :func:`normal_form`).  Members come by generator
+    count, then packed layers, and classes in the order of their first
+    members.  Only ``max_states`` of ``merge_caps`` (default ``caps``) is
+    read: it bounds each walk of a sliding class.
+    """
+    limit = (merge_caps if merge_caps is not None else caps).max_states
+    by_form: dict = {}
+    for key in sorted(_hom_keys(m, n, caps), key=lambda k: (len(k), k)):
+        member = term_from_packed(m, key)
+        by_form.setdefault(_normal_form((m, key), mode, limit), []).append(member)
+    return tuple(tuple(cls) for cls in by_form.values())
 
 
 def enum_hom_detailed(
@@ -814,32 +858,28 @@ def enum_hom_detailed(
 ) -> HomEnumeration:
     """Enumerate hom classes by normal form; see :class:`HomEnumeration`.
 
-    Every term ``generate_terms(m, n, caps)`` lists joins the class of its
-    normal form (see :func:`normal_form`).  Only ``max_states`` of
-    ``merge_caps`` (default ``caps``) is read: it bounds each walk of a
-    sliding class.  ``unresolved`` pairs up the representatives that exact
-    matrix images under two functor configurations do not separate.
+    The classes are :func:`hom_classes`.  ``unresolved`` pairs up the
+    representatives that exact matrix images under two functor
+    configurations do not separate: each configuration contracts all
+    representatives in one batch (:func:`vect.image_keys`), and buckets
+    come in the order of the ``repr`` of their first representative's
+    images.
     """
-    limit = (merge_caps if merge_caps is not None else caps).max_states
-    raw = generate_terms(m, n, caps)
-    raw.sort(key=lambda t: (gen_count(t), packed_layers(t)))
-    by_form: dict = {}
-    for t in raw:
-        by_form.setdefault(_normal_form(_state(t), mode, limit), []).append(t)
-    classes = list(by_form.values())  # in the order of their first members
-
+    classes = hom_classes(m, n, mode, caps, merge_caps)
+    reps = [cls[0] for cls in classes]
     buckets: dict = {}
-    for cls in classes:
-        image = tuple(vect.eval_term(s, cls[0]).entries for s in _BUCKET_SPECS)
-        buckets.setdefault(image, []).append(cls[0])
+    if reps:
+        images = zip(*(vect.image_keys(spec, reps) for spec in _BUCKET_SPECS))
+        for rep, image in zip(reps, images):
+            buckets.setdefault(image, []).append(rep)
+
+    def first_image(bucket: list) -> str:
+        return repr(tuple(vect.eval_term(s, bucket[0]).entries for s in _BUCKET_SPECS))
+
     unresolved = []
-    for sig in sorted(buckets, key=repr):
-        reps = buckets[sig]
-        unresolved.extend((reps[i], reps[j]) for j in range(len(reps)) for i in range(j))
-    return HomEnumeration(
-        classes=tuple(tuple(cls) for cls in classes),
-        unresolved=tuple(unresolved),
-    )
+    for bucket in sorted(buckets.values(), key=first_image):
+        unresolved.extend((bucket[i], bucket[j]) for j in range(len(bucket)) for i in range(j))
+    return HomEnumeration(classes=classes, unresolved=tuple(unresolved))
 
 
 # -- literal relation instances ----------------------------------------------

@@ -31,6 +31,7 @@ from .rewrite import (
     enum_hom_detailed,
     equal,
     explore,
+    hom_classes,
     normal_form,
     rule_instance,
     rule_instances,
@@ -482,8 +483,7 @@ def check_automorphism_evidence(cfg: SuiteConfig) -> CheckResult:
     details = {}
     stray = []
     for w in (1, 2):
-        enumeration = enum_hom_detailed(w, w, Mode.C, cfg.hom_caps, cfg.hom_merge_caps)
-        reps = [cls[0] for cls in enumeration.classes]
+        reps = [cls[0] for cls in hom_classes(w, w, Mode.C, cfg.hom_caps, cfg.hom_merge_caps)]
         one = identity(w)
         witnessed = [
             t

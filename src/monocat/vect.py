@@ -646,6 +646,22 @@ def _eval_arrays(
     return lo, hi, images
 
 
+def image_keys(spec: FunctorSpec, terms) -> list:
+    """One hashable key per term of ``terms``, equal exactly when the images are.
+
+    The terms must share source and target.  They are contracted in one
+    batch, which strips the same outer wires from all of them and uses one
+    scalar representation, so the inner images compare entry by entry: a
+    key is the bytes of an int64 image, or the tuple of a field-element
+    image's entries.  The first term wider than :func:`eval_term`'s
+    default guard allows raises :class:`TooLarge`.
+    """
+    _, _, images = _eval_arrays(spec, tuple(terms), MAX_DIM_DEFAULT)
+    if images[0].dtype == object:
+        return [tuple(a.flat) for a in images]
+    return [a.tobytes() for a in images]
+
+
 def _growth(term_keys: list, cores: dict) -> int:
     """Bound on the entries of a term's state over the rationals.
 

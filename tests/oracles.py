@@ -4,8 +4,8 @@ Everything here recomputes engine results by a different method:
 evaluation by dense padded slice matrices, with cups and caps nested by
 literal recursion; neighbour enumeration by exhausting interchange
 representatives and literally substituting whiskered relation
-instances; hom classes by bounded pairwise search.  Keep these slow and
-obvious.
+instances; hom-set candidates by listing every slice word; hom classes
+by bounded pairwise search.  Keep these slow and obvious.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from monocat import (
     rule_instance,
     tensor,
 )
-from monocat.rewrite import Direction, RuleId, generate_terms
+from monocat.rewrite import Direction, RuleId
 from monocat.terms import GenKind, Generator, Slice, term_from_layers
 
 
@@ -327,18 +327,43 @@ def shuffled(rng: random.Random, t: Term, moves: int = 12) -> Term:
     return cur
 
 
+def hom_candidates(m: int, n: int, caps: SearchCaps) -> list[Term]:
+    """The least member of the class of every slice word m -> n within caps.
+
+    Lists each word of at most ``caps.max_gen_count`` layers from width
+    ``m`` with ``slice_options`` (so no interface is wider than
+    ``caps.max_width``), reduces each that ends at width ``n`` to its
+    least ``class_representatives`` member by ``term_order``, and returns
+    those, each once, sorted by ``term_order``.
+    """
+    found = {}
+
+    def extend(lays: list, width: int) -> None:
+        if width == n:
+            least = class_representatives(term_from_layers(m, lays))[0]
+            found[term_order(least)] = least
+        if len(lays) < caps.max_gen_count:
+            for off, g in slice_options(width, caps.max_width, caps.max_index_n):
+                extend(lays + [(off, g)], width + g.delta)
+
+    if m <= caps.max_width:
+        extend([], m)
+    return [found[k] for k in sorted(found)]
+
+
 def hom_classes_by_search(
     m: int, n: int, mode: Mode, caps: SearchCaps, merge_caps: SearchCaps
 ) -> HomEnumeration:
     """Hom classes by pairwise bounded search, without normal forms.
 
-    Candidates are bucketed by their exact images under two pairings;
-    inside a bucket each joins the first class whose representative
-    ``equal`` reaches under ``merge_caps``, else opens a class and is
-    recorded as unresolved against every earlier class of the bucket.
+    The candidates are ``hom_candidates``.  They are bucketed by their
+    exact images under two pairings; inside a bucket each joins the first
+    class whose representative ``equal`` reaches under ``merge_caps``,
+    else opens a class and is recorded as unresolved against every
+    earlier class of the bucket.
     """
     specs = (FunctorSpec.identity(2), FunctorSpec.random(2, seed=11))
-    raw = sorted(generate_terms(m, n, caps), key=lambda t: (gen_count(t), term_order(t)))
+    raw = sorted(hom_candidates(m, n, caps), key=lambda t: (gen_count(t), term_order(t)))
     buckets: dict = {}
     for t in raw:
         buckets.setdefault(tuple(eval_term(s, t).entries for s in specs), []).append(t)

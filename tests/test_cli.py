@@ -1,10 +1,12 @@
+import io
 import json
 import random
+import sys
 
 import pytest
 
-from monocat import canonical, render, terms
-from monocat.cli import ParseError, main, parse_expr
+from monocat import Mode, SearchCaps, canonical, enum_hom_detailed, render, terms, vect
+from monocat.cli import EXIT_BROKEN_PIPE, ParseError, main, parse_expr
 from monocat.suite import snake_term
 from oracles import random_term
 
@@ -45,6 +47,8 @@ class TestParseExpr:
             ("eta(0,1", "expected ')', found end of input (at position 7)"),
             ("id(1) ;", "expected an atom, found end of input (at position 7)"),
             ("id(1) )", "expected end of input, found ')' (at position 6)"),
+            ("eta(0,", "expected a natural number, found end of input (at position 6)"),
+            ("id(", "expected a natural number, found end of input (at position 3)"),
         ],
     )
     def test_end_of_input_named(self, capsys, text, message):
@@ -281,6 +285,29 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "id(0)" in out and "eta(0,1) ; eps(0,1)" in out
+
+    def test_homset_evaluates_nothing(self, capsys, monkeypatch):
+        # the command prints representatives only: no matrix image, no pair list
+        reps = enum_hom_detailed(1, 1, Mode.C, SearchCaps(3, 8, 1)).representatives
+        want = "".join([f"{len(reps)} classes\n"] + [f"  {render(t)}\n" for t in reps])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("homset evaluated a term")
+
+        monkeypatch.setattr(vect, "eval_term", refuse)
+        monkeypatch.setattr(vect, "_eval_arrays", refuse)
+        assert main(["homset", "1", "1", "--max-gens", "3", "--max-n", "1"]) == 0
+        assert capsys.readouterr().out == want
+
+    def test_closed_stdout_exits_quietly(self, capsys, monkeypatch):
+        # as when the reader of a pipe exits early (``monocat homset ... | head -1``)
+        class Closed(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", Closed())
+        assert main(["homset", "0", "0", "--max-gens", "2", "--max-n", "1"]) == EXIT_BROKEN_PIPE
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize(
         "widths, message",

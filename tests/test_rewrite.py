@@ -16,6 +16,7 @@ from monocat import (
     RewriteStep,
     RuleId,
     SearchCaps,
+    TooLarge,
     apply,
     canonical,
     compose,
@@ -43,6 +44,7 @@ from monocat.cli import parse_expr
 from monocat.rewrite import NATURALITY_RULES, TRIANGLE_RULES, generate_terms
 from monocat.terms import packed_layers, term_from_layers
 from oracles import (
+    hom_candidates,
     hom_classes_by_search,
     neighbors_oracle,
     normal_form_by_closure,
@@ -542,6 +544,18 @@ class TestMemoDrops:
         assert len(drops) > 50
         assert got == want
 
+    def test_drops_during_generation(self, fresh_memo, monkeypatch):
+        # generation fetches the memo per class it extends, so a small cap
+        # replaces it mid-enumeration; the classes found must not change
+        caps = SearchCaps(3, 8, 1, 4000)
+        want = (generate_terms(2, 2, caps), enum_hom_detailed(2, 2, Mode.C, caps))
+        monkeypatch.setattr(terms, "_MEMO_CAP", 40)
+        first = ({}, {}, {})
+        monkeypatch.setattr(terms, "_memo", first)
+        generated = generate_terms(2, 2, caps)
+        assert terms._memo is not first
+        assert (generated, enum_hom_detailed(2, 2, Mode.C, caps)) == want
+
     def test_normal_forms_drop_with_the_memo(self, fresh_memo, monkeypatch):
         want = normal_form(snake(), Mode.C)
         assert normal_form(snake(), Mode.C) == want
@@ -582,6 +596,22 @@ class TestEnumHom:
         for cls in detail.classes:
             images = {eval_term(spec, t).entries for t in cls}
             assert len(images) == 1
+
+    def test_first_representative_over_the_guard_raises(self):
+        # eta(0,k) ; eps(0,k) is 2k wires wide; at d = 2 the guard is 20
+        caps = SearchCaps(2, 24, 12, 100)
+        with pytest.raises(TooLarge, match="^width 22 at dimension 2 exceeds"):
+            enum_hom_detailed(0, 0, Mode.C, caps)
+
+    @pytest.mark.parametrize(
+        "caps",
+        [SearchCaps(3, 8, 2), SearchCaps(4, 4, 1), SearchCaps(2, 2, 1), SearchCaps(0, 8, 2)],
+        ids=["3-8-2", "4-4-1", "narrower-than-3", "no-generators"],
+    )
+    def test_candidates_match_word_listing(self, caps):
+        for m in range(4):
+            for n in range(4):
+                assert generate_terms(m, n, caps) == hom_candidates(m, n, caps), (m, n)
 
     @pytest.mark.parametrize(
         "mode, m, n",

@@ -32,12 +32,13 @@ from monocat import (
     tensor,
     whisker,
 )
-from monocat.rewrite import TRIANGLE_RULES
+from monocat.rewrite import TRIANGLE_RULES, SearchCaps, generate_terms
 from monocat.vect import (
     _CORE_CACHE_ENTRIES,
     MAX_DIM_DEFAULT,
     _eval_arrays,
     field_of,
+    image_keys,
     is_invertible,
 )
 from oracles import dense_eval, nested_cap, nested_cup, random_term, snake
@@ -332,6 +333,40 @@ def prime_spec(p, pairing):
 
 # int64 modulo p for the first two; (p-1)**2 alone passes the int64 bound for the last
 MODULI = [7, PrimeField().p, 2**61 - 1]
+
+
+class TestImageKeys:
+    """Batched keys for the terms of one hom-set: equal exactly when the images are."""
+
+    @pytest.mark.parametrize(
+        "spec, key_type",
+        [
+            (FunctorSpec.random(2, seed=11), bytes),
+            (FunctorSpec(2, frac_mat(FRACTIONAL_PHI)), tuple),
+            (FunctorSpec.random(2, seed=3, field=PrimeField()), bytes),
+        ],
+        ids=["int64", "fractional", "prime-field"],
+    )
+    def test_keys_separate_as_images_do(self, spec, key_type):
+        terms = generate_terms(1, 1, SearchCaps(3, 6, 1))
+        keys = image_keys(spec, terms)
+        images = [eval_term(spec, t) for t in terms]
+        assert {type(k) for k in keys} == {key_type}
+        same = {(i, j) for i in range(len(terms)) for j in range(i) if images[i] == images[j]}
+        assert same and len(set(keys)) < len(keys) and len(set(keys)) > 1
+        for i in range(len(terms)):
+            for j in range(i):
+                assert (keys[i] == keys[j]) == ((i, j) in same)
+
+    def test_one_scalar_route_for_the_batch(self):
+        # the loops pass the int64 bound, so the whole batch runs on field
+        # elements; the snake still keys with the identity
+        spec = FunctorSpec.random(3, seed=14)
+        loop = compose(gen_term(eta(0, 2)), gen_term(eps(0, 2)))
+        loops = tensor(compose(compose(loop, loop), loop), identity(1))
+        keys = image_keys(spec, [identity(1), snake(), loops])
+        assert all(isinstance(k, tuple) for k in keys)
+        assert keys[0] == keys[1] != keys[2]
 
 
 class TestScalarRoutes:
