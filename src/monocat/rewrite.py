@@ -35,6 +35,7 @@ frontier expansion would have to produce the same visit sets.
 from __future__ import annotations
 
 import enum
+import random
 from dataclasses import dataclass
 
 from . import vect
@@ -777,6 +778,25 @@ def _slice_choices(width: int, caps: SearchCaps):
                 yield pack_layer(off, _EPS, mm, nn), width - 2 * nn
 
 
+def sample_term(rng: random.Random, source: int, max_len: int, caps: SearchCaps) -> Term:
+    """A random walk of at most ``max_len`` slices from ``source`` wires.
+
+    The length is drawn first, then each slice uniformly from the layers
+    that fit on the current width within ``caps`` (its width and index
+    caps), in the order :func:`_slice_choices` lists them; the walk stops
+    early on a width with no such layer.  The draws depend only on ``rng``
+    and the arguments.
+    """
+    lays, width = [], source
+    for _ in range(rng.randint(0, max_len)):
+        options = list(_slice_choices(width, caps))
+        if not options:
+            break
+        lay, width = rng.choice(options)
+        lays.append(lay)
+    return term_from_packed(source, tuple(lays))
+
+
 def _hom_keys(m: int, n: int, caps: SearchCaps) -> set:
     """The least keys of the terms m -> n within caps.
 
@@ -860,8 +880,9 @@ def enum_hom_detailed(
 
     The classes are :func:`hom_classes`.  ``unresolved`` pairs up the
     representatives that exact matrix images under two functor
-    configurations do not separate: each configuration contracts all
-    representatives in one batch (:func:`vect.image_keys`), and buckets
+    configurations do not separate: the representatives are planned once
+    and contracted in one batch per configuration (:func:`vect.image_keys`),
+    and buckets
     come in the order of the ``repr`` of their first representative's
     images.
     """
@@ -869,8 +890,7 @@ def enum_hom_detailed(
     reps = [cls[0] for cls in classes]
     buckets: dict = {}
     if reps:
-        images = zip(*(vect.image_keys(spec, reps) for spec in _BUCKET_SPECS))
-        for rep, image in zip(reps, images):
+        for rep, image in zip(reps, vect.image_keys(_BUCKET_SPECS, reps)):
             buckets.setdefault(image, []).append(rep)
 
     def first_image(bucket: list) -> str:

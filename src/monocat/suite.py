@@ -27,7 +27,6 @@ from .rewrite import (
     RuleId,
     SearchCaps,
     TRIANGLE_RULES,
-    _slice_choices,
     enum_hom_detailed,
     equal,
     explore,
@@ -35,6 +34,7 @@ from .rewrite import (
     normal_form,
     rule_instance,
     rule_instances,
+    sample_term,
 )
 from .terms import (
     Slice,
@@ -47,7 +47,6 @@ from .terms import (
     identity,
     render,
     tensor,
-    term_from_packed,
     upside_down,
 )
 from .vect import RATIONALS, FunctorSpec, PrimeField, RationalField, field_of
@@ -319,19 +318,6 @@ def check_not_rigid_evidence(cfg: SuiteConfig) -> CheckResult:
     )
 
 
-def _random_term(rng: random.Random, source: int, max_len: int, max_width: int) -> Term:
-    """Random walk of single-index slices starting at ``source`` wires."""
-    caps = SearchCaps(max_width=max_width, max_index_n=1)
-    lays, width = [], source
-    for _ in range(rng.randint(0, max_len)):
-        options = list(_slice_choices(width, caps))
-        if not options:
-            break
-        lay, width = rng.choice(options)
-        lays.append(lay)
-    return term_from_packed(source, tuple(lays))
-
-
 def check_skeletal_and_obstructions(cfg: SuiteConfig) -> CheckResult:
     """Sampled arrows of the two forbidden factorisations are certified
     non-invertible, and arrows between distinct widths always are."""
@@ -343,6 +329,7 @@ def check_skeletal_and_obstructions(cfg: SuiteConfig) -> CheckResult:
         )
     spec = FunctorSpec.identity(2, RATIONALS)
     rng = random.Random(cfg.sample_seed)
+    walk_caps = SearchCaps(max_width=5, max_index_n=1)
     bad = []
 
     def sample_shape(leading: bool):
@@ -356,11 +343,11 @@ def check_skeletal_and_obstructions(cfg: SuiteConfig) -> CheckResult:
                     break
             if leading:
                 del_slice = Slice(i1, eps(j, k), i2)
-                g = _random_term(rng, del_slice.target_width, 3, 5)
+                g = sample_term(rng, del_slice.target_width, 3, walk_caps)
                 t = compose(Term(del_slice.source_width, (del_slice,)), g)
             else:
                 ins_slice = Slice(i1, eta(j, k), i2)
-                g = upside_down(_random_term(rng, ins_slice.source_width, 3, 5))
+                g = upside_down(sample_term(rng, ins_slice.source_width, 3, walk_caps))
                 t = compose(g, Term(ins_slice.source_width, (ins_slice,)))
             verdict = vect.iso_obstruction(spec, t)
             if not verdict.not_iso:
@@ -371,9 +358,10 @@ def check_skeletal_and_obstructions(cfg: SuiteConfig) -> CheckResult:
 
     nonsquare_checked = 0
     attempts = 0
+    nonsquare_caps = SearchCaps(max_width=6, max_index_n=1)
     while nonsquare_checked < cfg.nonsquare_samples and attempts < 10_000:
         attempts += 1
-        t = _random_term(rng, rng.randint(0, 4), 3, 6)
+        t = sample_term(rng, rng.randint(0, 4), 3, nonsquare_caps)
         if t.source == t.target:
             continue
         nonsquare_checked += 1

@@ -31,27 +31,33 @@ three exact scalar routes:
   overflow bound;
 - arrays of field elements otherwise.
 
-It contracts only the inner block of wires that some slice touches:
-outer wires no slice touches contribute an identity factor, so the image
-is ``id ⊗ A ⊗ id`` and only ``A`` is built from slices.  The contraction
-starts from the image of the first slice, not from an identity on the
-source: a first cap is its core broadcast against the identity on the
-wires it leaves, ``d^(2n)`` times smaller per side.  Evaluation reads the
-slices of each ``Term`` directly.  Matrices are immutable; functions are
-pure apart from the per-configuration core cache.
+A wire that no core has touched yet is not an axis of the contraction
+state but an implicit identity from its source wire.  A cup multiplies in
+only its own core; a cap sums only over the wires that some core made,
+and the untouched wires it closes become input axes with no sum.  So the
+state covers only the wires that cores made or closed, and each slice is
+one matrix product with its core, in order.  Wires that pass straight
+through a term are put back at the end as one identity; a batch of terms
+with one source and target leaves out the wires that pass straight
+through all of them and expands the rest, so their images compare entry
+by entry.  Evaluation reads the slices of each ``Term`` directly.
+Matrices are immutable; functions are pure apart from the
+per-configuration core cache.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
 
-from .terms import GenKind, MonocatError, Term, first_kinds, upside_down
+from .terms import _ETA, GenKind, MonocatError, Term, first_kinds, upside_down
 
 
 class TooLarge(MonocatError):
@@ -519,37 +525,23 @@ MAX_DIM_DEFAULT = 2**20
 def eval_term(spec: FunctorSpec, t: Term, max_dim: int = MAX_DIM_DEFAULT) -> Mat:
     """Image of a term: a d^target x d^source matrix.
 
-    Outer wires that no slice touches are stripped first: the image is
-    ``id ⊗ A ⊗ id`` with ``A`` the image of the inner block, so only
-    ``A`` is contracted and the identities are put back at the end.
-    The contraction starts from the image of the first slice, built from
-    its core and the identity on the wires it leaves, so no identity on
-    the source is materialised before it; a slice-free term is its
-    identity.  The remaining slices are contracted against the state one
-    at a time; only the cup/cap core of each slice is ever materialised,
-    so the cost is the inner state size, not the size of padded slice
-    matrices.  Each core is built once per spec.  There are three scalar
-    routes, all exact: over the rationals with integer cores and a
-    magnitude bound below 2**62, int64 arrays, and entries come back as
-    ``int``; over a prime field whose cores pass the overflow bound, int64
-    arrays reduced mod p after each slice, and entries come back as
-    ``ModP``; otherwise arrays of field elements.  ``max_dim`` must be
-    at least 1.
+    The term is contracted with every untouched wire an implicit identity
+    (see :func:`_plan`), so only the cores of its slices and the
+    wires they made or closed are ever materialised.  The wires that pass
+    straight through the term are put back at the end as identities
+    between their source and target positions, which generalises
+    ``id ⊗ A ⊗ id``; a slice-free term is its identity.  Each core is
+    built once per spec.  There are three scalar routes, all exact: over
+    the rationals with integer cores and a magnitude bound below 2**62,
+    int64 arrays, and entries come back as ``int``; over a prime field
+    whose cores pass the overflow bound, int64 arrays reduced mod p after
+    each slice, and entries come back as ``ModP``; otherwise arrays of
+    field elements.  ``max_dim`` must be at least 1.
     """
     if max_dim < 1:
         raise ValueError(f"max_dim must be >= 1, got {max_dim}")
-    lo, hi, (state,) = _eval_arrays(spec, (t,), max_dim)
-    if lo or hi:
-        (rows, cols), left, right = state.shape, spec.d**lo, spec.d**hi
-        zero = spec.field.zero if state.dtype == object else 0
-        try:
-            full = np.full((left, rows, right, left, cols, right), zero, dtype=state.dtype)
-        except MemoryError:
-            raise _unallocatable(left * rows * right, left * cols * right) from None
-        # id ⊗ A ⊗ id: A fills each block whose outer row and column indices agree
-        i, j = np.arange(left)[:, None], np.arange(right)
-        full[i, :, j, i, :, j] = state
-        state = full.reshape(left * rows * right, -1)
+    (plan,), _, (state,) = _eval_arrays(spec, (t,), max_dim)
+    state = _expand(spec, state, plan, set())
     if state.dtype != object and isinstance(spec.field, PrimeField):
         p = spec.field.p
         ent = tuple(tuple(ModP(x, p) for x in row) for row in state.tolist())
@@ -559,7 +551,7 @@ def eval_term(spec: FunctorSpec, t: Term, max_dim: int = MAX_DIM_DEFAULT) -> Mat
 
 
 # Below, terms are read slice by slice from ``Term.slices``.  A slice's core
-# is found under its key ``(kind.value, n)``, read once per slice.
+# is found under its key ``(kind.value, n)``.
 
 
 def _unallocatable(rows: int, cols: int) -> TooLarge:
@@ -567,111 +559,259 @@ def _unallocatable(rows: int, cols: int) -> TooLarge:
 
 
 def _identity(n: int, dtype, field) -> np.ndarray:
-    if dtype is not object:
+    if dtype != object:
         return np.eye(n, dtype=dtype)
     a = np.full((n, n), field.zero, dtype=object)
     a.flat[:: n + 1] = field.one
     return a
 
 
-def _eval_arrays(
-    spec: FunctorSpec, terms: tuple[Term, ...], max_dim: int
-) -> tuple[int, int, list[np.ndarray]]:
-    """``(lo, hi, images)`` for ``terms`` of one source width.
+def _too_wide(w: int, d: int, max_dim: int) -> TooLarge:
+    return TooLarge(f"width {w} at dimension {d} exceeds {max_dim} entries per side")
 
-    ``lo`` and ``hi`` count the leftmost and rightmost wires no slice of
-    any term touches; the images are those of the inner blocks, less those
-    wires.  All of them come back in one scalar representation, so they
-    compare entry by entry: int64 (residues mod p over a prime field) or
-    field elements.
+
+# the state before any slice over the integers; no op writes into its input
+_ONE = np.ones((), np.int64)
+_ONE.flags.writeable = False
+# a wire that a core made; every other wire is tagged with the source wire it passes from
+_MADE = -1
+
+
+def _plan(t: Term, d: int, max_dim: int) -> tuple:
+    """``(ops, row, closed)``: the contraction of ``t``, and where its wires end.
+
+    The state is an array over the wires that some core made, in row
+    order, then over the source wires that some cap closed, in source
+    order.  Every other wire is untouched: an implicit identity from its
+    source wire, with no axis.  A cup multiplies in only its own core.  A
+    cap sums only over the made wires it closes, and the untouched ones
+    it closes become closed source wires, with no sum.  ``row`` tags each
+    target wire with ``_MADE`` or its source wire, and ``closed`` lists
+    the closed source wires.  The plan determines the image, and it is
+    hashable, so terms with one plan are contracted once.
+
+    Each op ``(key, x, m, core_axes, moves, rows, cols)`` is one matrix
+    product: the core ``key``, as a matrix from the ``m`` entries of the
+    made wires it closes to those of the wires it opens, times the state
+    as ``x`` blocks of ``m`` rows; see :func:`_cap_axes` for the two axis
+    tuples.  ``rows`` and ``cols`` count the made and closed wires after
+    it.  A width past ``max_dim`` entries per side raises
+    :class:`TooLarge`, the source first.
     """
-    d = spec.d
-    source = lo = hi = terms[0].source
-    keys = []  # per term, the core key of each slice
-    for t in terms:
-        widths, term_keys = [source], []
-        for s in t.slices:
-            g = s.gen
-            kv = g.kind.value
-            term_keys.append((kv, g.n))
-            lo = min(lo, s.left + g.m)
-            hi = min(hi, s.right)
-            widths.append(widths[-1] + (2 * g.n if kv == "eta" else -2 * g.n))
-        for w in widths:
-            if d**w > max_dim:
-                raise TooLarge(f"width {w} at dimension {d} exceeds {max_dim} entries per side")
-        keys.append(term_keys)
-    hi = min(hi, source - lo)
-    cols = d ** (source - lo - hi)
+    row, closed, ops = list(range(t.source)), [], []
+    made = 0  # wires of ``row`` tagged _MADE
+    if d**t.source > max_dim:
+        raise _too_wide(t.source, d, max_dim)
+    for s in t.slices:
+        g = s.gen
+        p, k = s.left + g.m, 2 * g.n
+        before = row[:p].count(_MADE) if made else 0
+        core_axes = moves = None
+        if g.kind is _ETA:
+            row[p:p] = [_MADE] * k
+            made += k
+            key, x, m = ("eta", g.n), d**before, 1
+        else:
+            key = ("eps", g.n)
+            span = row[p : p + k]
+            del row[p : p + k]
+            summed = span.count(_MADE)
+            made -= summed
+            x, m = d**before, d**summed
+            if not summed and span[-1] - span[0] == k - 1:
+                # one block of source wires opens in its place among the closed ones
+                at = bisect_left(closed, span[0])
+                x = d ** (made + at)
+                closed[at:at] = span
+            elif summed < k:
+                core_axes, moves = _cap_axes(tuple(span), before, made - before, tuple(closed), d)
+                closed = sorted(closed + [j for j in span if j != _MADE])
+        if d ** len(row) > max_dim:
+            raise _too_wide(len(row), d, max_dim)
+        ops.append((key, x, m, core_axes, moves, made, len(closed)))
+    return tuple(ops), tuple(row), tuple(closed)
 
-    cores = {key: _core(spec, *key) for term_keys in keys for key in term_keys}
+
+@lru_cache(maxsize=1024)
+def _cap_axes(span: tuple, before: int, after: int, closed: tuple, d: int) -> tuple:
+    """``(core_axes, moves)`` for a cap over made and untouched wires.
+
+    The cap's wires split into runs, each of made wires or of consecutive
+    source wires.  Its made wires are contiguous in the state, so the
+    product sums over them with the core reshaped to ``core_axes[0]``
+    (one axis per run) and transposed by ``core_axes[1]`` (source runs
+    first).  The product leaves the source runs right after the
+    ``before`` made wires; ``moves`` is the shape and transpose that put
+    them after the ``after`` made wires and in source order among the
+    closed wires, or None if they are in place.  Axes of one entry are
+    left out.  Terms of one hom-set meet the same few patterns, so the
+    axes are cached.
+    """
+    runs: list = []  # [first source wire or _MADE, length]
+    prev = None
+    for j in span:
+        if j == prev == _MADE or _MADE != prev == j - 1:
+            runs[-1][1] += 1
+        else:
+            runs.append([j, 1])
+        prev = j
+    opened = [q for q, (first, _) in enumerate(runs) if first != _MADE]
+    summed = [q for q, (first, _) in enumerate(runs) if first == _MADE]
+    core_axes = (tuple(d**n for _, n in runs), tuple(opened + summed))
+    # after the product: before, the opened runs, after, then the closed wires
+    # between the places of the opened runs
+    wires = [before] + [runs[q][1] for q in opened] + [after]
+    i = 0
+    for q in opened:
+        end = bisect_left(closed, runs[q][0], i)
+        wires.append(end - i)
+        i = end
+    wires.append(len(closed) - i)
+    n = len(opened)
+    order = [0, n + 1, n + 2]
+    for q in range(n):
+        order += [1 + q, n + 3 + q]
+    kept = [a for a in range(len(wires)) if d ** wires[a] > 1]
+    if [a for a in order if d ** wires[a] > 1] == kept:
+        return core_axes, None
+    place = {a: i for i, a in enumerate(kept)}
+    return core_axes, (tuple(d ** wires[a] for a in kept), tuple(place[a] for a in order if a in place))
+
+
+def _eval_arrays(spec: FunctorSpec, terms: tuple[Term, ...], max_dim: int) -> tuple[list, list, list]:
+    """``(plans, slots, states)``: the distinct plans of ``terms``, the place
+    of each term's plan among them, and the state of each plan.
+
+    The terms share a source width.  Each plan is contracted once, slice
+    by slice as :func:`_plan` lays it out, so a wire that no core touches
+    is never built.  All states come back in one scalar representation,
+    so they compare entry by entry: int64 (residues mod p over a prime
+    field) or field elements.
+    """
+    plans, slots = _plans(terms, spec.d, max_dim)
+    return plans, slots, _contract(spec, plans)
+
+
+def _plans(terms, d: int, max_dim: int) -> tuple[list, list]:
+    """The distinct plans of ``terms`` at dimension ``d``, and the place of each term's."""
+    places: dict = {}
+    slots = [places.setdefault(_plan(t, d, max_dim), len(places)) for t in terms]
+    return list(places), slots
+
+
+def _contract(spec: FunctorSpec, plans: list) -> list:
+    """The state of each plan under ``spec``, in one scalar representation."""
+    d = spec.d
+    cores = {key: _core(spec, *key) for key in {op[0] for ops, _, _ in plans for op in ops}}
     field = spec.field
     modulus = field.p if isinstance(field, PrimeField) else None
     integral = all(c.peak is not None for c in cores.values())
     if integral and modulus is None:
-        integral = all(_growth(term_keys, cores) < _INT64_BOUND for term_keys in keys)
+        integral = all(_growth(ops, cores) < _INT64_BOUND for ops, _, _ in plans)
     if integral:
-        arrays, dtype = {key: c.array for key, c in cores.items()}, np.int64
+        arrays, one = {key: c.array for key, c in cores.items()}, _ONE
     else:
         arrays = {key: _elements(c, field) for key, c in cores.items()}
-        dtype, modulus = object, None
+        modulus, one = None, np.full((), field.one, dtype=object)
 
-    images = []
-    for t, term_keys in zip(terms, keys):
-        layers = list(zip(t.slices, term_keys))
-        s = None
-        try:
-            if term_keys and term_keys[0][0] == "eps":
-                # id ⊗ cap ⊗ id: the identity on the wires the cap leaves, times its core
-                s, key = layers.pop(0)
-                a, r = d ** (s.left + s.gen.m - lo), d ** (s.right - hi)
-                eye = _identity(a * r, dtype, field).reshape(a, r, a, 1, r)
-                state = eye * arrays[key].reshape(1, 1, 1, -1, 1)
-            else:
-                state = _identity(cols, dtype, field)
-            for s, key in layers:
-                a_dim, rest = d ** (s.left + s.gen.m - lo), d ** (s.right - hi) * cols
-                core = arrays[key]
-                if key[0] == "eta":
-                    state = state.reshape(a_dim, 1, rest) * core.reshape(1, -1, 1)
-                else:
-                    state = core @ state.reshape(a_dim, core.size, rest)
-                if modulus is not None:
-                    state %= modulus
-        except MemoryError:
-            # the state after ``s``, the slice being contracted
-            w = source if s is None else s.target_width
-            raise _unallocatable(d ** (w - lo - hi), cols) from None
-        images.append(state.reshape(-1, cols))
-    return lo, hi, images
+    matrices: dict = {}  # (key, m, core_axes) -> the core as a matrix from m entries
+    states = []
+    for ops, _, _ in plans:
+        state = one
+        for key, x, m, core_axes, moves, rows, cols in ops:
+            try:
+                mat = matrices.get((key, m, core_axes))
+                if mat is None:
+                    core = arrays[key]
+                    if core_axes:
+                        core = core.reshape(core_axes[0]).transpose(core_axes[1])
+                    mat = matrices[key, m, core_axes] = core.reshape(-1, m)
+                state = mat @ state.reshape(x, m, -1)
+                if moves:
+                    state = state.reshape(moves[0]).transpose(moves[1])
+            except MemoryError:
+                raise _unallocatable(d**rows, d**cols) from None
+            if modulus is not None:
+                state %= modulus
+        states.append(state)
+    return states
 
 
-def image_keys(spec: FunctorSpec, terms) -> list:
+def _expand(spec: FunctorSpec, state: np.ndarray, plan: tuple, omit: set) -> np.ndarray:
+    """The matrix of a plan's state over its target and source wires.
+
+    ``omit`` holds the target positions of passed wires to leave out.  The
+    other passed wires come back as one identity, which generalises
+    ``id ⊗ A ⊗ id``: wires never cross, so the k-th of them on the target
+    side passes from the k-th on the source side.  The image's axes are
+    its runs of wires, target then source, that lie on the state or on the
+    identity alike, and the image is the broadcast product of the two.
+    """
+    d = spec.d
+    _, row, closed = plan
+    made = row.count(_MADE)
+    passed = len(row) - made - len(omit)
+    if not passed:
+        return state.reshape(d**made, -1)
+    omitted, is_closed = {row[q] for q in omit}, set(closed)
+    on_state = [j == _MADE for q, j in enumerate(row) if q not in omit]
+    on_state += [j in is_closed for j in range(len(row) - made + len(closed)) if j not in omitted]
+    state_shape, eye_shape = [1], [1]  # a leading axis keeps a product at d = 1 an array
+    for on, run in groupby(on_state):
+        size = d ** len(list(run))
+        if size > 1:  # at d = 1 no run needs an axis
+            state_shape.append(size if on else 1)
+            eye_shape.append(1 if on else size)
+    rows, cols = d ** (made + passed), d ** (len(closed) + passed)
+    try:
+        eye = _identity(d**passed, state.dtype, spec.field)
+        return (state.reshape(state_shape) * eye.reshape(eye_shape)).reshape(rows, cols)
+    except MemoryError:
+        raise _unallocatable(rows, cols) from None
+
+
+def image_keys(spec, terms) -> list:
     """One hashable key per term of ``terms``, equal exactly when the images are.
 
     The terms must share source and target.  They are contracted in one
-    batch, which strips the same outer wires from all of them and uses one
-    scalar representation, so the inner images compare entry by entry: a
+    batch, in one scalar representation.  A wire that passes from one
+    source to one target position in every term is an identity factor of
+    every image, so it is left out, and the other passed wires are
+    expanded (:func:`_expand`); the images then compare entry by entry: a
     key is the bytes of an int64 image, or the tuple of a field-element
-    image's entries.  The first term wider than :func:`eval_term`'s
-    default guard allows raises :class:`TooLarge`.
+    image's entries.  ``spec`` may also be a sequence of specs of one
+    dimension: the terms are then planned once, and a key is the tuple of
+    the keys under each spec.  The first term wider than
+    :func:`eval_term`'s default guard allows raises :class:`TooLarge`.
     """
-    _, _, images = _eval_arrays(spec, tuple(terms), MAX_DIM_DEFAULT)
-    if images[0].dtype == object:
-        return [tuple(a.flat) for a in images]
-    return [a.tobytes() for a in images]
+    specs = (spec,) if isinstance(spec, FunctorSpec) else tuple(spec)
+    d = specs[0].d
+    if any(s.d != d for s in specs):
+        raise ValueError("image keys under specs of different dimensions")
+    plans, slots = _plans(tuple(terms), d, MAX_DIM_DEFAULT)
+    tags = zip(*(row for _, row, _ in plans))  # per target position, its tag in each plan
+    common = {q for q, at in enumerate(tags) if at[0] != _MADE and at.count(at[0]) == len(at)}
+    per_spec = []
+    for s in specs:
+        images = [_expand(s, state, plan, common) for plan, state in zip(plans, _contract(s, plans))]
+        if images[0].dtype == object:
+            per_spec.append([tuple(a.flat) for a in images])
+        else:
+            per_spec.append([a.tobytes() for a in images])
+    keys = per_spec[0] if isinstance(spec, FunctorSpec) else list(zip(*per_spec))
+    return [keys[i] for i in slots]
 
 
-def _growth(term_keys: list, cores: dict) -> int:
+def _growth(ops: list, cores: dict) -> int:
     """Bound on the entries of a term's state over the rationals.
 
     A cup multiplies the largest magnitude by at most its core's peak, a cap
-    by its peak times the number of products it sums.  The bound holds
-    whichever slice the contraction starts from (a cap that starts it only
-    multiplies an identity by its core), so it is conservative there.
+    by its peak times the number of products it sums.  A cap that closes
+    untouched wires sums fewer products than its core has entries, so the
+    bound is conservative there.
     """
     bound = 1
-    for key in term_keys:
+    for key, *_ in ops:
         c = cores[key]
         bound *= c.peak if key[0] == "eta" else c.peak * c.array.size
     return bound
@@ -680,15 +820,15 @@ def _growth(term_keys: list, cores: dict) -> int:
 def check_rule_instance(spec: FunctorSpec, lhs: Term, rhs: Term) -> bool:
     """Exact equality of the two images; shapes must agree.
 
-    Both sides are stripped of the same untouched outer wires, and
-    ``id ⊗ A ⊗ id = id ⊗ B ⊗ id`` holds iff ``A = B``.  They are
-    contracted in one scalar representation, so a slice-free side compares
+    The two sides are compared by :func:`image_keys`: the wires that pass
+    straight through both are left out, and the rest compare entry by
+    entry in one scalar representation, so a slice-free side compares
     with the other in the same form.
     """
     if lhs.source != rhs.source or lhs.target != rhs.target:
         raise ValueError("rule instance sides have different shapes")
-    _, _, (a, b) = _eval_arrays(spec, (lhs, rhs), MAX_DIM_DEFAULT)
-    return bool(np.array_equal(a, b))
+    a, b = image_keys(spec, (lhs, rhs))
+    return a == b
 
 
 # -- isomorphism obstructions -------------------------------------------------

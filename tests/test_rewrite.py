@@ -41,7 +41,7 @@ from monocat import (
     whisker,
 )
 from monocat.cli import parse_expr
-from monocat.rewrite import NATURALITY_RULES, TRIANGLE_RULES, generate_terms
+from monocat.rewrite import NATURALITY_RULES, TRIANGLE_RULES, generate_terms, sample_term
 from monocat.terms import packed_layers, term_from_layers
 from oracles import (
     hom_candidates,
@@ -570,6 +570,38 @@ class TestMemoDrops:
         want = normal_form(self.END, Mode.D)
         assert terms._memo is not first
         assert normal_form(self.END, Mode.D) == want
+
+
+class TestSampleTerm:
+    """The public random walk draws as a listing of ``slice_options`` would."""
+
+    @staticmethod
+    def reference_walk(rng, source, max_len, caps):
+        lays, width = [], source
+        for _ in range(rng.randint(0, max_len)):
+            options = slice_options(width, caps.max_width, caps.max_index_n)
+            if not options:
+                break
+            off, g = rng.choice(options)
+            lays.append((off, g))
+            width += g.delta
+        return term_from_layers(source, lays)
+
+    @pytest.mark.parametrize("caps", [SearchCaps(max_width=5, max_index_n=1), SearchCaps(max_width=6, max_index_n=2)])
+    def test_same_draws_as_a_listing(self, caps):
+        for seed in range(40):
+            source = seed % 5
+            t = sample_term(random.Random(seed), source, 4, caps)
+            assert t == self.reference_walk(random.Random(seed), source, 4, caps)
+            assert t.source == source and len(t.slices) <= 4
+            assert max(t.widths()) <= max(caps.max_width, source)
+            assert all(s.gen.n <= caps.max_index_n for s in t.slices)
+
+    def test_walk_stops_where_no_layer_fits(self):
+        # on no wires with width cap 1 neither a cup nor a cap fits
+        rng = random.Random(3)
+        for _ in range(10):
+            assert sample_term(rng, 0, 5, SearchCaps(max_width=1, max_index_n=1)).slices == ()
 
 
 class TestEnumHom:

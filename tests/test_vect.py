@@ -1,9 +1,12 @@
 import random
 import re
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monocat import (
     FunctorSpec,
@@ -33,6 +36,7 @@ from monocat import (
     whisker,
 )
 from monocat.rewrite import TRIANGLE_RULES, SearchCaps, generate_terms
+from monocat.terms import Generator, Slice, Term, term_from_layers
 from monocat.vect import (
     _CORE_CACHE_ENTRIES,
     MAX_DIM_DEFAULT,
@@ -41,7 +45,15 @@ from monocat.vect import (
     image_keys,
     is_invertible,
 )
-from oracles import dense_eval, nested_cap, nested_cup, random_term, snake
+from oracles import (
+    dense_eval,
+    hom_candidates,
+    nested_cap,
+    nested_cup,
+    random_term,
+    slice_options,
+    snake,
+)
 
 
 def frac_mat(rows):
@@ -312,11 +324,10 @@ class TestOuterWires:
         assert check_rule_instance(spec, whiskered(lhs, 8, 8), whiskered(rhs, 8, 8))
 
     def test_unallocatable_state_is_too_large(self):
-        # width 20 passes the per-side guard, but neither state can be allocated: the
-        # 2^18 x 2^20 image of the first cap while contracting, and the 2^20 x 2^20
-        # identity while putting the stripped wires back
+        # width 20 passes the per-side guard, but neither 2^20 x 2^20 image can be
+        # allocated while putting the passed wires back
         t = tensor(tensor(gen_term(eps(0, 1)), identity(18)), gen_term(eta(0, 1)))
-        for term, shape in ((t, "262144 x 1048576"), (identity(20), "1048576 x 1048576")):
+        for term, shape in ((t, "1048576 x 1048576"), (identity(20), "1048576 x 1048576")):
             with pytest.raises(TooLarge, match=f"^evaluation state of shape {shape} does not"):
                 eval_term(FunctorSpec.identity(2), term)
 
@@ -480,6 +491,209 @@ class TestFirstSliceStart:
                 dense = tuple(tuple(int(x) for x in row) for row in dense)
             assert repr(m.entries) == repr(dense), str(t)
             assert {type(x) for row in m.entries for x in row} == {entry_type}
+
+
+def mirror():
+    return compose(tensor(identity(1), gen_term(eta(0, 1))), tensor(gen_term(eps(0, 1)), identity(1)))
+
+
+def implicit_wire_terms():
+    """Terms that meet each way a slice can meet untouched wires."""
+    return [
+        # a cup left of untouched wires, and right of them
+        whisker(0, eta(0, 1), 2),
+        whisker(1, eta(1, 1), 0),
+        # caps that close source wires: one block, one after closed wires, two blocks apart
+        whisker(1, eps(0, 1), 1),
+        compose(whisker(0, eps(0, 1), 2), gen_term(eps(0, 1))),
+        compose(whisker(1, eps(0, 1), 1), gen_term(eps(0, 1))),
+        # a cap over a made and a source wire, either side, in place or moved
+        snake(),
+        mirror(),
+        compose(compose(whisker(0, eta(1, 1), 0), whisker(0, eta(0, 1), 3)), whisker(1, eps(0, 1), 2)),
+        compose(whisker(1, eps(0, 1), 0), compose(whisker(0, eta(1, 1), 0), whisker(0, eps(0, 1), 1))),
+        # a wide cap over source, made and source wires
+        compose(whisker(0, eta(1, 1), 1), gen_term(eps(0, 2))),
+        compose(whisker(1, eta(0, 1), 2), whisker(0, eps(0, 2), 1)),
+    ]
+
+
+def walks(max_source=3, max_len=4, max_width=4):
+    """Random slice walks: cups, caps on source and made wires, wires passing through."""
+
+    @st.composite
+    def walk(draw):
+        source = draw(st.integers(0, max_source))
+        lays, width = [], source
+        for _ in range(draw(st.integers(0, max_len))):
+            options = slice_options(width, max_width, 2)
+            if not options:
+                break
+            off, g = draw(st.sampled_from(options))
+            lays.append((off, g))
+            width += g.delta
+        return term_from_layers(source, lays)
+
+    return walk()
+
+
+def as_route(route, m):
+    """The dense oracle's entries as the route returns them."""
+    if ROUTES[route][2] is int:
+        assert all(x.denominator == 1 for row in m.entries for x in row)
+        return tuple(tuple(int(x) for x in row) for row in m.entries)
+    return m.entries
+
+
+# shapes whose hom-sets mix wires passed, closed and made; widths stay at most 4
+BATCH_POOLS = [(1, 1, SearchCaps(3, 3, 1)), (2, 2, SearchCaps(2, 4, 1)), (3, 1, SearchCaps(3, 4, 1))]
+
+
+@lru_cache(maxsize=None)
+def batch_pool(k):
+    return tuple(hom_candidates(*BATCH_POOLS[k]))
+
+
+@lru_cache(maxsize=None)
+def route_dense(route, t):
+    spec = ROUTES[route][0](2)
+    return dense_eval(spec, t)
+
+
+class TestImplicitWires:
+    """Untouched wires are implicit identities; every route matches the dense oracle."""
+
+    @pytest.mark.parametrize("route", list(ROUTES))
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_each_meeting_matches_dense_oracle(self, d, route):
+        make_spec, dtype, entry_type = ROUTES[route]
+        spec = make_spec(d)
+        terms = [t for t in implicit_wire_terms() if d ** max(t.widths()) <= 81]
+        assert len(terms) >= 8
+        for t in terms:
+            m, dense = eval_term(spec, t), dense_eval(spec, t)
+            if d == 1:
+                # the one cup core of a fractional pairing is integral at d=1
+                assert m == dense, str(t)
+                continue
+            assert route_dtype(spec, t) == dtype
+            assert repr(m.entries) == repr(as_route(route, dense)), str(t)
+            assert {type(x) for row in m.entries for x in row} == {entry_type}
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(st.sampled_from(list(ROUTES)), walks())
+    def test_random_walks_match_dense_oracle(self, route, t):
+        # a term whose cores are all integral takes the int64 route on any pairing
+        assert eval_term(ROUTES[route][0](2), t) == route_dense(route, t)
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(
+        st.sampled_from(list(ROUTES)),
+        st.sampled_from(range(len(BATCH_POOLS))),
+        st.data(),
+    )
+    def test_batches_key_as_dense_images_compare(self, route, pool, data):
+        # the terms of one hom-set pass different wires, whiskered by wires all of them pass
+        terms = batch_pool(pool)
+        picked = data.draw(st.lists(st.sampled_from(terms), min_size=2, max_size=6))
+        a, b = data.draw(st.sampled_from([(0, 0), (1, 0), (0, 1)]))
+        if max(picked[0].widths()) + a + b > 4:
+            a = b = 0
+        batch = [whiskered(t, a, b) for t in picked]
+        spec = ROUTES[route][0](2)
+        keys = image_keys(spec, batch)
+        dense = [route_dense(route, t) for t in batch]
+        for i in range(len(batch)):
+            for j in range(i):
+                assert (keys[i] == keys[j]) == (dense[i] == dense[j])
+                assert check_rule_instance(spec, batch[i], batch[j]) == (dense[i] == dense[j])
+
+    def test_keys_under_several_specs(self):
+        # one plan per term serves every spec; each key is the tuple of the single keys
+        terms = batch_pool(2)
+        specs = [FunctorSpec.identity(2), FunctorSpec.random(2, seed=11), ROUTES["object-fractional"][0](2)]
+        single = [image_keys(sp, terms) for sp in specs]
+        assert image_keys(specs, terms) == list(zip(*single))
+        with pytest.raises(ValueError, match="different dimensions"):
+            image_keys([FunctorSpec.identity(2), FunctorSpec.identity(3)], terms)
+
+    def test_dimension_one_with_many_runs(self):
+        # forty passed wires between forty made pairs, or closed between cups and caps
+        spec = FunctorSpec(1, frac_mat([[2]]))
+        cups, mirrors = identity(0), identity(0)
+        for _ in range(40):
+            cups = tensor(cups, tensor(identity(1), gen_term(eta(0, 1))))
+            mirrors = tensor(mirrors, mirror())
+        assert eval_term(spec, cups).entries == ((Fraction(1, 2**40),),)
+        assert eval_term(spec, mirrors).entries == ((Fraction(1),),)
+
+    @pytest.mark.parametrize("route", list(ROUTES))
+    def test_batches_that_pass_different_wires(self, route):
+        spec = ROUTES[route][0](2)
+        # the snake and its mirror make and close their wire, the identity passes it
+        one_wire = [snake(), identity(1), mirror()]
+        # source wire 0 is closed in the first and passed in the second, wire 2 the other way
+        closed_or_passed = [tensor(gen_term(eps(0, 1)), identity(1)), tensor(identity(1), gen_term(eps(0, 1)))]
+        for batch in (one_wire, closed_or_passed):
+            for a, b in ((0, 0), (0, 1), (1, 0)):
+                terms = [whiskered(t, a, b) for t in batch]
+                dense = [dense_eval(spec, t) for t in terms]
+                keys = image_keys(spec, terms)
+                for i in range(len(terms)):
+                    for j in range(i):
+                        assert (keys[i] == keys[j]) == (dense[i] == dense[j])
+        keys = image_keys(spec, one_wire)
+        assert keys[0] == keys[1] == keys[2]
+        keys = image_keys(spec, closed_or_passed)
+        assert keys[0] != keys[1]
+
+
+def shifted(t):
+    """``t`` with one slice's block moved a wire aside, for each slice that can move."""
+    out = []
+    for k, s in enumerate(t.slices):
+        g, left, m, right = s.gen, s.left, s.gen.m, s.right
+        if right:
+            left, right = left + 1, right - 1
+        elif left or m:
+            left, m, right = (left - 1, m, 1) if left else (left, m - 1, 1)
+        else:
+            continue
+        moved = Slice(left, Generator(g.kind, m, g.n), right)
+        out.append(Term(t.source, t.slices[:k] + (moved,) + t.slices[k + 1 :]))
+    return out
+
+
+# the d=3 relation instances whose first slice is a cup and whose sides share no
+# inner wire; a state over every wire they pass has 3^12 entries
+CUP_FIRST_D3 = [
+    (RuleId.NAT_ETA_ETA, (0, 0, 2, 2, 2)),
+    (RuleId.NAT_ETA_EPS, (0, 0, 2, 0, 2)),
+    (RuleId.NAT_ETA_EPS, (0, 0, 2, 1, 1)),
+    (RuleId.NAT_ETA_EPS, (0, 0, 1, 2, 2)),
+    (RuleId.NAT_EPS_ETA, (0, 0, 2, 2, 1)),
+    (RuleId.NAT_EPS_ETA, (0, 0, 1, 1, 2)),
+    (RuleId.NAT_EPS_ETA, (0, 0, 2, 0, 2)),
+]
+
+
+class TestWideStates:
+    """Checks whose sides pass many wires never build a state over them."""
+
+    def test_wide_cup_first_check(self):
+        # sixteen wires pass both sides: a state over them all would not fit in memory
+        lhs, rhs = rule_instance(RuleId.NAT_ETA_EPS, 0, 0, 1, 16, 1)
+        assert check_rule_instance(FunctorSpec.random(2, seed=1), lhs, rhs)
+
+    @pytest.mark.parametrize("rule, params", CUP_FIRST_D3, ids=[f"{r.value}{p}" for r, p in CUP_FIRST_D3])
+    def test_cup_first_instances_hold_and_shifted_slices_do_not(self, rule, params):
+        spec = FunctorSpec.random(3, seed=1)
+        lhs, rhs = rule_instance(rule, *params)
+        assert check_rule_instance(spec, lhs, rhs)
+        wrong = [(x, rhs) for x in shifted(lhs)] + [(lhs, x) for x in shifted(rhs)]
+        assert wrong
+        for a, b in wrong:
+            assert not check_rule_instance(spec, a, b)
 
 
 class TestIsoObstruction:
