@@ -52,6 +52,7 @@ from .terms import (
     Term,
     _KINDS,
     _canonical_key,
+    _class_term,
     _front_graph,
     _out_of_range,
     canonical,
@@ -493,8 +494,7 @@ def apply(t: Term, step: RewriteStep) -> Term:
             raise InvalidStep(f"position {p} out of range")
         for rule, direction, repl, _ in _match_pair(packed[p], packed[p + 1]):
             if rule is step.rule and direction is step.direction:
-                new = packed[:p] + repl + packed[p + 2 :]
-                return term_from_packed(t.source, _canonical_key(new))
+                return _class_term(t.source, packed[:p] + repl + packed[p + 2 :])
         raise InvalidStep(f"{step.describe()} does not match at position {p}")
 
     a, blk, nn = step.offset, step.block, step.index_n
@@ -741,7 +741,7 @@ def normal_form(t: Term, mode: Mode, caps: SearchCaps = DEFAULT_CAPS) -> Term:
     confluent modulo sliding.  Raises :class:`MonocatError` when one walk
     meets more than ``caps.max_states`` members.
     """
-    return term_from_packed(*_normal_form(_state(t), mode, caps.max_states))
+    return _class_term(*_normal_form(_state(t), mode, caps.max_states))
 
 
 # -- hom-set enumeration ------------------------------------------------------

@@ -19,7 +19,8 @@ when they differ by swapping adjacent slices with disjoint support
 
 All types are immutable values.  Canonicalisation and rule matching share
 one bounded, unlocked memo (see ``_front_graph``) whose entries depend only
-on their keys, so results never depend on what it holds.
+on their keys, so results never depend on what it holds; only which of
+several equal ``Term`` objects ``canonical`` returns does.
 """
 
 from __future__ import annotations
@@ -330,8 +331,9 @@ class _FrontGraph:
     are filled together, when a class is closed.  ``entries`` holds the
     ``_swaps`` of each layer pair met (under the key ``_swaps``, per first
     layer), and rewrite's pair matches, and its pair results, step fields
-    and cuts per least key.  ``_WORK_CAP`` bounds the swap tests one call
-    makes, or one request after ``restart``.
+    and cuts per least key, and the shared terms of ``_class_term``.
+    ``_WORK_CAP`` bounds the swap tests one call makes, or one request
+    after ``restart``.
     """
 
     __slots__ = ("_fronts", "_least", "entries", "_swapped", "_work")
@@ -453,9 +455,10 @@ class _FrontGraph:
 # states again.  The entries that searches read hold least keys only, shared
 # with ``least``, and the swaps and matches of each layer pair met, so that
 # the keys built from one result share its packed layers; step fields are
-# built only for returned steps.  At this cap the word-problem explores of
-# the zig-zag and its mirror run without a replacement and TriangleA's
-# (5,313 states) with one.
+# built only for returned steps.  ``canonical``, ``rewrite.apply`` and
+# ``rewrite.normal_form`` share one ``Term`` per class (``_class_term``).
+# At this cap the word-problem explores of the zig-zag and its mirror run
+# without a replacement and TriangleA's (5,313 states) with one.
 _MEMO_CAP = 49152
 _memo: tuple = ({}, {}, {})
 
@@ -470,6 +473,29 @@ def _front_graph() -> _FrontGraph:
 def _canonical_key(key: tuple) -> tuple:
     """The least member of the class of the packed layers ``key``."""
     return _front_graph().least(key)
+
+
+def _class_term(source: int, key: tuple, given: Term | None = None) -> Term:
+    """The one ``Term`` of the class of the packed layers ``key`` on ``source``.
+
+    The memo keeps it under ``(source, least key)`` for each least key of
+    two or more layers, built on a miss: the term is ``given`` when its
+    layers ``key`` are already least, and is built otherwise.  Such a least
+    key is a key of the memo's ``least``, so the table holds one term per
+    source for each of them and is dropped with ``least`` at ``_MEMO_CAP``.
+    A key of at most one layer is its own least member and is not kept.
+    """
+    graph = _front_graph()
+    least = graph.least(key)
+    if len(least) < 2:
+        return given if given is not None else term_from_packed(source, least)
+    table = graph.table(_class_term)
+    term = table.get((source, least))
+    if term is None:
+        if given is None or key != least:
+            given = term_from_packed(source, least)
+        term = table[source, least] = given
+    return term
 
 
 def first_kinds(t: Term) -> frozenset:
@@ -508,8 +534,13 @@ def canonical(t: Term) -> Term:
     The work grows with the number of suffix classes met, which can grow
     exponentially with the number of independent slices; past
     ``_WORK_CAP`` in one call this raises :class:`MonocatError`.
+
+    Results are shared per class: every member of a class gives the
+    identical object until the memo is replaced, and ``t`` itself comes
+    back when it is already least and its class is not yet kept (see
+    ``_class_term``).
     """
-    return term_from_packed(t.source, _canonical_key(packed_layers(t)))
+    return _class_term(t.source, packed_layers(t), t)
 
 
 # -- rendering ---------------------------------------------------------------

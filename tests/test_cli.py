@@ -1,9 +1,12 @@
 import io
 import json
 import random
+import re
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monocat import Mode, SearchCaps, canonical, enum_hom_detailed, render, terms, vect
 from monocat.cli import EXIT_BROKEN_PIPE, ParseError, main, parse_expr
@@ -54,6 +57,38 @@ class TestParseExpr:
     def test_end_of_input_named(self, capsys, text, message):
         assert main(["parse", text]) == 2
         assert capsys.readouterr().err.strip() == f"error: {message}"
+
+    @pytest.mark.parametrize(
+        "text, message, position",
+        [
+            ("eta(0 1)", "expected ',', found 1", 6),
+            ("eta(0,1,2)", "expected ')', found ','", 7),
+            ("id(1,2)", "expected ')', found ','", 4),
+            ("eps(0,)", "expected a natural number, found ')'", 6),
+            ("id()", "expected a natural number, found ')'", 3),
+            ("eta(0,1", "expected ')', found end of input", 7),
+            ("eta(0,1) id(1)", "expected end of input, found 'id'", 9),
+            ("ideta(0,1)", "expected '(', found 'eta'", 2),
+            ("(eta(0,1) eps(0,1))", "expected ')', found 'eps'", 10),
+        ],
+    )
+    def test_malformed_atoms_report_the_piece(self, text, message, position):
+        # the message names the token at fault and the position where it starts
+        with pytest.raises(ParseError) as err:
+            parse_expr(text)
+        assert str(err.value) == f"{message} (at position {position})"
+        assert err.value.position == position
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        st.randoms(use_true_random=False),
+        st.lists(st.sampled_from(["", " ", "  ", "\t", "\n "]), min_size=1),
+    )
+    def test_render_parses_back_with_any_spacing(self, rng, gaps):
+        t = random_term(rng, max_len=6)
+        pieces = re.findall(r"id|eta|eps|\d+|[();,*]", render(t))
+        text = "".join(gaps[k % len(gaps)] + piece for k, piece in enumerate(pieces)) + gaps[-1]
+        assert parse_expr(text) == t
 
     def test_nested_parens(self):
         t = parse_expr("((eta(0,1))) ; ((id(2)) * (id(0)))")

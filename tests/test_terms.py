@@ -8,6 +8,7 @@ from monocat import (
     FunctorSpec,
     GenKind,
     InvalidGenerator,
+    Mode,
     NotComposable,
     Slice,
     Term,
@@ -20,13 +21,22 @@ from monocat import (
     gen_term,
     generator,
     identity,
+    match_rules,
+    normal_form,
     render,
     tensor,
     whisker,
 )
-from monocat.rewrite import generate_terms
-from monocat.suite import SuiteConfig
-from monocat.terms import term_from_layers, upside_down
+from monocat import terms
+from monocat.rewrite import apply, generate_terms
+from monocat.suite import SuiteConfig, snake_term
+from monocat.terms import (
+    _class_term,
+    packed_layers,
+    term_from_layers,
+    term_from_packed,
+    upside_down,
+)
 from monocat.vect import has_leading_deletion, has_trailing_insertion
 from oracles import class_representatives, random_term, shuffled, slice_options
 
@@ -168,6 +178,82 @@ class TestCanonical:
             t = random_term(rng, max_source=2, max_len=3, max_width=6)
             for sp in specs:
                 assert eval_term(sp, canonical(t)) == eval_term(sp, t)
+
+
+def class_table() -> dict:
+    """The memo's table of one shared ``Term`` per (source, least key); empty if it has none."""
+    return terms._memo[2].get(_class_term, {})
+
+
+class TestSharedCanonical:
+    """``canonical`` keeps one ``Term`` per interchange class in the memo."""
+
+    def test_fresh_memo_has_no_table(self, fresh_memo):
+        assert not class_table()
+        c = canonical(snake_term())
+        assert list(class_table().values()) == [c]
+
+    def test_presentations_give_one_object(self, fresh_memo):
+        rng = random.Random(40)
+        for _ in range(300):
+            t = random_term(rng, max_len=6)
+            first = canonical(t)
+            for _ in range(4):
+                assert canonical(shuffled(rng, t, moves=8)) is first
+            assert canonical(first) is first
+
+    def test_least_input_comes_back(self, fresh_memo, monkeypatch):
+        rng = random.Random(41)
+        for _ in range(150):
+            monkeypatch.setattr(terms, "_memo", ({}, {}, {}))
+            least = class_representatives(random_term(rng, max_len=6))[0]
+            assert canonical(least) is least
+            assert canonical(shuffled(rng, least, moves=8)) is least
+
+    def test_values_are_the_least_key_built(self, fresh_memo):
+        rng = random.Random(42)
+        for _ in range(300):
+            t = random_term(rng, max_len=6)
+            least = class_representatives(t)[0]
+            assert canonical(t) == term_from_packed(t.source, packed_layers(least))
+
+    def test_normal_forms_and_steps_read_the_table(self, fresh_memo):
+        rng = random.Random(43)
+        t = snake_term()
+        for mode in Mode:
+            form = normal_form(t, mode)
+            assert canonical(form) is form
+            assert normal_form(shuffled(rng, t), mode) is form
+        for step in match_rules(t, Mode.C):
+            after = apply(t, step)
+            assert canonical(after) is after
+            assert apply(t, step) is after
+
+    def test_sources_are_kept_apart(self, fresh_memo):
+        pair = tensor(gen_term(eta(0, 1)), gen_term(eta(0, 1)))
+        wide = tensor(pair, identity(2))
+        assert packed_layers(pair) == packed_layers(wide)
+        first, second = canonical(pair), canonical(wide)
+        assert (first.source, second.source) == (0, 2)
+        for _ in range(3):
+            assert canonical(pair) is first
+            assert canonical(wide) is second
+
+    def test_memo_drops_keep_values_and_bound_the_table(self, fresh_memo, monkeypatch):
+        rng = random.Random(44)
+        inputs = [random_term(rng, max_len=6) for _ in range(300)]
+        want = [canonical(t) for t in inputs]
+        monkeypatch.setattr(terms, "_MEMO_CAP", 30)
+        monkeypatch.setattr(terms, "_memo", ({}, {}, {}))
+        memos = [terms._memo]
+        for t, w in zip(inputs, want):
+            assert canonical(shuffled(rng, t, moves=8)) == w
+            # every kept least key is one of the memo's, so the table drops with it
+            least = terms._memo[1]
+            assert all(least.get(key) is key for _, key in class_table())
+            if terms._memo is not memos[-1]:
+                memos.append(terms._memo)
+        assert len(memos) > 10
 
 
 @st.composite
