@@ -8,7 +8,11 @@ Expression grammar (whitespace-insensitive)::
 
 ";" composes diagrams left to right (the left operand is applied first),
 "*" places diagrams side by side.  Note this is the opposite order to
-function-style composition.
+function-style composition.  ``parse_expr`` reads an expression in one
+pass, with no limit on how deeply parentheses nest.  A malformed one is a
+``ParseError`` that names the token at fault and where it starts (an
+unexpected character anywhere in the text comes first); widths that do
+not chain and bad generator indices raise as the term or atom is read.
 
 Exit codes: 0 success (or Equal), 10 equality unknown, 1 failed suite
 check, 2 usage, parse, or shape errors, 141 stdout closed by its reader
@@ -38,13 +42,13 @@ from .rewrite import (
 )
 from .suite import SuiteConfig, run_all
 from .terms import (
+    Generator,
+    GenKind,
     Mode,
     MonocatError,
     NotComposable,
     Term,
     canonical,
-    eps,
-    eta,
     gen_count,
     render,
     term_from_layers,
@@ -62,97 +66,97 @@ class ParseError(MonocatError):
         self.position = position
 
 
-_TOKEN = re.compile(r"\s*(?:(id|eta|eps)|(\d+)|([();,*])|(\S))")
-
-
-def _tokenize(text: str) -> list:
-    """(kind, value, position) tokens, one pass; trailing whitespace is skipped."""
-    out = []
-    for m in _TOKEN.finditer(text):
-        name, nat, punct, bad = m.groups()
-        if name:
-            out.append(("name", name, m.start(1)))
-        elif nat:
-            out.append(("nat", int(nat), m.start(2)))
-        elif punct:
-            out.append((punct, punct, m.start(3)))
-        else:
-            raise ParseError(f"unexpected character {bad!r}", m.start(4))
-    out.append(("eof", None, len(text)))
-    return out
-
-
-def _shown(kind: str, value) -> str:
-    """A token in a parse error: its value, or the end of input."""
-    return "end of input" if kind == "eof" else repr(value)
+# One match per token, after any whitespace: a punctuation mark, a whole
+# well-formed atom, a name or a number, or an unexpected character.
+_TOKEN = re.compile(
+    r"\s*(?:([();,*])|id\s*\(\s*(\d+)\s*\)|(eta|eps)\s*\(\s*(\d+)\s*,\s*(\d+)\s*\)"
+    r"|(id|eta|eps|\d+)|(\S))"
+)
+_EOF = ("",) * 7
+_KINDS = {"eta": GenKind.ETA, "eps": GenKind.EPS}
 
 
 def parse_expr(text: str) -> Term:
-    """Parse the expression grammar into a term.
+    """Parse the expression grammar into a term, in one pass over its tokens.
 
-    Each sub-expression is a (source, target, layers) triple, its layers
-    ``(offset, generator)`` pairs; one ``Term`` is built at the end.
+    A stack holds the expression and term that each open parenthesis
+    interrupts, so nesting has no depth limit.  A part is a (source, target,
+    layers) triple, its layers ``(offset, generator)`` pairs.
     """
-    tokens = _tokenize(text)
-    idx = 0
+    tokens = _TOKEN.findall(text) + [_EOF]
+    stack = []
+    expr = term = None
+    k = 0
+    try:
+        while True:
+            punct, idn, kind, m, n, word, _ = tokens[k]
+            k += 1
+            if punct == "(":
+                stack.append((expr, term))
+                expr = term = None
+                continue
+            if idn:
+                part = (int(idn), int(idn), [])
+            elif kind:
+                g = Generator(_KINDS[kind], int(m), int(n))
+                part = (g.source, g.target, [(0, g)])
+            elif word in ("id", "eta", "eps"):  # a malformed atom: find the piece at fault
+                pieces = enumerate("(n)" if word == "id" else "(n,n)", k)
+                j, want = next((j, want) for j, want in pieces
+                               if want != ("n" if tokens[j][5].isdecimal() else tokens[j][0]))
+                raise _error(text, tokens, j, "a natural number" if want == "n" else repr(want))
+            else:
+                raise _error(text, tokens, k - 1, "an atom")
+            while True:
+                if term is not None:  # tensor the part onto the term
+                    source, target, lays = term
+                    if part[2]:
+                        lays += [(off + target, g) for off, g in part[2]]
+                    part = (source + part[0], target + part[1], lays)
+                term = part
+                punct = tokens[k][0]
+                k += 1
+                if punct == "*":
+                    break
+                if expr is not None:  # compose the term onto the expression
+                    source, target, lays = expr
+                    if target != term[0]:
+                        raise NotComposable(f"cannot compose: target {target} != source {term[0]}")
+                    lays += term[2]
+                    term = (source, term[1], lays)
+                expr = term
+                if punct == ";":
+                    term = None
+                    break
+                if punct == ")" and stack:
+                    part = expr
+                    expr, term = stack.pop()
+                elif stack:
+                    raise _error(text, tokens, k - 1, "')'")
+                elif tokens[k - 1] is _EOF:
+                    return term_from_layers(expr[0], expr[2])
+                else:
+                    raise _error(text, tokens, k - 1, "end of input")
+    except (MonocatError, ValueError):
+        # the whole text is tokenized first: its first unexpected character,
+        # or number past int()'s digit limit, is the error wherever it stands
+        for j, tok in enumerate(tokens):
+            if tok[6]:
+                raise _error(text, tokens, j, "") from None
+            for digits in filter(str.isdecimal, tok[1:6]):
+                int(digits)
+        raise
 
-    def take(kind):
-        nonlocal idx
-        tok = tokens[idx]
-        if tok[0] != kind:
-            wanted = "a natural number" if kind == "nat" else _shown(kind, kind)
-            raise ParseError(f"expected {wanted}, found {_shown(*tok[:2])}", tok[2])
-        idx += 1
-        return tok[1]
 
-    def parse_atom():
-        nonlocal idx
-        kind, value, at = tokens[idx]
-        if kind == "(":
-            idx += 1
-            part = parse_expression()
-            take(")")
-            return part
-        if kind == "name":
-            idx += 1
-            take("(")
-            if value == "id":
-                n = take("nat")
-                take(")")
-                return n, n, []
-            m = take("nat")
-            take(",")
-            n = take("nat")
-            take(")")
-            g = eta(m, n) if value == "eta" else eps(m, n)
-            return g.source, g.target, [(0, g)]
-        raise ParseError(f"expected an atom, found {_shown(kind, value)}", at)
-
-    def parse_tensor():
-        nonlocal idx
-        source, target, lays = parse_atom()
-        while tokens[idx][0] == "*":
-            idx += 1
-            s, t, more = parse_atom()
-            lays += [(off + target, g) for off, g in more]
-            source, target = source + s, target + t
-        return source, target, lays
-
-    def parse_expression():
-        nonlocal idx
-        source, target, lays = parse_tensor()
-        while tokens[idx][0] == ";":
-            idx += 1
-            s, t, more = parse_tensor()
-            if target != s:
-                raise NotComposable(f"cannot compose: target {target} != source {s}")
-            lays += more
-            target = t
-        return source, target, lays
-
-    source, _, lays = parse_expression()
-    take("eof")
-    return term_from_layers(source, lays)
+def _error(text: str, tokens: list, k: int, wanted: str) -> ParseError:
+    """The error at token ``k`` in place of ``wanted``; an atom shows its name."""
+    at = [m.end() - len(m.group().lstrip()) for m in _TOKEN.finditer(text)] + [len(text)]
+    punct, idn, kind, _, _, word, bad = tokens[k]
+    if bad:
+        return ParseError(f"unexpected character {bad!r}", at[k])
+    word = "id" if idn else punct or kind or word
+    found = "end of input" if not word else str(int(word)) if word.isdecimal() else repr(word)
+    return ParseError(f"expected {wanted}, found {found}", at[k])
 
 
 # -- argument plumbing ---------------------------------------------------------

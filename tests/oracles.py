@@ -5,12 +5,14 @@ evaluation by dense padded slice matrices, with cups and caps nested by
 literal recursion; neighbour enumeration by exhausting interchange
 representatives and literally substituting whiskered relation
 instances; hom-set candidates by listing every slice word; hom classes
-by bounded pairwise search.  Keep these slow and obvious.
+by bounded pairwise search; expressions by a character-level tokenizer
+and recursive descent.  Keep these slow and obvious.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from collections import deque
 from functools import lru_cache
 
@@ -33,8 +35,9 @@ from monocat import (
     rule_instance,
     tensor,
 )
+from monocat.cli import ParseError
 from monocat.rewrite import Direction, RuleId
-from monocat.terms import GenKind, Generator, Slice, term_from_layers
+from monocat.terms import GenKind, Generator, NotComposable, Slice, term_from_layers
 
 
 def term_order(t: Term) -> tuple:
@@ -391,3 +394,96 @@ def snake() -> Term:
         tensor(Term(0, (Slice(0, eta(0, 1), 0),)), identity(1)),
         tensor(identity(1), Term(2, (Slice(0, eps(0, 1), 0),))),
     )
+
+
+_TOKEN = re.compile(r"\s*(?:(id|eta|eps)|(\d+)|([();,*])|(\S))")
+
+
+def _tokenize(text: str) -> list:
+    """(kind, value, position) tokens, one pass; trailing whitespace is skipped."""
+    out = []
+    for m in _TOKEN.finditer(text):
+        name, nat, punct, bad = m.groups()
+        if name:
+            out.append(("name", name, m.start(1)))
+        elif nat:
+            out.append(("nat", int(nat), m.start(2)))
+        elif punct:
+            out.append((punct, punct, m.start(3)))
+        else:
+            raise ParseError(f"unexpected character {bad!r}", m.start(4))
+    out.append(("eof", None, len(text)))
+    return out
+
+
+def _shown(kind: str, value) -> str:
+    """A token in a parse error: its value, or the end of input."""
+    return "end of input" if kind == "eof" else repr(value)
+
+
+def parse_expr_reference(text: str) -> Term:
+    """``cli.parse_expr`` by recursive descent over character-level tokens.
+
+    Each sub-expression is a (source, target, layers) triple, its layers
+    ``(offset, generator)`` pairs; one ``Term`` is built at the end.
+    """
+    tokens = _tokenize(text)
+    idx = 0
+
+    def take(kind):
+        nonlocal idx
+        tok = tokens[idx]
+        if tok[0] != kind:
+            wanted = "a natural number" if kind == "nat" else _shown(kind, kind)
+            raise ParseError(f"expected {wanted}, found {_shown(*tok[:2])}", tok[2])
+        idx += 1
+        return tok[1]
+
+    def parse_atom():
+        nonlocal idx
+        kind, value, at = tokens[idx]
+        if kind == "(":
+            idx += 1
+            part = parse_expression()
+            take(")")
+            return part
+        if kind == "name":
+            idx += 1
+            take("(")
+            if value == "id":
+                n = take("nat")
+                take(")")
+                return n, n, []
+            m = take("nat")
+            take(",")
+            n = take("nat")
+            take(")")
+            g = eta(m, n) if value == "eta" else eps(m, n)
+            return g.source, g.target, [(0, g)]
+        raise ParseError(f"expected an atom, found {_shown(kind, value)}", at)
+
+    def parse_tensor():
+        nonlocal idx
+        source, target, lays = parse_atom()
+        while tokens[idx][0] == "*":
+            idx += 1
+            s, t, more = parse_atom()
+            lays += [(off + target, g) for off, g in more]
+            source, target = source + s, target + t
+        return source, target, lays
+
+    def parse_expression():
+        nonlocal idx
+        source, target, lays = parse_tensor()
+        while tokens[idx][0] == ";":
+            idx += 1
+            s, t, more = parse_tensor()
+            if target != s:
+                raise NotComposable(f"cannot compose: target {target} != source {s}")
+            lays += more
+            target = t
+        return source, target, lays
+
+    source, _, lays = parse_expression()
+    take("eof")
+    return term_from_layers(source, lays)

@@ -8,10 +8,73 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monocat import Mode, SearchCaps, canonical, enum_hom_detailed, render, terms, vect
+from monocat import (
+    InvalidGenerator,
+    Mode,
+    NotComposable,
+    SearchCaps,
+    canonical,
+    enum_hom_detailed,
+    render,
+    terms,
+    vect,
+)
 from monocat.cli import EXIT_BROKEN_PIPE, ParseError, main, parse_expr
 from monocat.suite import snake_term
-from oracles import random_term
+from oracles import parse_expr_reference, random_term
+
+_GAPS = st.sampled_from(["", "", " ", "  ", "\t", "\n "])
+
+
+@st.composite
+def _expr_pieces(draw, depth=2):
+    """The tokens of a random expression: atoms whose widths need not chain,
+    grouped by random parentheses, ``*`` and ``;``."""
+    pieces = []
+    for k in range(draw(st.integers(1, 3))):
+        if k:
+            pieces.append(draw(st.sampled_from(["*", ";"])))
+        if depth and draw(st.booleans()):
+            pieces += ["(", *draw(_expr_pieces(depth - 1)), ")"]
+        elif draw(st.booleans()):
+            pieces += ["id", "(", str(draw(st.integers(0, 3))), ")"]
+        else:
+            name = draw(st.sampled_from(["eta", "eps"]))
+            m, n = draw(st.integers(0, 2)), draw(st.sampled_from([0, 1, 1, 2]))
+            pieces += [name, "(", str(m), ",", str(n), ")"]
+    return pieces
+
+
+def _rendered_pieces(seed: int) -> list:
+    """The tokens of a well-formed expression."""
+    return re.findall(r"id|eta|eps|\d+|[();,*]", render(random_term(random.Random(seed), max_len=5)))
+
+
+@st.composite
+def _mutated(draw, pieces):
+    """``pieces`` with one token dropped, duplicated or swapped with the
+    next, a stray character inserted, or cut short; or as they are."""
+    k = draw(st.integers(0, len(pieces) - 1))
+    how = draw(st.sampled_from(["keep", "drop", "duplicate", "swap", "stray", "truncate"]))
+    if how == "drop":
+        return pieces[:k] + pieces[k + 1 :]
+    if how == "duplicate":
+        return pieces[: k + 1] + pieces[k:]
+    if how == "swap":
+        return pieces[:k] + pieces[k : k + 2][::-1] + pieces[k + 2 :]
+    if how == "stray":
+        return pieces[:k] + [draw(st.sampled_from(["@", "x", "i", "e", "-", "."]))] + pieces[k:]
+    if how == "truncate":
+        return pieces[:k]
+    return pieces
+
+
+def _outcome(parse, text: str):
+    """The term parsed, or the error's type, message and position."""
+    try:
+        return parse(text)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
 
 
 class TestParseExpr:
@@ -90,9 +153,50 @@ class TestParseExpr:
         text = "".join(gaps[k % len(gaps)] + piece for k, piece in enumerate(pieces)) + gaps[-1]
         assert parse_expr(text) == t
 
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(
+        st.one_of(_expr_pieces(), st.integers(0, 10**6).map(_rendered_pieces)).flatmap(_mutated),
+        st.lists(_GAPS, min_size=1),
+    )
+    def test_agrees_with_the_reference_parser(self, pieces, gaps):
+        # spacing falls between the pieces of atoms too; a mutation can
+        # leave any token where another is wanted
+        text = "".join(gaps[k % len(gaps)] + piece for k, piece in enumerate(pieces)) + gaps[-1]
+        assert _outcome(parse_expr, text) == _outcome(parse_expr_reference, text)
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("eta(2,0) @", ParseError),  # an unexpected character anywhere comes first
+            ("eta(0,1) ; id(1) )", NotComposable),  # widths are checked as each term ends
+            ("eta(2,0) ; (", InvalidGenerator),  # generators are checked as each atom is read
+            ("id(1) ; eta(0,1) ; id(1", NotComposable),
+            ("(id(1) * eta(0,1)) ; (id(2) x", ParseError),
+            # a number past int()'s digit limit fails as it is tokenized
+            pytest.param("eta(2,0) ; id(" + "1" * 5000 + ")", ValueError, id="long-number"),
+            pytest.param("eta(0,1) @ id(" + "1" * 5000 + ")", ParseError, id="long-number-after"),
+        ],
+    )
+    def test_errors_come_in_reading_order(self, text, error):
+        outcome = _outcome(parse_expr, text)
+        assert outcome == _outcome(parse_expr_reference, text)
+        assert outcome[0] is error
+
     def test_nested_parens(self):
         t = parse_expr("((eta(0,1))) ; ((id(2)) * (id(0)))")
         assert t.target == 2
+
+    def test_deep_nesting(self, capsys):
+        text = "(" * 5000 + "(eta(0,1) * id(1)) ; (id(1) * eps(0,1))" + ")" * 5000
+        assert parse_expr(text) == snake_term()
+        assert main(["parse", text]) == 0
+        assert capsys.readouterr().out.startswith("(eta(0,1) * id(1)) ; (id(1) * eps(0,1))\n")
+
+    def test_deep_nesting_missing_a_parenthesis(self):
+        text = "(" * 5000 + "id(1)" + ")" * 4999
+        with pytest.raises(ParseError) as err:
+            parse_expr(text)
+        assert str(err.value) == f"expected ')', found end of input (at position {len(text)})"
 
     def test_render_roundtrip_on_random_terms(self):
         rng = random.Random(31)
