@@ -6,8 +6,9 @@ Expression grammar (whitespace-insensitive)::
     term := atom ("*" atom)*
     atom := "id(" nat ")" | "eta(" nat "," nat ")" | "eps(" nat "," nat ")" | "(" expr ")"
 
-";" composes diagrams left to right (the left operand is applied first),
-"*" places diagrams side by side.  Note this is the opposite order to
+``nat`` is a run of ASCII digits, and only ASCII whitespace separates
+tokens.  ";" composes diagrams left to right (the left operand is applied
+first), "*" places diagrams side by side.  Note this is the opposite order to
 function-style composition.  ``parse_expr`` reads an expression in one
 pass, with no limit on how deeply parentheses nest.  A malformed one is a
 ``ParseError`` that names the token at fault and where it starts (an
@@ -66,11 +67,12 @@ class ParseError(MonocatError):
         self.position = position
 
 
-# One match per token, after any whitespace: a punctuation mark, a whole
-# well-formed atom, a name or a number, or an unexpected character.
+# One match per token, after any ASCII whitespace: a punctuation mark, a
+# whole well-formed atom, a name or a number, or an unexpected character.
 _TOKEN = re.compile(
     r"\s*(?:([();,*])|id\s*\(\s*(\d+)\s*\)|(eta|eps)\s*\(\s*(\d+)\s*,\s*(\d+)\s*\)"
-    r"|(id|eta|eps|\d+)|(\S))"
+    r"|(id|eta|eps|\d+)|(\S))",
+    re.ASCII,
 )
 _EOF = ("",) * 7
 _KINDS = {"eta": GenKind.ETA, "eps": GenKind.EPS}
@@ -150,7 +152,7 @@ def parse_expr(text: str) -> Term:
 
 def _error(text: str, tokens: list, k: int, wanted: str) -> ParseError:
     """The error at token ``k`` in place of ``wanted``; an atom shows its name."""
-    at = [m.end() - len(m.group().lstrip()) for m in _TOKEN.finditer(text)] + [len(text)]
+    at = [m.end() - len(m.group().lstrip(" \t\n\r\f\v")) for m in _TOKEN.finditer(text)] + [len(text)]
     punct, idn, kind, _, _, word, bad = tokens[k]
     if bad:
         return ParseError(f"unexpected character {bad!r}", at[k])
@@ -162,12 +164,13 @@ def _error(text: str, tokens: list, k: int, wanted: str) -> ParseError:
 # -- argument plumbing ---------------------------------------------------------
 
 
-def _add_caps_args(p: argparse.ArgumentParser) -> None:
+def _add_caps_args(p: argparse.ArgumentParser, states: bool) -> None:
     p.add_argument("--mode", choices=["C", "D"], default="C")
     p.add_argument("--max-gens", type=int, default=DEFAULT_CAPS.max_gen_count)
     p.add_argument("--max-width", type=int, default=DEFAULT_CAPS.max_width)
     p.add_argument("--max-n", type=int, default=DEFAULT_CAPS.max_index_n)
-    p.add_argument("--max-states", type=int, default=None)
+    if states:
+        p.add_argument("--max-states", type=int, default=None)
 
 
 def _caps_of(args) -> SearchCaps:
@@ -314,7 +317,7 @@ def _cmd_explore(args) -> int:
 
 
 def _cmd_homset(args) -> int:
-    caps = _caps_of(args)
+    caps = SearchCaps(args.max_gens, args.max_width, args.max_n)
     reps = [cls[0] for cls in hom_classes(args.m, args.n, Mode[args.mode], caps)]
     if args.json:
         print(json.dumps({"classes": [render(t) for t in reps]}, indent=2))
@@ -376,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eq", help="bounded equality of two terms")
     p.add_argument("a")
     p.add_argument("b")
-    _add_caps_args(p)
+    _add_caps_args(p, states=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_eq)
 
@@ -391,14 +394,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("explore", help="breadth-first closure of a term's rewrite class")
     p.add_argument("expr")
-    _add_caps_args(p)
+    _add_caps_args(p, states=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_explore)
 
     p = sub.add_parser("homset", help="enumerate rewrite classes between two widths")
     p.add_argument("m", type=_int_at_least(0))
     p.add_argument("n", type=_int_at_least(0))
-    _add_caps_args(p)
+    _add_caps_args(p, states=False)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_homset)
 

@@ -55,6 +55,7 @@ from .terms import (
     _class_term,
     _front_graph,
     _out_of_range,
+    _swaps,
     canonical,
     compose,
     eps,
@@ -289,16 +290,16 @@ def invariant(t: Term, mode: Mode) -> tuple:
 # made a ``Term`` only when the step is built.
 
 
-def _memoised(lays: tuple, build):
+def _memoised(lays: tuple, build, moves=_swaps):
     """The entry of the least key ``lays`` for ``build``, built if missing.
 
-    Entries live in the memo of ``terms``, one dict per ``build``.
-    ``build(graph, s, fronts, memo)`` makes the entry of ``s`` from those
-    of the suffixes of its fronts, which are made first, on an explicit
-    stack rather than by recursion: suffixes nest as deep as the key is
-    long.  The work bound of ``terms`` applies to each entry.
+    Entries live in the memo of ``terms``, one dict per ``build``, on the
+    classes under ``moves``.  ``build(graph, s, fronts, memo)`` makes the
+    entry of ``s`` from those of its fronts' suffixes, which are made first,
+    on an explicit stack rather than by recursion: suffixes nest as deep as
+    the key is long.  The work bound of ``terms`` applies to each entry.
     """
-    graph = _front_graph()
+    graph = _front_graph(moves)
     memo = graph.table(build)
     entry = memo.get(lays)
     if entry is not None:
@@ -684,64 +685,56 @@ def explore(
 
 # -- normal forms modulo sliding ---------------------------------------------
 #
-# The sliding rules, which are the whole of mode D, keep the generator
-# count and the (kind, n) multiset, so the sliding class of a term is
-# finite.  Mode C adds the triangles, read as contractions: each removes
-# two generators, so contracting terminates.  This is rewriting modulo an
-# equivalence (Huet, JACM 27(4), 1980): walk the class depth first,
-# contract at the first triangle met, and take the least member of a
-# class with none.  Forms are unique only if contraction is confluent
-# modulo sliding, which is checked on enumerated hom-sets, not proved.
+# The sliding rules, which are the whole of mode D, keep the length, so a
+# sliding class is closed by fronts like an interchange class, with
+# ``_slides`` for the moves, and is not listed.  Mode C adds the triangles,
+# read as contractions, each removing two generators; this is rewriting
+# modulo an equivalence (Huet, JACM 27(4), 1980): take the least member of
+# the sliding class and contract at a triangle of it, until none is left.
+# One contraction is kept per least key, suffixes first: a triangle on a
+# front pair (a, b) leaves the suffix of b, and a contraction r of a
+# front's suffix class gives lead(a, r).
 
 
-def _sliding_class(state, limit: int):
-    """The members of the sliding class of ``state``, depth first."""
-    seen = {state}
-    stack = [state]
-    while stack:
-        x = stack.pop()
-        yield x
-        for r in _pair_results(x[1])[0]:
-            y = (x[0], r)
-            if y not in seen:
-                if len(seen) >= limit:
-                    raise MonocatError(f"sliding class exceeds the max_states limit of {limit}")
-                seen.add(y)
-                stack.append(y)
+def _slides(u: int, v: int) -> tuple:
+    """The interchange swaps and sliding rewrites of the adjacent packed layers (u, v)."""
+    return _swaps(u, v) + tuple(repl for _, _, repl, _ in _match_pair(u, v) if repl)
 
 
-def _normal_form(state, mode: Mode, limit: int):
-    """Packed-key normal form; see :func:`normal_form`.
-
-    In mode C the least triangle result of the first member met that has
-    one starts the next walk.  A class with none, and in mode D every
-    class, is walked in full, and its least member is the form.  ``limit``
-    bounds each walk; the route depends on the start member.
-    """
-    while True:
-        form = state
-        for x in _sliding_class(state, limit):
-            form = min(form, x)
-            tri = mode is Mode.C and _pair_results(x[1])[1]
-            if tri:
-                state = (x[0], min(tri))
-                break
-        else:
-            return form
+def _contraction_entry(graph, s, fronts, memo) -> tuple:
+    """One triangle contraction on the sliding class of ``s``: ``(result,)``, or ``()``."""
+    for a, t in fronts:
+        for _, u, found in _after(graph, a, t):
+            if any(not repl for _, _, repl, _ in found):
+                return (u,)
+        if memo[t]:
+            return (graph.lead(a, memo[t][0]),)
+    return ()
 
 
-def normal_form(t: Term, mode: Mode, caps: SearchCaps = DEFAULT_CAPS) -> Term:
+def _normal_form(state, mode: Mode):
+    """Packed-key normal form; see :func:`normal_form`."""
+    source, key = state
+    key = _front_graph(_slides).least(key)
+    while mode is Mode.C:
+        contracted = _memoised(key, _contraction_entry, _slides)
+        if not contracted:
+            break
+        key = contracted[0]
+    return source, key
+
+
+def normal_form(t: Term, mode: Mode) -> Term:
     """The canonical member of ``t``'s class after all triangle contractions.
 
     Mode D gives the least term of the sliding class, so two terms are
-    equal iff their normal forms are.  Mode C contracts at the first
-    triangle met on each depth-first walk of the sliding class; terms with
-    the same normal form are equal.  The route depends on the start, so
+    equal iff their normal forms are.  In mode C every member of a sliding
+    class gets the same form, and terms with the same form are equal;
     different forms mean different classes only as long as contraction is
-    confluent modulo sliding.  Raises :class:`MonocatError` when one walk
-    meets more than ``caps.max_states`` members.
+    confluent modulo sliding.  Raises :class:`MonocatError` when closing a
+    class takes more than the work bound of ``terms``.
     """
-    return _class_term(*_normal_form(_state(t), mode, caps.max_states))
+    return _class_term(*_normal_form((t.source, packed_layers(t)), mode))
 
 
 # -- hom-set enumeration ------------------------------------------------------
@@ -847,25 +840,19 @@ _BUCKET_SPECS = (vect.FunctorSpec.identity(2), vect.FunctorSpec.random(2, seed=1
 
 
 def hom_classes(
-    m: int,
-    n: int,
-    mode: Mode,
-    caps: SearchCaps = DEFAULT_CAPS,
-    merge_caps: SearchCaps | None = None,
+    m: int, n: int, mode: Mode, caps: SearchCaps = DEFAULT_CAPS
 ) -> tuple[tuple[Term, ...], ...]:
     """The enumerated hom classes m -> n, one per normal form.
 
     Every term ``generate_terms(m, n, caps)`` lists joins the class of its
     normal form (see :func:`normal_form`).  Members come by generator
     count, then packed layers, and classes in the order of their first
-    members.  Only ``max_states`` of ``merge_caps`` (default ``caps``) is
-    read: it bounds each walk of a sliding class.
+    members.
     """
-    limit = (merge_caps if merge_caps is not None else caps).max_states
     by_form: dict = {}
     for key in sorted(_hom_keys(m, n, caps), key=lambda k: (len(k), k)):
         member = term_from_packed(m, key)
-        by_form.setdefault(_normal_form((m, key), mode, limit), []).append(member)
+        by_form.setdefault(_normal_form((m, key), mode), []).append(member)
     return tuple(tuple(cls) for cls in by_form.values())
 
 
@@ -878,15 +865,14 @@ def enum_hom_detailed(
 ) -> HomEnumeration:
     """Enumerate hom classes by normal form; see :class:`HomEnumeration`.
 
-    The classes are :func:`hom_classes`.  ``unresolved`` pairs up the
-    representatives that exact matrix images under two functor
-    configurations do not separate: the representatives are planned once
-    and contracted in one batch per configuration (:func:`vect.image_keys`),
-    and buckets
-    come in the order of the ``repr`` of their first representative's
-    images.
+    The classes are :func:`hom_classes`, and ``merge_caps`` is not read.
+    ``unresolved`` pairs up the representatives that exact matrix images
+    under two functor configurations do not separate: the representatives
+    are planned once and contracted in one batch per configuration
+    (:func:`vect.image_keys`), and buckets come in the order of the
+    ``repr`` of their first representative's images.
     """
-    classes = hom_classes(m, n, mode, caps, merge_caps)
+    classes = hom_classes(m, n, mode, caps)
     reps = [cls[0] for cls in classes]
     buckets: dict = {}
     if reps:

@@ -397,11 +397,11 @@ def check_r_category(cfg: SuiteConfig) -> CheckResult:
     x = 1
     per_y = []
     problems = []
-    nf = lambda t: normal_form(t, Mode.C, cfg.hom_merge_caps)
+    nf = lambda t: normal_form(t, Mode.C)
 
     for y in (0, 1, 2):
-        src = enum_hom_detailed(y + x, 0, Mode.C, cfg.hom_caps, cfg.hom_merge_caps)
-        tgt = enum_hom_detailed(y, x, Mode.C, cfg.hom_caps, cfg.hom_merge_caps)
+        src = enum_hom_detailed(y + x, 0, Mode.C, cfg.hom_caps)
+        tgt = enum_hom_detailed(y, x, Mode.C, cfg.hom_caps)
         budget = cfg.hom_caps.max_gen_count - 1
 
         # round trips close for every enumerated class, both directions
@@ -467,11 +467,11 @@ def check_automorphism_evidence(cfg: SuiteConfig) -> CheckResult:
     id everywhere); this is bounded support for reading the candidate
     duality maps as plain insertions and deletions.
     """
-    nf = lambda t: normal_form(t, Mode.C, cfg.hom_merge_caps)
+    nf = lambda t: normal_form(t, Mode.C)
     details = {}
     stray = []
     for w in (1, 2):
-        reps = [cls[0] for cls in hom_classes(w, w, Mode.C, cfg.hom_caps, cfg.hom_merge_caps)]
+        reps = [cls[0] for cls in hom_classes(w, w, Mode.C, cfg.hom_caps)]
         one = identity(w)
         witnessed = [
             t

@@ -315,34 +315,35 @@ def _swaps(u: int, v: int) -> tuple:
     return out
 
 
-# swap tests one canonicalisation may make, each counted with the length of
-# the suffix behind it (the keys it hashes), before giving up
+# move tests one closing may make, each counted with the length of the
+# suffix behind it (the keys it hashes), before giving up
 _WORK_CAP = 20_000_000
 
 
 class _FrontGraph:
-    """A view of the memo of fronts for one canonicalisation or matching.
+    """A view of the memo of fronts for the classes under ``moves``.
 
-    The *fronts* of a class are its pairs (first layer, least suffix).
-    ``_least`` maps every pair ``(b, t)`` met so far, ``t`` a least key, to
-    the least member of the class of ``(b,) + t``, and maps each least key
-    to itself, so that equal least keys are one shared tuple; ``_fronts``
-    maps each least key of two or more layers to its fronts, sorted.  Both
-    are filled together, when a class is closed.  ``entries`` holds the
-    ``_swaps`` of each layer pair met (under the key ``_swaps``, per first
-    layer), and rewrite's pair matches, and its pair results, step fields
-    and cuts per least key, and the shared terms of ``_class_term``.
-    ``_WORK_CAP`` bounds the swap tests one call makes, or one request
-    after ``restart``.
+    ``moves`` maps two adjacent layers to the pairs they may become
+    (``_swaps``, interchange, by default).  The *fronts* of a class are its
+    pairs (first layer, least suffix).  ``_least`` maps every pair ``(b,
+    t)`` met so far, ``t`` a least key, to the least member of the class of
+    ``(b,) + t``, and maps each least key to itself, so that equal least
+    keys are one shared tuple; ``_fronts`` maps each least key of two or
+    more layers to its fronts, sorted.  Both are filled together, when a
+    class is closed.  ``entries`` holds the moves of each layer pair met
+    (per first layer), rewrite's pair matches and its entries per least
+    key, and the shared terms of ``_class_term``.  ``_WORK_CAP`` bounds the
+    move tests one call makes, or one request after ``restart``.
     """
 
-    __slots__ = ("_fronts", "_least", "entries", "_swapped", "_work")
+    __slots__ = ("_fronts", "_least", "entries", "_moves", "_moved", "_work")
 
-    def __init__(self, fronts: dict, least: dict, entries: dict) -> None:
+    def __init__(self, fronts: dict, least: dict, entries: dict, moves=_swaps) -> None:
         self._fronts = fronts
         self._least = least
         self.entries = entries
-        self._swapped = self.table(_swaps)
+        self._moves = moves
+        self._moved = self.table(moves)
         self._work = 0
 
     def table(self, key) -> dict:
@@ -353,7 +354,7 @@ class _FrontGraph:
         return table
 
     def restart(self) -> None:
-        """Count the swap tests of the next request from zero."""
+        """Count the move tests of the next request from zero."""
         self._work = 0
 
     def least(self, key: tuple) -> tuple:
@@ -404,26 +405,27 @@ class _FrontGraph:
         """Close the fronts reachable from the node ``start`` and memoise.
 
         A node (x, s) stands for every member ``(x,) + s'`` with ``s'`` in
-        the class of ``s``.  Swapping ``x`` with the first layer ``c`` of
-        such an ``s'``, one front (c, u) of ``s``, into ``c', x'`` leads to
-        the node (c', least((x',) + u)).  Yields each pair ``(x', u)``
-        whose least member is not yet known, and resumes once it is.
+        the class of ``s``.  Moving ``x`` and the first layer ``c`` of such
+        an ``s'``, one front (c, u) of ``s``, to ``c', x'`` leads to the
+        node (c', least((x',) + u)).  Yields each pair ``(x', u)`` whose
+        least member is not yet known, and resumes once it is.
         """
         least = self._least
         known = self._fronts
-        swapped = self._swapped
+        moved = self._moved
         nodes = [start]
         seen = None
         for x, s in nodes:
             fronts = known.get(s) or self.fronts(s)
             self._work += len(fronts) * len(s)
             if self._work > _WORK_CAP:
-                raise MonocatError("interchange class too large to normalise")
-            swaps = swapped.get(x) or swapped.setdefault(x, {})
+                name = "interchange" if self._moves is _swaps else "sliding"
+                raise MonocatError(f"{name} class too large to normalise")
+            after = moved.get(x) or moved.setdefault(x, {})
             for c, u in fronts:
-                moves = swaps.get(c)
+                moves = after.get(c)
                 if moves is None:
-                    moves = swaps[c] = _swaps(x, c)
+                    moves = after[c] = self._moves(x, c)
                 for c2, x2 in moves:
                     if u:
                         pair = (x2, u)
@@ -455,19 +457,27 @@ class _FrontGraph:
 # states again.  The entries that searches read hold least keys only, shared
 # with ``least``, and the swaps and matches of each layer pair met, so that
 # the keys built from one result share its packed layers; step fields are
-# built only for returned steps.  ``canonical``, ``rewrite.apply`` and
-# ``rewrite.normal_form`` share one ``Term`` per class (``_class_term``).
-# At this cap the word-problem explores of the zig-zag and its mirror run
-# without a replacement and TriangleA's (5,313 states) with one.
+# built only for returned steps.  Another move set keeps its (fronts, least)
+# in the entries, under ``(_FrontGraph, moves)``, and is bounded alike.
+# ``canonical``, ``rewrite.apply`` and ``rewrite.normal_form`` share one
+# ``Term`` per class (``_class_term``).  At this cap the word-problem explores
+# of the zig-zag and its mirror run without a replacement, TriangleA's with one.
 _MEMO_CAP = 49152
 _memo: tuple = ({}, {}, {})
 
 
-def _front_graph() -> _FrontGraph:
+def _front_graph(moves=_swaps) -> _FrontGraph:
+    """The view of the memo for the classes under ``moves``."""
     global _memo
-    if len(_memo[1]) > _MEMO_CAP:
+    if moves is _swaps:
+        if len(_memo[1]) > _MEMO_CAP:
+            _memo = ({}, {}, {})
+        return _FrontGraph(*_memo)
+    dicts = _memo[2].setdefault((_FrontGraph, moves), ({}, {}))
+    if len(dicts[1]) > _MEMO_CAP:
         _memo = ({}, {}, {})
-    return _FrontGraph(*_memo)
+        return _front_graph(moves)
+    return _FrontGraph(*dicts, _memo[2], moves)
 
 
 def _canonical_key(key: tuple) -> tuple:

@@ -396,7 +396,7 @@ def snake() -> Term:
     )
 
 
-_TOKEN = re.compile(r"\s*(?:(id|eta|eps)|(\d+)|([();,*])|(\S))")
+_TOKEN = re.compile(r"\s*(?:(id|eta|eps)|(\d+)|([();,*])|(\S))", re.ASCII)
 
 
 def _tokenize(text: str) -> list:

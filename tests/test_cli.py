@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import random
@@ -181,6 +182,24 @@ class TestParseExpr:
         outcome = _outcome(parse_expr, text)
         assert outcome == _outcome(parse_expr_reference, text)
         assert outcome[0] is error
+
+    @pytest.mark.parametrize(
+        "text, bad, position",
+        [
+            ("eta(٣,1)", "٣", 4),  # ARABIC-INDIC DIGIT THREE
+            ("id(１)", "１", 3),  # FULLWIDTH DIGIT ONE
+            ("eta(0,1)　; eps(0,1)", "　", 8),  # IDEOGRAPHIC SPACE
+        ],
+        ids=["arabic-indic-digit", "fullwidth-digit", "ideographic-space"],
+    )
+    def test_digits_and_spaces_are_ascii(self, capsys, text, bad, position):
+        message = f"unexpected character {bad!r} (at position {position})"
+        for parse in (parse_expr, parse_expr_reference):
+            with pytest.raises(ParseError) as err:
+                parse(text)
+            assert str(err.value) == message
+        assert main(["parse", text]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_nested_parens(self):
         t = parse_expr("((eta(0,1))) ; ((id(2)) * (id(0)))")
@@ -462,10 +481,22 @@ class TestCommands:
         assert err.startswith("usage: monocat homset")
         assert message in err
 
-    def test_homset_sliding_class_over_state_cap(self, capsys):
+    def test_homset_sliding_class_over_state_cap(self, capsys, fresh_memo, monkeypatch):
+        # sliding classes are closed by fronts: no state cap applies, and
+        # the work bound of ``terms`` stops a closing that runs too long
         args = ["homset", "3", "1", "--mode", "D", "--max-gens", "4", "--max-n", "1"]
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("173 classes\n  eps(0,1) * id(1)\n  eps(1,1)\n")
+        digest = "9df5bc8972fac16e50ac4169d3b1bf374a7abbfa537ad24d866ed2530b352499"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
         assert main(args + ["--max-states", "2"]) == 2
-        assert "max_states limit of 2" in capsys.readouterr().err
+        assert "unrecognized arguments: --max-states 2" in capsys.readouterr().err
+        # at this bound the interchange closings of the enumeration pass
+        monkeypatch.setattr(terms, "_WORK_CAP", 10)
+        monkeypatch.setattr(terms, "_memo", ({}, {}, {}))
+        assert main(args) == 2
+        assert capsys.readouterr().err == "error: sliding class too large to normalise\n"
 
     def test_env_var_overrides_default_states(self, capsys, monkeypatch):
         monkeypatch.setenv("MONOCAT_MAX_STATES", "10")

@@ -33,6 +33,7 @@ from monocat import (
     match_rules,
     neighbors,
     normal_form,
+    render,
     rule_instance,
     rule_instances,
     rewrite,
@@ -41,8 +42,17 @@ from monocat import (
     whisker,
 )
 from monocat.cli import parse_expr
-from monocat.rewrite import NATURALITY_RULES, TRIANGLE_RULES, generate_terms, sample_term
-from monocat.terms import packed_layers, term_from_layers
+from monocat.rewrite import (
+    NATURALITY_RULES,
+    TRIANGLE_RULES,
+    _hom_keys,
+    _normal_form,
+    _pair_results,
+    generate_terms,
+    hom_classes,
+    sample_term,
+)
+from monocat.terms import GenKind, _canonical_key, packed_layers, term_from_layers
 from oracles import (
     hom_candidates,
     hom_classes_by_search,
@@ -529,9 +539,9 @@ class TestMemoDrops:
         drops = []
         replace = terms._front_graph
 
-        def counting():
+        def counting(*moves):
             before = terms._memo
-            graph = replace()
+            graph = replace(*moves)
             if terms._memo is not before:
                 drops.append(True)
             return graph
@@ -563,13 +573,21 @@ class TestMemoDrops:
         assert normal_form(snake(), Mode.C) == want
 
     def test_normal_form_found_across_a_drop_is_kept(self, fresh_memo, monkeypatch):
-        # walking END's class replaces a memo of 40 pairs; the form found
-        # across the replacement is found again
+        # one closing keeps its graph, so a memo of 40 pairs is replaced
+        # between calls; the forms found across replacements are the forms
+        # found on a fresh memo
+        cases = [(t, mode) for t in (self.START, self.END, snake()) for mode in Mode]
+        want = []
+        for t, mode in cases:
+            monkeypatch.setattr(terms, "_memo", ({}, {}, {}))
+            want.append(normal_form(t, mode))
         monkeypatch.setattr(terms, "_MEMO_CAP", 40)
-        first = terms._memo
-        want = normal_form(self.END, Mode.D)
-        assert terms._memo is not first
-        assert normal_form(self.END, Mode.D) == want
+        memos, got = [], []
+        for t, mode in cases * 2:
+            memos.append(terms._memo)
+            got.append(normal_form(t, mode))
+        assert any(a is not b for a, b in zip(memos, memos[1:]))
+        assert got == want * 2
 
 
 class TestSampleTerm:
@@ -690,30 +708,29 @@ class TestNormalForm:
             assert normal_form(lhs, Mode.D) == normal_form(rhs, Mode.D), (rule, params)
             assert canonical(lhs) != canonical(rhs)
 
-    def test_tiny_limit_raises(self):
+    def test_tiny_limit_raises(self, fresh_memo, monkeypatch):
+        # the work bound of ``terms`` stops a sliding closing as it stops an
+        # interchange one; normal_form closes the sliding class first, so at
+        # these bounds canonical passes and the sliding closing raises
         lhs, _ = rule_instance(RuleId.NAT_ETA_ETA, 0, 0, 1, 0, 1)
-        with pytest.raises(MonocatError, match="max_states limit of 1"):
-            normal_form(lhs, Mode.D, SearchCaps(max_states=1))
-
-    def test_contracts_at_the_first_triangle_met(self, fresh_memo, monkeypatch):
-        # four TriangleA composites composed: the sliding class of this
-        # 8-slice term has 11,726 members, and closing it is not needed
         tri = triangle_composite_a()
         t = compose(compose(tri, tri), compose(tri, tri))
-        caps = SearchCaps(max_states=20)
-        with pytest.raises(MonocatError, match="max_states limit of 20"):
-            normal_form(t, Mode.D, caps)
-        walked = []
-        walk = rewrite._sliding_class
+        for term, bound in ((lhs, 1), (t, 1000)):
+            monkeypatch.setattr(terms, "_WORK_CAP", bound)
+            for mode in Mode:
+                monkeypatch.setattr(terms, "_memo", ({}, {}, {}))
+                canonical(term)
+                monkeypatch.setattr(terms, "_memo", ({}, {}, {}))
+                with pytest.raises(MonocatError, match="^sliding class too large to normalise$"):
+                    normal_form(term, mode)
 
-        def counting(state, limit):
-            for x in walk(state, limit):
-                walked.append(x)
-                yield x
-
-        monkeypatch.setattr(rewrite, "_sliding_class", counting)
-        assert normal_form(t, Mode.C, caps) == identity(1)
-        assert len(walked) < 50
+    def test_contracts_at_the_first_triangle_met(self, fresh_memo):
+        # four TriangleA composites composed: the sliding class of this
+        # 8-slice term has 11,726 members, and none is listed
+        tri = triangle_composite_a()
+        t = compose(compose(tri, tri), compose(tri, tri))
+        assert render(normal_form(t, Mode.D)) == " ; ".join(["(eta(0,1) * id(1)) ; eps(1,1)"] * 4)
+        assert normal_form(t, Mode.C) == identity(1)
 
     @pytest.mark.parametrize("m, n, gens", [(1, 1, 4), (2, 2, 3), (2, 0, 4)])
     def test_matches_closing_oracle(self, m, n, gens):
@@ -724,15 +741,85 @@ class TestNormalForm:
         caps = SearchCaps(gens, 5, 1)
         for t in generate_terms(m, n, caps):
             for mode in (Mode.C, Mode.D):
-                assert normal_form(t, mode, caps) == normal_form_by_closure(t, mode, caps), (t, mode)
+                assert normal_form(t, mode) == normal_form_by_closure(t, mode, caps), (t, mode)
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(small_terms())
     def test_mode_c_neighbours_share_normal_form(self, t):
         caps = SearchCaps(5, 6, 1, 4000)
-        form = normal_form(t, Mode.C, caps)
+        form = normal_form(t, Mode.C)
         for u in neighbors(t, Mode.C, caps):
-            assert normal_form(u, Mode.C, caps) == form, (t, u)
+            assert normal_form(u, Mode.C) == form, (t, u)
+
+
+def sliding_class(key: tuple) -> set:
+    """The least keys of the sliding class of the least key ``key``, listed
+    by closing under the sliding pair results."""
+    members = {key}
+    todo = [key]
+    while todo:
+        for r in _pair_results(todo.pop())[0]:
+            if r not in members:
+                members.add(r)
+                todo.append(r)
+    return members
+
+
+def snakes(gens: int) -> list:
+    """The composites (id(1) * u) ; (c * id(1)) of a unit class u of
+    hom(0, 2) and a counit class c of hom(2, 0) with at most ``gens``
+    generators, one per pair of mode-C classes."""
+    caps = SearchCaps(gens, 8, 1)
+    units = [cls[0] for cls in hom_classes(0, 2, Mode.C, caps)]
+    counits = [cls[0] for cls in hom_classes(2, 0, Mode.C, caps)]
+    return [compose(tensor(identity(1), u), tensor(c, identity(1))) for u in units for c in counits]
+
+
+class TestSlidingClasses:
+    """Normal forms against sliding classes listed member by member."""
+
+    def test_snake_forms_are_least_members(self, fresh_memo):
+        # 18 unit and 18 counit classes at <= 4 generators; a snake's class
+        # has up to 227 members
+        largest = 0
+        terms_ = snakes(4)
+        assert len(terms_) == 18 * 18
+        for t in terms_:
+            members = sliding_class(_canonical_key(packed_layers(t)))
+            largest = max(largest, len(members))
+            assert packed_layers(normal_form(t, Mode.D)) == min(members), t
+        assert largest == 227
+
+    def test_snakes_match_closing_oracle(self, fresh_memo):
+        # every member fits in these caps: no member is wider than the
+        # source with all its cups open.  The oracle takes seconds per
+        # 6-generator snake at these caps, so the sample is small
+        for t in random.Random(3).sample(snakes(4), 3):
+            cups = sum(s.gen.n for s in t.slices if s.gen.kind is GenKind.ETA)
+            caps = SearchCaps(gen_count(t), t.source + 2 * cups, 1)
+            for mode in Mode:
+                assert normal_form(t, mode) == normal_form_by_closure(t, mode, caps), (t, mode)
+
+    def test_triangles_join_modulo_sliding(self, fresh_memo):
+        # local confluence on small hom-sets: every triangle contraction of
+        # every member of a key's sliding class has the key's mode-C form.
+        # Each class is closed once; its members are all keys here, and
+        # counted once per key of their class they are 23,519 contractions
+        caps = SearchCaps(4, 8, 1)
+        keys = contractions = 0
+        for m, n in [(1, 1), (2, 2), (3, 3), (2, 0), (0, 2), (1, 3)]:
+            form_of: dict = {}
+            for key in sorted(_hom_keys(m, n, caps)):
+                keys += 1
+                form = _normal_form((m, key), Mode.C)
+                if key not in form_of:
+                    for x in sliding_class(key):
+                        form_of[x] = form
+                        for r in _pair_results(x)[1]:
+                            contractions += 1
+                            assert _normal_form((m, r), Mode.C) == form, (m, key, x, r)
+                assert form_of[key] == form, (m, key)
+        assert (keys, contractions) == (40421, 5252)
 
 
 class TestRuleInstanceTable:
