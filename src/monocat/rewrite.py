@@ -654,8 +654,8 @@ def explore(
     """Breadth-first closure of ``t``'s rewrite class under caps.
 
     With ``collect_states`` the report carries every visited canonical
-    form (meant for small caps; the invariant suite checks the matrix
-    image is constant across them).
+    form (meant for small caps, as when checking that the matrix image is
+    constant across a class).
     """
     start = _state(t)
     if not _respects(start, caps):
@@ -869,8 +869,8 @@ def enum_hom_detailed(
     ``unresolved`` pairs up the representatives that exact matrix images
     under two functor configurations do not separate: the representatives
     are planned once and contracted in one batch per configuration
-    (:func:`vect.image_keys`), and buckets come in the order of the
-    ``repr`` of their first representative's images.
+    (:func:`vect.image_keys`), and buckets come in the order of their
+    first representatives.
     """
     classes = hom_classes(m, n, mode, caps)
     reps = [cls[0] for cls in classes]
@@ -878,12 +878,8 @@ def enum_hom_detailed(
     if reps:
         for rep, image in zip(reps, vect.image_keys(_BUCKET_SPECS, reps)):
             buckets.setdefault(image, []).append(rep)
-
-    def first_image(bucket: list) -> str:
-        return repr(tuple(vect.eval_term(s, bucket[0]).entries for s in _BUCKET_SPECS))
-
     unresolved = []
-    for bucket in sorted(buckets.values(), key=first_image):
+    for bucket in buckets.values():
         unresolved.extend((bucket[i], bucket[j]) for j in range(len(bucket)) for i in range(j))
     return HomEnumeration(classes=classes, unresolved=tuple(unresolved))
 

@@ -350,6 +350,9 @@ def is_invertible(a: Mat) -> bool:
 
 # -- functor configuration ----------------------------------------------------
 
+# elementary row operations behind each random pairing matrix
+_PAIRING_MOVES = 12
+
 
 @dataclass(frozen=True)
 class FunctorSpec:
@@ -384,7 +387,7 @@ class FunctorSpec:
         return cls(d, Mat.identity(d, field))
 
     @classmethod
-    def random(cls, d: int, seed: int, field=RATIONALS, moves: int = 12) -> "FunctorSpec":
+    def random(cls, d: int, seed: int, field=RATIONALS) -> "FunctorSpec":
         """Random integer pairing matrix with unit determinant, per seed.
 
         Built from random elementary row operations, so the inverse pairing
@@ -394,7 +397,7 @@ class FunctorSpec:
         rows = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
         if d == 1:
             rows[0][0] = rng.choice((1, -1))
-        for _ in range(moves if d > 1 else 0):
+        for _ in range(_PAIRING_MOVES if d > 1 else 0):
             i, j = rng.sample(range(d), 2)
             f = rng.choice((-2, -1, 1, 2))
             rows[i] = [a + f * b for a, b in zip(rows[i], rows[j])]

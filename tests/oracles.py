@@ -360,7 +360,8 @@ def hom_classes_by_search(
     """Hom classes by pairwise bounded search, without normal forms.
 
     The candidates are ``hom_candidates``.  They are bucketed by their
-    exact images under two pairings; inside a bucket each joins the first
+    exact images under two pairings, buckets in the order of their first
+    candidates; inside a bucket each joins the first
     class whose representative ``equal`` reaches under ``merge_caps``,
     else opens a class and is recorded as unresolved against every
     earlier class of the bucket.
@@ -372,7 +373,7 @@ def hom_classes_by_search(
         buckets.setdefault(tuple(eval_term(s, t).entries for s in specs), []).append(t)
     classes = []
     unresolved = []
-    for sig in sorted(buckets, key=repr):
+    for sig in buckets:
         bucket_classes = []
         for t in buckets[sig]:
             home = next(

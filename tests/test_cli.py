@@ -550,8 +550,6 @@ class TestSuiteCommand:
         cfg = {
             "caps": {"max_gen_count": 4, "max_width": 6, "max_index_n": 1, "max_states": 3000},
             "hom_caps": {"max_gen_count": 2, "max_width": 6, "max_index_n": 1, "max_states": 1500},
-            "hom_merge_caps": {"max_gen_count": 5, "max_width": 8, "max_index_n": 1, "max_states": 2000},
-            "control_caps": {"max_gen_count": 4, "max_width": 6, "max_index_n": 1, "max_states": 2000},
             "dims": [1, 2],
             "obstruction_samples": 10,
             "nonsquare_samples": 5,
@@ -569,6 +567,13 @@ class TestSuiteCommand:
         path.write_text(json.dumps({"dims": 2}))
         assert main(["suite", "--config", str(path)]) == 2
         assert capsys.readouterr().err.strip() == "error: dims must be a list of integers, got 2"
+
+    @pytest.mark.parametrize("key", ["control_caps", "hom_merge_caps"])
+    def test_removed_search_budgets_are_unknown_keys(self, tmp_path, capsys, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({key: {}}))
+        assert main(["suite", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.strip() == f"error: unknown key(s) in suite config: {key!r}"
 
     def test_bad_config_path(self, capsys):
         assert main(["suite", "--config", "/nonexistent/cfg.json"]) == 2

@@ -14,6 +14,7 @@ from monocat import (
     Slice,
     Term,
     canonical,
+    compose,
     eps,
     equal,
     eta,
@@ -21,12 +22,15 @@ from monocat import (
     gen_count,
     gen_term,
     identity,
+    invariant,
     rule_instance,
+    tensor,
 )
+from monocat import suite
 from monocat.suite import (
     SuiteConfig,
     check_closedness,
-    check_not_rigid_evidence,
+    check_not_rigid,
     check_r_category,
     check_rule_soundness,
     check_skeletal_and_obstructions,
@@ -39,8 +43,6 @@ from monocat.suite import (
 FAST_CFG = SuiteConfig(
     caps=SearchCaps(4, 6, 1, 3000),
     hom_caps=SearchCaps(2, 6, 1, 1500),
-    hom_merge_caps=SearchCaps(5, 8, 1, 2000),
-    control_caps=SearchCaps(4, 6, 1, 2000),
     obstruction_samples=15,
     nonsquare_samples=6,
 )
@@ -100,12 +102,17 @@ class TestChecks:
         assert res.details["max_path_len"] == 1
         assert res.path == ["TriangleA"]
 
-    def test_not_rigid_evidence(self):
-        res = check_not_rigid_evidence(FAST_CFG)
-        assert res.status == "evidence"
-        assert res.details["identity_found"] is False
-        assert res.details["control_identity_found"] is True
-        assert res.states_visited > 1
+    def test_not_rigid(self):
+        res = check_not_rigid(FAST_CFG)
+        assert res.status == "pass"
+        assert res.details["invariant"] == invariant(snake_term(), Mode.C) == ((1, (0, 1)),)
+        assert res.details["identity_invariant"] == invariant(identity(1), Mode.C) == ()
+
+    def test_not_rigid_fails_on_equal_invariants(self, monkeypatch):
+        monkeypatch.setattr(suite, "invariant", lambda t, mode: ())
+        res = check_not_rigid(FAST_CFG)
+        assert res.status == "fail"
+        assert res.details["invariant"] == res.details["identity_invariant"] == ()
 
     def test_rule_soundness_passes(self):
         cfg = SuiteConfig(dims=(1, 2), phi_seeds=(1,))
@@ -148,6 +155,15 @@ class TestChecks:
         assert by_y[1]["source_classes"] >= 1
         assert by_y[1]["target_classes"] >= 2
 
+    def test_r_category_reports_an_open_round_trip(self, monkeypatch):
+        # a closed loop changes the mode-C normal form of every transpose
+        loop = compose(gen_term(eta(0, 1)), gen_term(eps(0, 1)))
+        plain = suite.transpose
+        monkeypatch.setattr(suite, "transpose", lambda f, x: tensor(plain(f, x), loop))
+        res = check_r_category(FAST_CFG)
+        assert res.status == "fail"
+        assert any(p["issue"] == "round trip open" for p in res.details["problems"])
+
 
 class TestRunAll:
     def test_all_green_and_json_stable(self):
@@ -157,7 +173,7 @@ class TestRunAll:
         assert {c.name for c in r1.checks} == {
             "rule_soundness",
             "closedness",
-            "not_rigid_evidence",
+            "not_rigid",
             "skeletal_obstructions",
             "r_category",
             "automorphism_evidence",
@@ -173,9 +189,9 @@ class TestRunAll:
         assert report.failed
 
     def test_default_report_matches_golden_file(self):
-        # the default suite's timing-free JSON, recorded before the
-        # hom-set classes were grouped by normal form; refactors that keep
-        # behaviour must keep it byte for byte
+        # the default suite's timing-free JSON; a change that keeps every
+        # check's behaviour keeps it byte for byte, and one that changes a
+        # check re-records it and argues each changed field
         golden = Path(__file__).parent / "data" / "suite_default.json"
         assert run_all(SuiteConfig()).to_json(zero_timings=True) == golden.read_text()
 
@@ -186,8 +202,7 @@ class TestRunAll:
         for entry in data["checks"]:
             assert {"name", "status", "details", "elapsed_s"} <= set(entry)
             assert entry["status"] in {"pass", "fail", "evidence"}
-        rigid = next(e for e in data["checks"] if e["name"] == "not_rigid_evidence")
-        assert "states_visited" in rigid
+        assert all("states_visited" not in entry for entry in data["checks"])
 
 
 class TestSuiteConfig:
@@ -216,7 +231,7 @@ class TestSuiteConfig:
             ({"caps": {"max_state": 5}}, "unknown key(s) in caps: 'max_state'"),
             ({"caps": 3}, "caps must be an object, got 3"),
             ({"hom_caps": {"max_states": "10"}}, "hom_caps.max_states must be an integer"),
-            ({"control_caps": {"max_width": 0}}, "max_width must be >= 1"),
+            ({"hom_caps": {"max_width": 0}}, "max_width must be >= 1"),
             ({"dims": 2}, "dims must be a list of integers, got 2"),
             ({"dims": [1, "2"]}, "dims entry must be an integer, got '2'"),
             ({"phi_seeds": [1.5]}, "phi_seeds entry must be an integer"),
@@ -226,6 +241,8 @@ class TestSuiteConfig:
             ([], "suite config must be an object, got []"),
             ({"obstruction_samples": -5}, "obstruction_samples must be >= 0"),
             ({"nonsquare_samples": -1}, "nonsquare_samples must be >= 0"),
+            ({"control_caps": {}}, "unknown key(s) in suite config: 'control_caps'"),
+            ({"hom_merge_caps": {}}, "unknown key(s) in suite config: 'hom_merge_caps'"),
         ],
     )
     def test_malformed_config_rejected(self, data, message):
