@@ -20,7 +20,8 @@ when they differ by swapping adjacent slices with disjoint support
 All types are immutable values.  Canonicalisation and rule matching share
 one bounded, unlocked memo (see ``_front_graph``) whose entries depend only
 on their keys, so results never depend on what it holds; only which of
-several equal ``Term`` objects ``canonical`` returns does.
+several equal ``Term`` objects ``canonical`` returns, and which equal
+``Slice`` objects a returned term holds, do.
 """
 
 from __future__ import annotations
@@ -269,12 +270,33 @@ def term_from_layers(source: int, lays: list[tuple[int, Generator]]) -> Term:
 
 
 def term_from_packed(source: int, lays: tuple) -> Term:
-    """The term with packed layers ``lays``; raises when they do not chain."""
-    gens = [
-        (k >> OFF_SHIFT, Generator(_KINDS[k >> KIND_SHIFT & 1], k >> M_SHIFT & M_MASK, k & N_MASK))
-        for k in lays
-    ]
-    return term_from_layers(source, gens)
+    """The term with packed layers ``lays``; raises when they do not chain.
+
+    Its slices are shared: the memo's entries keep one ``Slice``, with its
+    ``Generator``, per (packed layer, input width), built and checked as in
+    ``term_from_layers`` on a miss.  The table is dropped with the memo,
+    and starts again empty once it holds more than ``_MEMO_CAP`` slices
+    (``rewrite.sample_term`` fills it without growing the memo's least
+    keys).  The ``Term`` still checks that the slices chain.
+    """
+    entries = _memo[2]
+    table = entries.get(term_from_packed)
+    if table is None or len(table) > _MEMO_CAP:
+        table = entries[term_from_packed] = {}
+    out = []
+    w = source
+    for k in lays:
+        s = table.get((k, w))
+        if s is None:
+            off = k >> OFF_SHIFT
+            g = Generator(_KINDS[k >> KIND_SHIFT & 1], k >> M_SHIFT & M_MASK, k & N_MASK)
+            right = w - off - g.source
+            if right < 0:
+                raise ValueError(f"layer ({off}, {g}) does not fit in width {w}")
+            s = table[k, w] = Slice(off, g, right)
+        out.append(s)
+        w += (k & N_MASK) << 1 if k & ETA_BIT else -((k & N_MASK) << 1)
+    return Term(source, tuple(out))
 
 
 def upside_down(t: Term) -> Term:
@@ -332,7 +354,8 @@ class _FrontGraph:
     more layers to its fronts, sorted.  Both are filled together, when a
     class is closed.  ``entries`` holds the moves of each layer pair met
     (per first layer), rewrite's pair matches and its entries per least
-    key, and the shared terms of ``_class_term``.  ``_WORK_CAP`` bounds the
+    key, the shared terms of ``_class_term`` and the shared slices of
+    ``term_from_packed``.  ``_WORK_CAP`` bounds the
     move tests one call makes, or one request after ``restart``.
     """
 
@@ -443,7 +466,8 @@ class _FrontGraph:
                         nodes.append(node)
         nodes.sort()
         first, rest = nodes[0]
-        hit = least.setdefault((first,) + rest, (first,) + rest)
+        hit = (first,) + rest
+        hit = least.setdefault(hit, hit)
         # every front (c, u) of the class is a pair whose least member is hit
         for node in nodes:
             least[node] = hit
@@ -460,7 +484,9 @@ class _FrontGraph:
 # built only for returned steps.  Another move set keeps its (fronts, least)
 # in the entries, under ``(_FrontGraph, moves)``, and is bounded alike.
 # ``canonical``, ``rewrite.apply`` and ``rewrite.normal_form`` share one
-# ``Term`` per class (``_class_term``).  At this cap the word-problem explores
+# ``Term`` per class (``_class_term``), and every ``Term`` built from packed
+# layers one ``Slice`` per (packed layer, input width), read from the entries
+# directly (``term_from_packed``).  At this cap the word-problem explores
 # of the zig-zag and its mirror run without a replacement, TriangleA's with one.
 _MEMO_CAP = 49152
 _memo: tuple = ({}, {}, {})

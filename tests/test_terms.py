@@ -10,6 +10,7 @@ from monocat import (
     InvalidGenerator,
     Mode,
     NotComposable,
+    SearchCaps,
     Slice,
     Term,
     canonical,
@@ -27,10 +28,11 @@ from monocat import (
     tensor,
     whisker,
 )
-from monocat import terms
-from monocat.rewrite import apply, generate_terms
+from monocat import rewrite, terms
+from monocat.rewrite import apply, enum_hom_detailed, equal, explore, generate_terms
 from monocat.suite import SuiteConfig, snake_term
 from monocat.terms import (
+    LayerOutOfRange,
     _class_term,
     packed_layers,
     term_from_layers,
@@ -229,6 +231,20 @@ class TestSharedCanonical:
             assert canonical(after) is after
             assert apply(t, step) is after
 
+    def test_least_keys_are_kept_once(self, fresh_memo):
+        rng = random.Random(47)
+        for _ in range(200):
+            t = random_term(rng, max_len=6)
+            canonical(t)
+            normal_form(t, Mode.D)
+        sliding = terms._memo[2][terms._FrontGraph, rewrite._slides]
+        for least in (terms._memo[1], sliding[1]):
+            # a pair (first layer, least suffix) ends in a tuple, a least key in a layer
+            keys = [k for k in least if not isinstance(k[-1], tuple)]
+            assert len(keys) > 100
+            assert all(least[k] is k for k in keys)
+            assert all(least[v] is v for v in least.values())
+
     def test_sources_are_kept_apart(self, fresh_memo):
         pair = tensor(gen_term(eta(0, 1)), gen_term(eta(0, 1)))
         wide = tensor(pair, identity(2))
@@ -246,14 +262,94 @@ class TestSharedCanonical:
         monkeypatch.setattr(terms, "_MEMO_CAP", 30)
         monkeypatch.setattr(terms, "_memo", ({}, {}, {}))
         memos = [terms._memo]
+        slices = [slice_table()]
         for t, w in zip(inputs, want):
             assert canonical(shuffled(rng, t, moves=8)) == w
             # every kept least key is one of the memo's, so the table drops with it
             least = terms._memo[1]
             assert all(least.get(key) is key for _, key in class_table())
+            assert term_from_packed(t.source, packed_layers(t)) == t
             if terms._memo is not memos[-1]:
                 memos.append(terms._memo)
+                slices.append(slice_table())
         assert len(memos) > 10
+        # each memo had its own slice table
+        assert len({id(table) for table in slices}) == len(slices)
+
+
+def slice_table() -> dict:
+    """The memo's table of shared slices by (packed layer, input width), added if missing."""
+    term_from_packed(0, ())
+    return terms._memo[2][term_from_packed]
+
+
+def check_shared_slices(ts, seen: dict) -> None:
+    """Each slice of the terms ``ts`` is the one ``seen`` first for its packed layer and width."""
+    for t in ts:
+        w = t.source
+        for k, s in zip(packed_layers(t), t.slices):
+            assert seen.setdefault((k, w), s) is s, (t, k, w)
+            w = s.target_width
+
+
+class TestSharedSlices:
+    """``term_from_packed`` builds terms from one ``Slice`` per (packed layer, input width)."""
+
+    def test_returned_terms_share_slices(self, fresh_memo):
+        seen: dict = {}
+        caps = SearchCaps(4, 6, 1, 2000)
+        for cls in enum_hom_detailed(1, 1, Mode.C, caps).classes:
+            check_shared_slices(cls, seen)
+        check_shared_slices(generate_terms(1, 1, caps), seen)
+        # two TriangleA composites side by side contract to the identity
+        triangle = compose(whisker(0, eta(0, 1), 1), gen_term(eps(1, 1)))
+        witness = equal(tensor(triangle, triangle), identity(2), Mode.C, caps)
+        assert witness is not None and len(witness) > 0
+        check_shared_slices(witness.terms, seen)
+        check_shared_slices([step.row for step in witness.steps], seen)
+        report = explore(snake_term(), Mode.C, caps, collect_states=True)
+        check_shared_slices(report.states, seen)
+        assert len(seen) == len(slice_table())
+        for (k, w), s in seen.items():
+            assert slice_table()[k, w] is s
+
+    def test_values_match_the_layers_route(self, fresh_memo):
+        rng = random.Random(45)
+        assert term_from_packed(3, ()) == term_from_layers(3, []) == identity(3)
+        for _ in range(400):
+            t = random_term(rng, max_len=6)
+            got = term_from_packed(t.source, packed_layers(t))
+            assert got == t
+            again = term_from_packed(t.source, packed_layers(t))
+            assert all(a is b for a, b in zip(again.slices, got.slices))
+
+    def test_table_is_bounded(self, fresh_memo, monkeypatch):
+        monkeypatch.setattr(terms, "_MEMO_CAP", 30)
+        rng = random.Random(46)
+        tables = [slice_table()]
+        for _ in range(200):
+            t = random_term(rng, max_len=6)
+            assert term_from_packed(t.source, packed_layers(t)) == t
+            assert len(slice_table()) <= 30 + 6
+            if slice_table() is not tables[-1]:
+                tables.append(slice_table())
+        assert len(tables) > 3
+
+    def test_errors_are_unchanged(self, fresh_memo):
+        lay = packed_layers(whisker(2, eps(0, 1), 0))[0]
+        message = r"layer \(2, eps\(0,1\)\) does not fit in width 3"
+        with pytest.raises(ValueError, match=message):
+            term_from_layers(3, [(2, eps(0, 1))])
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                term_from_packed(3, (lay,))
+        assert (lay, 3) not in slice_table()
+        assert term_from_packed(4, (lay,)) == whisker(2, eps(0, 1), 0)
+        # the first layer is a table hit; the second meets width 2
+        with pytest.raises(ValueError, match=r"layer \(2, eps\(0,1\)\) does not fit in width 2"):
+            term_from_packed(4, (lay, lay))
+        with pytest.raises(LayerOutOfRange, match="outside the packed layer range"):
+            packed_layers(whisker(0, eps(1 << terms.M_BITS, 1), 0))
 
 
 @st.composite
