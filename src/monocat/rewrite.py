@@ -24,8 +24,8 @@ a tuple of the packed layer ints of ``terms`` (see its "packed layers"
 comment), and build ``Term`` objects only for what they return:
 witnesses, step rows, reports, neighbour lists and ``apply`` results.  A
 ``RewriteStep`` row is a ``Term`` whose slices are in the order the step
-applies to; ``apply`` packs it again.  A witness step that expands a
-triangle is the contraction of its target back to its source, reversed.
+applies to; ``apply`` packs it again.  Each witness step is one that
+``match_rules`` lists, expansions included.
 
 Everything here is deterministic: neighbour lists, exploration order and
 reports depend only on the inputs.  The search is sequential; a parallel
@@ -533,25 +533,18 @@ def neighbors(t: Term, mode: Mode, caps: SearchCaps = DEFAULT_CAPS) -> list[Term
 def _find_step(src, dst) -> RewriteStep:
     """A step turning src into dst; exists whenever dst was found adjacent.
 
-    A pair step if there is one (always in mode D), the first that
-    ``match_rules`` lists with that result.  Else the first triangle
-    contraction of dst giving src, reversed: its row less the contracted
-    pair, placed by the pair's insertion.
+    The first step that ``match_rules`` lists with that result, under caps
+    that admit ``dst``: a pair step if there is one (always in mode D),
+    else an expansion at a cut of src.
     """
     source = src[0]
     for key, where in _memoised(src[1], _fields_entry).items():
         if key[2] == dst[1]:
             return _pair_step(key, where, source)
-    for key, where in _memoised(dst[1], _fields_entry).items():
-        # only a contraction removes slices
-        if key[2] == src[1]:
-            step = _pair_step(key, where, source)
-            p, s = step.pos, step.row.slices
-            row = Term(source, s[:p] + s[p + 2 :])
-            cup = s[p]
-            return RewriteStep(
-                key[0], Direction.BACKWARD, row, p, step.binding, cup.left, cup.gen.m, cup.gen.n
-            )
+    caps = SearchCaps(len(dst[1]), _peak_width(dst), max(k & N_MASK for k in dst[1]))
+    for fields, y in _expansions(src, caps):
+        if y == dst:
+            return _expansion_step(fields, source)
     raise AssertionError("edge of the rewrite graph could not be re-derived")
 
 
@@ -875,9 +868,8 @@ def enum_hom_detailed(
     classes = hom_classes(m, n, mode, caps)
     reps = [cls[0] for cls in classes]
     buckets: dict = {}
-    if reps:
-        for rep, image in zip(reps, vect.image_keys(_BUCKET_SPECS, reps)):
-            buckets.setdefault(image, []).append(rep)
+    for rep, image in zip(reps, vect.image_keys(_BUCKET_SPECS, reps)):
+        buckets.setdefault(image, []).append(rep)
     unresolved = []
     for bucket in buckets.values():
         unresolved.extend((bucket[i], bucket[j]) for j in range(len(bucket)) for i in range(j))

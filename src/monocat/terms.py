@@ -257,14 +257,19 @@ def packed_layers(t: Term) -> tuple:
     return tuple(pack_layer(s.left, s.gen.kind, s.gen.m, s.gen.n) for s in t.slices)
 
 
+def _slice(off: int, g: Generator, w: int) -> Slice:
+    """The slice of ``g`` at offset ``off`` on ``w`` wires."""
+    right = w - off - g.source
+    if right < 0:
+        raise ValueError(f"layer ({off}, {g}) does not fit in width {w}")
+    return Slice(off, g, right)
+
+
 def term_from_layers(source: int, lays: list[tuple[int, Generator]]) -> Term:
     out = []
     w = source
     for off, g in lays:
-        right = w - off - g.source
-        if right < 0:
-            raise ValueError(f"layer ({off}, {g}) does not fit in width {w}")
-        out.append(Slice(off, g, right))
+        out.append(_slice(off, g, w))
         w += g.delta
     return Term(source, tuple(out))
 
@@ -273,27 +278,22 @@ def term_from_packed(source: int, lays: tuple) -> Term:
     """The term with packed layers ``lays``; raises when they do not chain.
 
     Its slices are shared: the memo's entries keep one ``Slice``, with its
-    ``Generator``, per (packed layer, input width), built and checked as in
-    ``term_from_layers`` on a miss.  The table is dropped with the memo,
-    and starts again empty once it holds more than ``_MEMO_CAP`` slices
-    (``rewrite.sample_term`` fills it without growing the memo's least
-    keys).  The ``Term`` still checks that the slices chain.
+    ``Generator``, per (packed layer, input width), built by ``_slice`` on
+    a miss.  The table is dropped with the memo, and starts again empty
+    once it holds more than ``_MEMO_CAP`` slices (``rewrite.sample_term``
+    fills it without growing the memo's least keys).  The ``Term`` still
+    checks that the slices chain.
     """
-    entries = _memo[2]
-    table = entries.get(term_from_packed)
+    table = _memo.get(term_from_packed)
     if table is None or len(table) > _MEMO_CAP:
-        table = entries[term_from_packed] = {}
+        table = _memo[term_from_packed] = {}
     out = []
     w = source
     for k in lays:
         s = table.get((k, w))
         if s is None:
-            off = k >> OFF_SHIFT
             g = Generator(_KINDS[k >> KIND_SHIFT & 1], k >> M_SHIFT & M_MASK, k & N_MASK)
-            right = w - off - g.source
-            if right < 0:
-                raise ValueError(f"layer ({off}, {g}) does not fit in width {w}")
-            s = table[k, w] = Slice(off, g, right)
+            s = table[k, w] = _slice(k >> OFF_SHIFT, g, w)
         out.append(s)
         w += (k & N_MASK) << 1 if k & ETA_BIT else -((k & N_MASK) << 1)
     return Term(source, tuple(out))
@@ -346,27 +346,29 @@ class _FrontGraph:
     """A view of the memo of fronts for the classes under ``moves``.
 
     ``moves`` maps two adjacent layers to the pairs they may become
-    (``_swaps``, interchange, by default).  The *fronts* of a class are its
-    pairs (first layer, least suffix).  ``_least`` maps every pair ``(b,
-    t)`` met so far, ``t`` a least key, to the least member of the class of
-    ``(b,) + t``, and maps each least key to itself, so that equal least
-    keys are one shared tuple; ``_fronts`` maps each least key of two or
-    more layers to its fronts, sorted.  Both are filled together, when a
-    class is closed.  ``entries`` holds the moves of each layer pair met
-    (per first layer), rewrite's pair matches and its entries per least
-    key, the shared terms of ``_class_term`` and the shared slices of
-    ``term_from_packed``.  ``_WORK_CAP`` bounds the
-    move tests one call makes, or one request after ``restart``.
+    (``_swaps`` for interchange, ``rewrite._slides`` for sliding).  The
+    *fronts* of a class are its pairs (first layer, least suffix).
+    ``_least`` maps every pair ``(b, t)`` met so far, ``t`` a least key, to
+    the least member of the class of ``(b,) + t``, and maps each least key
+    to itself, so that equal least keys are one shared tuple; ``_fronts``
+    maps each least key of two or more layers to its fronts, sorted.  Both
+    are filled together, when a class is closed.  ``_moved`` holds the
+    moves of each layer pair met (per first layer).  The three are the
+    memo's entry under ``moves``; ``entries`` is the memo, which also holds
+    rewrite's pair matches and its entries per least key, the shared terms
+    of ``_class_term`` and the shared slices of ``term_from_packed``.
+    ``_WORK_CAP`` bounds the move tests one call makes, or one request
+    after ``restart``.
     """
 
-    __slots__ = ("_fronts", "_least", "entries", "_moves", "_moved", "_work")
+    __slots__ = ("_fronts", "_least", "_moved", "entries", "_moves", "_work")
 
-    def __init__(self, fronts: dict, least: dict, entries: dict, moves=_swaps) -> None:
+    def __init__(self, fronts: dict, least: dict, moved: dict, entries: dict, moves) -> None:
         self._fronts = fronts
         self._least = least
+        self._moved = moved
         self.entries = entries
         self._moves = moves
-        self._moved = self.table(moves)
         self._work = 0
 
     def table(self, key) -> dict:
@@ -474,36 +476,35 @@ class _FrontGraph:
         self._fronts.setdefault(hit, tuple(nodes))
 
 
-# the memo all canonicalisations and rule matches share, as
-# (fronts, least, entries); replaced by an empty one once it holds
+# the memo all canonicalisations and rule matches share, one dict: under
+# each move function ``moves`` met, the (fronts, least, moved) of its
+# classes; replaced by an empty one once one move set's ``least`` holds
 # _MEMO_CAP pairs (a call in progress keeps its own).  Every rewrite result
 # is closed in it, so a replacement mid-search makes the search close its
 # states again.  The entries that searches read hold least keys only, shared
 # with ``least``, and the swaps and matches of each layer pair met, so that
 # the keys built from one result share its packed layers; step fields are
-# built only for returned steps.  Another move set keeps its (fronts, least)
-# in the entries, under ``(_FrontGraph, moves)``, and is bounded alike.
-# ``canonical``, ``rewrite.apply`` and ``rewrite.normal_form`` share one
-# ``Term`` per class (``_class_term``), and every ``Term`` built from packed
-# layers one ``Slice`` per (packed layer, input width), read from the entries
-# directly (``term_from_packed``).  At this cap the word-problem explores
-# of the zig-zag and its mirror run without a replacement, TriangleA's with one.
+# built only for returned steps.  ``canonical``, ``rewrite.apply`` and
+# ``rewrite.normal_form`` share one ``Term`` per class (``_class_term``),
+# and every ``Term`` built from packed layers one ``Slice`` per (packed
+# layer, input width), read from the memo directly (``term_from_packed``).
+# At this cap the word-problem explores of the zig-zag and its mirror run
+# without a replacement, TriangleA's with one.
 _MEMO_CAP = 49152
-_memo: tuple = ({}, {}, {})
+_memo: dict = {}
 
 
 def _front_graph(moves=_swaps) -> _FrontGraph:
     """The view of the memo for the classes under ``moves``."""
     global _memo
-    if moves is _swaps:
-        if len(_memo[1]) > _MEMO_CAP:
-            _memo = ({}, {}, {})
-        return _FrontGraph(*_memo)
-    dicts = _memo[2].setdefault((_FrontGraph, moves), ({}, {}))
-    if len(dicts[1]) > _MEMO_CAP:
-        _memo = ({}, {}, {})
-        return _front_graph(moves)
-    return _FrontGraph(*dicts, _memo[2], moves)
+    try:
+        fronts, least, moved = _memo[moves]
+    except KeyError:
+        fronts, least, moved = _memo[moves] = ({}, {}, {})
+    if len(least) > _MEMO_CAP:
+        _memo = {}
+        fronts, least, moved = _memo[moves] = ({}, {}, {})
+    return _FrontGraph(fronts, least, moved, _memo, moves)
 
 
 def _canonical_key(key: tuple) -> tuple:

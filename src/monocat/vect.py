@@ -543,7 +543,8 @@ def eval_term(spec: FunctorSpec, t: Term, max_dim: int = MAX_DIM_DEFAULT) -> Mat
     """
     if max_dim < 1:
         raise ValueError(f"max_dim must be >= 1, got {max_dim}")
-    (plan,), _, (state,) = _eval_arrays(spec, (t,), max_dim)
+    (plan,), _ = _plans((t,), spec.d, max_dim)
+    (state,) = _contract(spec, [plan])
     state = _expand(spec, state, plan, set())
     if state.dtype != object and isinstance(spec.field, PrimeField):
         p = spec.field.p
@@ -681,20 +682,6 @@ def _cap_axes(span: tuple, before: int, after: int, closed: tuple, d: int) -> tu
     return core_axes, (tuple(d ** wires[a] for a in kept), tuple(place[a] for a in order if a in place))
 
 
-def _eval_arrays(spec: FunctorSpec, terms: tuple[Term, ...], max_dim: int) -> tuple[list, list, list]:
-    """``(plans, slots, states)``: the distinct plans of ``terms``, the place
-    of each term's plan among them, and the state of each plan.
-
-    The terms share a source width.  Each plan is contracted once, slice
-    by slice as :func:`_plan` lays it out, so a wire that no core touches
-    is never built.  All states come back in one scalar representation,
-    so they compare entry by entry: int64 (residues mod p over a prime
-    field) or field elements.
-    """
-    plans, slots = _plans(terms, spec.d, max_dim)
-    return plans, slots, _contract(spec, plans)
-
-
 def _plans(terms, d: int, max_dim: int) -> tuple[list, list]:
     """The distinct plans of ``terms`` at dimension ``d``, and the place of each term's."""
     places: dict = {}
@@ -703,7 +690,13 @@ def _plans(terms, d: int, max_dim: int) -> tuple[list, list]:
 
 
 def _contract(spec: FunctorSpec, plans: list) -> list:
-    """The state of each plan under ``spec``, in one scalar representation."""
+    """The state of each plan under ``spec``.
+
+    Each plan is contracted slice by slice as :func:`_plan` lays it out, so
+    a wire that no core touches is never built.  All states come back in
+    one scalar representation, so they compare entry by entry: int64
+    (residues mod p over a prime field) or field elements.
+    """
     d = spec.d
     cores = {key: _core(spec, *key) for key in {op[0] for ops, _, _ in plans for op in ops}}
     field = spec.field
@@ -776,7 +769,8 @@ def _expand(spec: FunctorSpec, state: np.ndarray, plan: tuple, omit: set) -> np.
 def image_keys(spec, terms) -> list:
     """One hashable key per term of ``terms``, equal exactly when the images are.
 
-    The terms must share source and target.  They are contracted in one
+    The terms must share source and target, else this raises
+    :class:`ValueError`; no terms give no keys.  They are contracted in one
     batch, in one scalar representation.  A wire that passes from one
     source to one target position in every term is an identity factor of
     every image, so it is left out, and the other passed wires are
@@ -791,7 +785,12 @@ def image_keys(spec, terms) -> list:
     d = specs[0].d
     if any(s.d != d for s in specs):
         raise ValueError("image keys under specs of different dimensions")
-    plans, slots = _plans(tuple(terms), d, MAX_DIM_DEFAULT)
+    terms = tuple(terms)
+    if len({(t.source, t.target) for t in terms}) > 1:
+        raise ValueError("image keys of terms with different shapes")
+    if not terms:
+        return []
+    plans, slots = _plans(terms, d, MAX_DIM_DEFAULT)
     tags = zip(*(row for _, row, _ in plans))  # per target position, its tag in each plan
     common = {q for q, at in enumerate(tags) if at[0] != _MADE and at.count(at[0]) == len(at)}
     per_spec = []
@@ -823,13 +822,12 @@ def _growth(ops: list, cores: dict) -> int:
 def check_rule_instance(spec: FunctorSpec, lhs: Term, rhs: Term) -> bool:
     """Exact equality of the two images; shapes must agree.
 
-    The two sides are compared by :func:`image_keys`: the wires that pass
+    The two sides are compared by :func:`image_keys`, which raises
+    :class:`ValueError` when the shapes differ: the wires that pass
     straight through both are left out, and the rest compare entry by
     entry in one scalar representation, so a slice-free side compares
     with the other in the same form.
     """
-    if lhs.source != rhs.source or lhs.target != rhs.target:
-        raise ValueError("rule instance sides have different shapes")
     a, b = image_keys(spec, (lhs, rhs))
     return a == b
 

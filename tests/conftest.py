@@ -7,4 +7,4 @@ from monocat import terms
 def fresh_memo(monkeypatch):
     """Canonicalise and match from an empty memo, as a new process does;
     the table of shared canonical terms starts empty too."""
-    monkeypatch.setattr(terms, "_memo", ({}, {}, {}))
+    monkeypatch.setattr(terms, "_memo", {})

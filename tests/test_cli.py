@@ -453,7 +453,7 @@ class TestCommands:
             raise AssertionError("homset evaluated a term")
 
         monkeypatch.setattr(vect, "eval_term", refuse)
-        monkeypatch.setattr(vect, "_eval_arrays", refuse)
+        monkeypatch.setattr(vect, "_contract", refuse)
         assert main(["homset", "1", "1", "--max-gens", "3", "--max-n", "1"]) == 0
         assert capsys.readouterr().out == want
 
@@ -494,7 +494,7 @@ class TestCommands:
         assert "unrecognized arguments: --max-states 2" in capsys.readouterr().err
         # at this bound the interchange closings of the enumeration pass
         monkeypatch.setattr(terms, "_WORK_CAP", 10)
-        monkeypatch.setattr(terms, "_memo", ({}, {}, {}))
+        monkeypatch.setattr(terms, "_memo", {})
         assert main(args) == 2
         assert capsys.readouterr().err == "error: sliding class too large to normalise\n"
 

@@ -184,7 +184,7 @@ class TestCanonical:
 
 def class_table() -> dict:
     """The memo's table of one shared ``Term`` per (source, least key); empty if it has none."""
-    return terms._memo[2].get(_class_term, {})
+    return terms._memo.get(_class_term, {})
 
 
 class TestSharedCanonical:
@@ -207,7 +207,7 @@ class TestSharedCanonical:
     def test_least_input_comes_back(self, fresh_memo, monkeypatch):
         rng = random.Random(41)
         for _ in range(150):
-            monkeypatch.setattr(terms, "_memo", ({}, {}, {}))
+            monkeypatch.setattr(terms, "_memo", {})
             least = class_representatives(random_term(rng, max_len=6))[0]
             assert canonical(least) is least
             assert canonical(shuffled(rng, least, moves=8)) is least
@@ -237,8 +237,8 @@ class TestSharedCanonical:
             t = random_term(rng, max_len=6)
             canonical(t)
             normal_form(t, Mode.D)
-        sliding = terms._memo[2][terms._FrontGraph, rewrite._slides]
-        for least in (terms._memo[1], sliding[1]):
+        for moves in (terms._swaps, rewrite._slides):
+            least = terms._memo[moves][1]
             # a pair (first layer, least suffix) ends in a tuple, a least key in a layer
             keys = [k for k in least if not isinstance(k[-1], tuple)]
             assert len(keys) > 100
@@ -260,13 +260,13 @@ class TestSharedCanonical:
         inputs = [random_term(rng, max_len=6) for _ in range(300)]
         want = [canonical(t) for t in inputs]
         monkeypatch.setattr(terms, "_MEMO_CAP", 30)
-        monkeypatch.setattr(terms, "_memo", ({}, {}, {}))
+        monkeypatch.setattr(terms, "_memo", {})
         memos = [terms._memo]
         slices = [slice_table()]
         for t, w in zip(inputs, want):
             assert canonical(shuffled(rng, t, moves=8)) == w
             # every kept least key is one of the memo's, so the table drops with it
-            least = terms._memo[1]
+            least = terms._memo[terms._swaps][1]
             assert all(least.get(key) is key for _, key in class_table())
             assert term_from_packed(t.source, packed_layers(t)) == t
             if terms._memo is not memos[-1]:
@@ -280,7 +280,7 @@ class TestSharedCanonical:
 def slice_table() -> dict:
     """The memo's table of shared slices by (packed layer, input width), added if missing."""
     term_from_packed(0, ())
-    return terms._memo[2][term_from_packed]
+    return terms._memo[term_from_packed]
 
 
 def check_shared_slices(ts, seen: dict) -> None:

@@ -40,7 +40,8 @@ from monocat.terms import Generator, Slice, Term, term_from_layers
 from monocat.vect import (
     _CORE_CACHE_ENTRIES,
     MAX_DIM_DEFAULT,
-    _eval_arrays,
+    _contract,
+    _plans,
     field_of,
     image_keys,
     is_invertible,
@@ -333,7 +334,8 @@ class TestOuterWires:
 
 
 def route_dtype(spec, t):
-    _, _, (state,) = _eval_arrays(spec, (t,), MAX_DIM_DEFAULT)
+    plans, _ = _plans((t,), spec.d, MAX_DIM_DEFAULT)
+    (state,) = _contract(spec, plans)
     return state.dtype
 
 
@@ -378,6 +380,19 @@ class TestImageKeys:
         keys = image_keys(spec, [identity(1), snake(), loops])
         assert all(isinstance(k, tuple) for k in keys)
         assert keys[0] == keys[1] != keys[2]
+
+    def test_empty_batch_has_no_keys(self):
+        assert image_keys(FunctorSpec.identity(2), []) == []
+        assert image_keys([FunctorSpec.identity(2), FunctorSpec.random(2, seed=11)], ()) == []
+
+    def test_mixed_shapes_are_refused(self):
+        # a 4x1 and a 1x4 image with the same entries in the same order
+        spec = FunctorSpec.identity(2)
+        cup, cap = gen_term(eta(0, 1)), gen_term(eps(0, 1))
+        assert eval_term(spec, cup) != eval_term(spec, cap)
+        for batch in ([cup, cap], [identity(1), identity(2)], [cup, cup, identity(0)]):
+            with pytest.raises(ValueError, match="different shapes"):
+                image_keys(spec, batch)
 
 
 class TestScalarRoutes:
