@@ -43,6 +43,9 @@ from .rewrite import (
 )
 from .suite import SuiteConfig, run_all
 from .terms import (
+    M_MASK,
+    N_MASK,
+    OFF_SHIFT,
     Generator,
     GenKind,
     Mode,
@@ -51,8 +54,11 @@ from .terms import (
     Term,
     canonical,
     gen_count,
+    pack_layer,
     render,
     term_from_layers,
+    term_from_packed,
+    unpack_layer,
 )
 from .vect import FunctorSpec, eval_term, field_of
 
@@ -83,10 +89,16 @@ def parse_expr(text: str) -> Term:
 
     A stack holds the expression and term that each open parenthesis
     interrupts, so nesting has no depth limit.  A part is a (source, target,
-    layers) triple, its layers ``(offset, generator)`` pairs.
+    layers) triple, its layers packed (see ``terms``), so that tensoring
+    shifts a layer by one addition and the term comes from
+    ``term_from_packed``'s shared slices.  An atom past the packed fields
+    takes the layer 0, which no generator packs to (its ``n`` is 0), and
+    its generator is kept in ``wide``: layers end in the order of their
+    atoms in the text, so the term is then built from ``wide`` in order.
     """
     tokens = _TOKEN.findall(text) + [_EOF]
     stack = []
+    wide = []
     expr = term = None
     k = 0
     try:
@@ -100,8 +112,16 @@ def parse_expr(text: str) -> Term:
             if idn:
                 part = (int(idn), int(idn), [])
             elif kind:
-                g = Generator(_KINDS[kind], int(m), int(n))
-                part = (g.source, g.target, [(0, g)])
+                m, n = int(m), int(n)
+                if n < 1 or m > M_MASK or n > N_MASK:  # the generator checks n >= 1
+                    wide.append(Generator(_KINDS[kind], m, n))
+                    lay = 0
+                else:
+                    lay = pack_layer(0, _KINDS[kind], m, n)
+                if kind == "eta":
+                    part = (m, m + 2 * n, [lay])
+                else:
+                    part = (m + 2 * n, m, [lay])
             elif word in ("id", "eta", "eps"):  # a malformed atom: find the piece at fault
                 pieces = enumerate("(n)" if word == "id" else "(n,n)", k)
                 j, want = next((j, want) for j, want in pieces
@@ -113,7 +133,8 @@ def parse_expr(text: str) -> Term:
                 if term is not None:  # tensor the part onto the term
                     source, target, lays = term
                     if part[2]:
-                        lays += [(off + target, g) for off, g in part[2]]
+                        shift = target << OFF_SHIFT
+                        lays += [lay + shift for lay in part[2]]
                     part = (source + part[0], target + part[1], lays)
                 term = part
                 punct = tokens[k][0]
@@ -136,7 +157,13 @@ def parse_expr(text: str) -> Term:
                 elif stack:
                     raise _error(text, tokens, k - 1, "')'")
                 elif tokens[k - 1] is _EOF:
-                    return term_from_layers(expr[0], expr[2])
+                    if not wide:
+                        return term_from_packed(expr[0], tuple(expr[2]))
+                    gens = iter(wide)
+                    return term_from_layers(expr[0], [
+                        (lay >> OFF_SHIFT, next(gens)) if not lay & N_MASK else unpack_layer(lay)
+                        for lay in expr[2]
+                    ])
                 else:
                     raise _error(text, tokens, k - 1, "end of input")
     except (MonocatError, ValueError):

@@ -40,6 +40,7 @@ from dataclasses import dataclass
 
 from . import vect
 from .terms import (
+    ETA_BIT,
     KIND_SHIFT,
     M_MASK,
     M_SHIFT,
@@ -197,6 +198,8 @@ def _state(t: Term) -> tuple:
 # change; everything else is fixed by the interface widths.
 
 _ETA, _EPS = GenKind.ETA, GenKind.EPS
+# the kind, m and n fields of a packed layer, without its offset
+_GEN_FIELDS = (1 << OFF_SHIFT) - 1
 _RULE_OF = {
     (_ETA, _ETA): RuleId.NAT_ETA_ETA,
     (_ETA, _EPS): RuleId.NAT_ETA_EPS,
@@ -257,19 +260,28 @@ def invariant(t: Term, mode: Mode) -> tuple:
     ``m - n`` is even on the deletion.
 
     Terms with different signatures have no rewrite path between them,
-    under any caps.
+    under any caps.  It is read off the packed layers, so a slice past
+    their fields raises :class:`LayerOutOfRange`.
     """
-    gens = [s.gen for s in t.slices]
+    return _invariant(packed_layers(t), mode)
+
+
+def _invariant(lays: tuple, mode: Mode) -> tuple:
+    """:func:`invariant` of the term with packed layers ``lays``."""
     if mode is Mode.D:
-        return tuple(sorted((g.kind.value, g.m % 2, g.n) for g in gens))
+        return tuple(sorted(
+            ("eta" if k & ETA_BIT else "eps", k >> M_SHIFT & 1, k & N_MASK) for k in lays
+        ))
     per_n: dict = {}
-    for g in gens:
-        m, n = g.m, g.n
+    for k in lays:
+        n = k & N_MASK
         net, parity = per_n.get(n, (0, 0))
-        if g.kind is GenKind.ETA:
-            per_n[n] = (net + 1, parity + (m % 2 == 0))
+        # the fields above m are a multiple of 2 ** 16, so the parity of
+        # k >> M_SHIFT is that of m
+        if k & ETA_BIT:
+            per_n[n] = (net + 1, parity + (not k >> M_SHIFT & 1))
         else:
-            per_n[n] = (net - 1, parity - ((m - n) % 2 == 0))
+            per_n[n] = (net - 1, parity - (not (k >> M_SHIFT) - n & 1))
     return tuple(sorted((n, pair) for n, pair in per_n.items() if pair != (0, 0)))
 
 
@@ -279,31 +291,41 @@ def invariant(t: Term, mode: Mode) -> tuple:
 # (a, t) of s and a member m of the class of t.  So a pair at position 0
 # is a front a followed by a front b of t, and every deeper pair step, or
 # cut, is one of t's with a prepended: every result is the least key of
-# some slices prepended to a least key.  Pair results, step fields and
-# cuts are memoised per least key, suffix classes first, in the memo of
-# ``terms``, so that they are dropped together with the fronts; so are the
-# matches of each layer pair.  Searches read the pair results, two tuples
-# of result keys; the step fields are built by the same walk only where a
-# step is returned (``match_rules`` and witnesses), so both give the same
-# step for a result.  A step field deeper than position 0 points at the
-# step of the suffix entry it extends; its row is read off that chain and
-# made a ``Term`` only when the step is built.
+# some slices prepended to a least key.  Pair results and cuts are
+# memoised per least key, suffixes first, in the memo of ``terms``, so
+# that they are dropped together with the fronts; so are the matches of
+# each layer pair.  Searches read the pair results, two tuples of result
+# keys.  Where a step is returned (``match_rules`` and witnesses),
+# ``_steps_to`` follows its result back down those entries: at a front
+# (a, t), to the matches at position 0 that give it, and to each result r
+# of t whose lead with a gives it, whose steps are t's with a prepended.
+# The row of a step is the fronts passed on the way down; it is made a
+# ``Term`` only when the step is built.
 
 
 def _memoised(lays: tuple, build, moves=_swaps):
     """The entry of the least key ``lays`` for ``build``, built if missing.
 
     Entries live in the memo of ``terms``, one dict per ``build``, on the
-    classes under ``moves``.  ``build(graph, s, fronts, memo)`` makes the
-    entry of ``s`` from those of its fronts' suffixes, which are made first,
-    on an explicit stack rather than by recursion: suffixes nest as deep as
-    the key is long.  The work bound of ``terms`` applies to each entry.
+    classes under ``moves``; see ``_build``.
     """
     graph = _front_graph(moves)
     memo = graph.table(build)
     entry = memo.get(lays)
-    if entry is not None:
-        return entry
+    if entry is None:
+        entry = _build(graph, memo, lays, build)
+    return entry
+
+
+def _build(graph, memo: dict, lays: tuple, build):
+    """Make the entry of ``lays`` in ``memo``, the table of ``build`` in ``graph``.
+
+    ``build(graph, s, fronts, memo)`` makes the entry of ``s`` from those
+    of its fronts' suffixes, which are made first, on an explicit stack
+    rather than by recursion: suffixes nest as deep as the key is long.
+    So a table that holds the entry of a key holds those of its fronts'
+    suffixes too.  The work bound of ``terms`` applies to each entry.
+    """
     # (s, None) asks for the entry of s; (s, fronts) builds it, once the
     # entries it needs, pushed after it, are built
     todo = [(lays, None)]
@@ -322,7 +344,8 @@ def _memoised(lays: tuple, build, moves=_swaps):
 def _pair_results(lays: tuple) -> tuple:
     """The pair results on the class of the least key ``lays``.
 
-    A pair (sliding, triangle) of tuples of least keys, without repeats.
+    A pair (sliding, triangle) of tuples of least keys, without repeats,
+    each in the order the walk of the fronts first meets it.
     """
     return _memoised(lays, _results_entry)
 
@@ -355,39 +378,51 @@ def _results_entry(graph, s, fronts, memo) -> tuple:
     return tuple(slide), tuple(tri)
 
 
-def _fields_entry(graph, s, fronts, memo) -> dict:
-    """Maps each (rule, direction, result) to where one step giving it is.
+def _steps_to(key: tuple, result: tuple):
+    """The pair steps on the class of the least key ``key`` that give the
+    least key ``result``, as ``(rule, direction, binding, row, pos)``, ``row``
+    packed layers; the first is the witness step.
 
-    The same walk as ``_results_entry``, keeping the first step met: a
-    pair at position 0 as ``(binding, a, b, u)``, the row being ``(a, b) +
-    u``, and a deeper step as ``(a, entry, key)``, the step of ``key`` in
-    the suffix entry ``entry`` with ``a`` prepended (see ``_pair_step``).
+    At each front (a, t), in order: the matches at position 0, then the
+    steps of t to each result r of t, in its entry's order, whose lead with
+    a is ``result``.  A (t, r) met again on another way down is not followed
+    again: its steps would repeat rules already listed.
     """
-    out = {}
-    for a, t in fronts:
+    graph = _front_graph()
+    memo = graph.table(_results_entry)
+    if key not in memo:
+        _build(graph, memo, key, _results_entry)
+    tri = len(result) < len(key)  # the index of triangle results in an entry
+    seen = set()
+    levels = [_level(graph, memo, (), key, result, tri)]
+    while levels:
+        found = next(levels[-1], None)
+        if found is None:
+            levels.pop()
+        elif len(found) == 5:
+            yield found
+        elif found[1:] not in seen:
+            seen.add(found[1:])
+            levels.append(_level(graph, memo, *found, tri))
+
+
+def _level(graph, memo, head: tuple, s: tuple, result: tuple, tri: bool):
+    """The position-0 steps of ``_steps_to`` on ``s``, ``head`` prepended,
+    and the ``(head, t, r)`` of each suffix result to follow."""
+    for a, t in graph.fronts(s):
         for b, u, found in _after(graph, a, t):
             for rule, direction, repl, binding in found:
-                key = (rule, direction, graph.prepend(repl, u))
-                if key not in out:
-                    out[key] = (binding, a, b, u)
-        entry = memo[t]
-        for sub in entry:
-            key = (sub[0], sub[1], graph.lead(a, sub[2]))
-            if key not in out:
-                out[key] = (a, entry, sub)
-    return out
+                if graph.prepend(repl, u) == result:
+                    yield rule, direction, binding, head + (a, b) + u, len(head)
+        below = head + (a,)
+        for r in memo[t][tri]:
+            if graph.lead(a, r) == result:
+                yield below, t, r
 
 
-def _pair_step(key: tuple, where: tuple, source: int) -> RewriteStep:
-    """The step on ``source`` wires of ``key`` in a ``_fields_entry`` that maps it to ``where``."""
-    head = []
-    while len(where) == 3:
-        a, entry, sub = where
-        head.append(a)
-        where = entry[sub]
-    binding, a, b, u = where
-    row = term_from_packed(source, tuple(head) + (a, b) + u)
-    return RewriteStep(key[0], key[1], row, len(head), binding)
+def _pair_step(found: tuple, source: int) -> RewriteStep:
+    rule, direction, binding, row, pos = found
+    return RewriteStep(rule, direction, term_from_packed(source, row), pos, binding)
 
 
 def _cuts(lays: tuple) -> dict:
@@ -460,19 +495,24 @@ def match_rules(t: Term, mode: Mode, caps: SearchCaps = DEFAULT_CAPS) -> list[Re
     Pair rules are matched on every interchange-adjacent slice pair;
     expansions are enumerated at every cut, bounded by ``caps``.  Lists
     one step per rule, direction and result: for a pair step, the first
-    that the walk of the fronts meets.
+    that ``_steps_to`` gives with that rule and direction, pair results in
+    the order the search reads them, so the first step listed with a
+    result is the witness step.
     """
-    state = _state(t)
-    steps = [
-        _pair_step(key, where, t.source)
-        for key, where in _memoised(state[1], _fields_entry).items()
-        if mode is Mode.C or key[0] not in TRIANGLE_RULES
-    ]
+    source, key = _state(t)
+    slide, tri = _pair_results(key)
+    steps = []
+    for result in slide + tri if mode is Mode.C else slide:
+        rules = set()
+        for found in _steps_to(key, result):
+            if found[:2] not in rules:
+                rules.add(found[:2])
+                steps.append(_pair_step(found, source))
     if mode is Mode.C:
         expansions: dict = {}
-        for fields, y in _expansions(state, caps):
+        for fields, y in _expansions((source, key), caps):
             expansions.setdefault((fields[0], y[1]), fields)
-        steps += (_expansion_step(fields, t.source) for fields in expansions.values())
+        steps += (_expansion_step(fields, source) for fields in expansions.values())
     return steps
 
 
@@ -534,17 +574,41 @@ def _find_step(src, dst) -> RewriteStep:
     """A step turning src into dst; exists whenever dst was found adjacent.
 
     The first step that ``match_rules`` lists with that result, under caps
-    that admit ``dst``: a pair step if there is one (always in mode D),
-    else an expansion at a cut of src.
+    that admit ``dst``.  A step that keeps the length or drops two layers
+    is a pair step: the first that ``_steps_to`` gives.  One that adds two
+    is an expansion at a cut of src, the first in the order of
+    ``_expansions`` under caps read off ``dst`` (its length, peak width and
+    largest ``n``).  Interchange keeps the kind, ``m`` and ``n`` of every
+    layer, so the generators of ``dst`` less those of src are the inserted
+    pair, which fixes the rule, ``i``, block and ``n``; only the cuts whose
+    width admits the pair under ``dst``'s peak, and the offsets that leave
+    room for ``i``, are tried.
     """
-    source = src[0]
-    for key, where in _memoised(src[1], _fields_entry).items():
-        if key[2] == dst[1]:
-            return _pair_step(key, where, source)
-    caps = SearchCaps(len(dst[1]), _peak_width(dst), max(k & N_MASK for k in dst[1]))
-    for fields, y in _expansions(src, caps):
-        if y == dst:
-            return _expansion_step(fields, source)
+    source, lays = src
+    if len(dst[1]) <= len(lays):
+        for found in _steps_to(lays, dst[1]):
+            return _pair_step(found, source)
+    else:
+        gens = sorted(k & _GEN_FIELDS for k in dst[1])
+        for k in lays:
+            gens.remove(k & _GEN_FIELDS)
+        cap, cup = gens  # eps sorts first
+        nn, block = cup & N_MASK, cup >> M_SHIFT & M_MASK
+        if cap >> M_SHIFT == block + nn:
+            rule, i = RuleId.TRIANGLE_A, block
+        else:
+            rule, i = RuleId.TRIANGLE_B, block - nn
+        peak = _peak_width(dst)
+        cuts = _cuts(lays)
+        prepend = _front_graph().prepend
+        for (head, tail), delta in cuts.items():
+            width = source + delta
+            if width + 2 * nn > peak:
+                continue
+            for a in range(0, width - nn - i + 1):
+                shift = a << OFF_SHIFT
+                if prepend(head + (cup + shift, cap + shift), tail) == dst[1]:
+                    return _expansion_step((rule, head, tail, i, a, block, nn), source)
     raise AssertionError("edge of the rewrite graph could not be re-derived")
 
 
@@ -600,15 +664,16 @@ def equal(
     Before any canonical form or search, returns None when the two terms'
     signatures under :func:`invariant` differ, since then no rewrite path
     joins them: the answer the search would give, at a cost linear in the
-    slices.
+    slices.  Each term is packed once, for its signature and its state.
     """
     if a.source != b.source or a.target != b.target:
         raise NotEqualShape(
             f"shape mismatch: {a.source}->{a.target} vs {b.source}->{b.target}"
         )
-    if invariant(a, mode) != invariant(b, mode):
+    lays_a, lays_b = packed_layers(a), packed_layers(b)
+    if _invariant(lays_a, mode) != _invariant(lays_b, mode):
         return None
-    ka, kb = _state(a), _state(b)
+    ka, kb = (a.source, _canonical_key(lays_a)), (b.source, _canonical_key(lays_b))
     if ka == kb:
         return EqualityWitness(terms=(term_from_packed(*ka),), steps=())
 

@@ -132,7 +132,8 @@ class Term:
 
     The empty sequence is the identity on ``source``.  Construction checks
     that consecutive widths chain, so a ``Term`` is well formed by
-    existence.
+    existence; ``term_from_packed``, whose slices chain by construction,
+    makes its terms without repeating the check.
     """
 
     source: int
@@ -211,8 +212,9 @@ def gen_count(t: Term) -> int:
 # (``pack_layer``, which rewriting goes through too), so no key ever wraps.
 #
 # ``packed_layers`` and ``term_from_packed`` convert a ``Term`` to and from
-# packed layers; outside these two modules, rewrite step rows included, a
-# slice list is a ``Term``.
+# packed layers, which ``cli.parse_expr`` also reads an expression into;
+# outside these modules, rewrite step rows included, a slice list is a
+# ``Term``.
 #
 # Two adjacent layers commute when their active blocks are disjoint at
 # the common interface.  A zero-width block strictly inside another block
@@ -254,7 +256,7 @@ def width_change(k: int) -> int:
 
 
 def packed_layers(t: Term) -> tuple:
-    return tuple(pack_layer(s.left, s.gen.kind, s.gen.m, s.gen.n) for s in t.slices)
+    return tuple([pack_layer(s.left, s.gen.kind, s.gen.m, s.gen.n) for s in t.slices])
 
 
 def _slice(off: int, g: Generator, w: int) -> Slice:
@@ -274,6 +276,11 @@ def term_from_layers(source: int, lays: list[tuple[int, Generator]]) -> Term:
     return Term(source, tuple(out))
 
 
+def unpack_layer(k: int) -> tuple:
+    """The offset and the generator of the packed layer ``k``."""
+    return k >> OFF_SHIFT, Generator(_KINDS[k >> KIND_SHIFT & 1], k >> M_SHIFT & M_MASK, k & N_MASK)
+
+
 def term_from_packed(source: int, lays: tuple) -> Term:
     """The term with packed layers ``lays``; raises when they do not chain.
 
@@ -281,9 +288,13 @@ def term_from_packed(source: int, lays: tuple) -> Term:
     ``Generator``, per (packed layer, input width), built by ``_slice`` on
     a miss.  The table is dropped with the memo, and starts again empty
     once it holds more than ``_MEMO_CAP`` slices (``rewrite.sample_term``
-    fills it without growing the memo's least keys).  The ``Term`` still
-    checks that the slices chain.
+    fills it without growing the memo's least keys).  A slice is keyed by
+    the width it receives and ``_slice`` checks that it fits there, so the
+    slices chain by construction and the ``Term`` is made without
+    ``__post_init__``'s check.
     """
+    if source < 0:
+        raise ValueError(f"negative source width {source}")
     table = _memo.get(term_from_packed)
     if table is None or len(table) > _MEMO_CAP:
         table = _memo[term_from_packed] = {}
@@ -292,11 +303,14 @@ def term_from_packed(source: int, lays: tuple) -> Term:
     for k in lays:
         s = table.get((k, w))
         if s is None:
-            g = Generator(_KINDS[k >> KIND_SHIFT & 1], k >> M_SHIFT & M_MASK, k & N_MASK)
-            s = table[k, w] = _slice(k >> OFF_SHIFT, g, w)
+            s = table[k, w] = _slice(*unpack_layer(k), w)
         out.append(s)
         w += (k & N_MASK) << 1 if k & ETA_BIT else -((k & N_MASK) << 1)
-    return Term(source, tuple(out))
+    t = object.__new__(Term)
+    fields = t.__dict__
+    fields["source"] = source
+    fields["slices"] = tuple(out)
+    return t
 
 
 def upside_down(t: Term) -> Term:
@@ -483,8 +497,8 @@ class _FrontGraph:
 # is closed in it, so a replacement mid-search makes the search close its
 # states again.  The entries that searches read hold least keys only, shared
 # with ``least``, and the swaps and matches of each layer pair met, so that
-# the keys built from one result share its packed layers; step fields are
-# built only for returned steps.  ``canonical``, ``rewrite.apply`` and
+# the keys built from one result share its packed layers; a returned step
+# is found by following its result down them.  ``canonical``, ``rewrite.apply`` and
 # ``rewrite.normal_form`` share one ``Term`` per class (``_class_term``),
 # and every ``Term`` built from packed layers one ``Slice`` per (packed
 # layer, input width), read from the memo directly (``term_from_packed``).

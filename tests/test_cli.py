@@ -217,6 +217,19 @@ class TestParseExpr:
             parse_expr(text)
         assert str(err.value) == f"expected ')', found end of input (at position {len(text)})"
 
+    def test_atoms_past_the_packed_fields(self, capsys):
+        # the parser packs its layers, and an index past their fields still
+        # parses: only the engine's searches and forms refuse it
+        text = "eta(0,1) * eps(65536,1) * eta(2,300)"
+        t = parse_expr(text)
+        assert [str(s.gen) for s in t.slices] == ["eta(0,1)", "eps(65536,1)", "eta(2,300)"]
+        assert t == parse_expr_reference(text)
+        assert main(["parse", "eps(65536,1)"]) == 0
+        assert capsys.readouterr().out == "eps(65536,1)\nsource: 65538  target: 65536  generators: 1\n"
+        assert main(["eval", "eta(70000,1)"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: width 70000 at dimension 2 exceeds 1048576 entries per side\n"
+
     def test_render_roundtrip_on_random_terms(self):
         rng = random.Random(31)
         for _ in range(200):

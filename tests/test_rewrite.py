@@ -304,9 +304,9 @@ class TestNeighbors:
 
 
 class TestStepFields:
-    # the memo keeps result keys only, and match_rules and equal re-derive
-    # step fields by the same front walk: every step must be one the
-    # literal-substitution oracle finds, and must replay to its result
+    # the memo keeps result keys only, and match_rules and equal find a
+    # step's fields by following its result down them: every step must be
+    # one the literal-substitution oracle finds, and must replay to its result
     CAPS = SearchCaps(4, 5, 1, 2000)
 
     @staticmethod
@@ -348,6 +348,30 @@ class TestStepFields:
         for x, step, y in zip(w.terms, w.steps, w.terms[1:]):
             assert apply(x, step) == y
             assert_listed_expansion(x, step, y)
+
+
+    @pytest.mark.parametrize("a, b, expansion", [
+        ("eta(0,1) ; eps(0,1)", "eta(0,1) ; eta(2,1) ; (eps(1,1) * id(1)) ; eps(0,1)",
+         "TriangleB-(i=1,n=1)"),
+        # an expansion at the first cut gives the same result, but the cut is
+        # too wide for the target's peak: the witness takes a later one
+        ("eta(0,2) ; (eps(0,1) * id(2))",
+         "eta(0,2) ; (eta(3,1) * id(1)) ; (eps(0,1) * id(4)) ; (eps(0,1) * id(2))",
+         "TriangleB-(i=0,n=1)"),
+        ("eps(0,1) * id(1)", "(eta(0,1) * id(3)) ; (eps(2,1) * id(1)) ; eps(1,1)",
+         "TriangleA-(i=0,n=1)"),
+        ("eta(0,1) ; eps(0,1)", "eta(0,1) ; (eta(0,2) * id(2)) ; (eps(0,1) * id(4)) ; eps(0,2)",
+         "TriangleA-(i=0,n=2)"),
+        ("id(2)", "(eta(0,1) * id(2)) ; (eps(1,1) * id(1)) ; (eta(0,2) * id(2)) ; eps(2,2)",
+         "TriangleA-(i=0,n=2)"),
+    ])
+    def test_expansions_of_each_rule_and_n(self, a, b, expansion):
+        w = equal(parse_expr(a), parse_expr(b), Mode.C, SearchCaps(4, 6, 2, 3000))
+        assert expansion in [s.describe() for s in w.steps]
+        for x, step, y in zip(w.terms, w.steps, w.terms[1:]):
+            assert apply(x, step) == y
+            if step.rule in TRIANGLE_RULES and step.direction is Direction.BACKWARD:
+                assert_listed_expansion(x, step, y)
 
 
 def assert_listed_expansion(x, step, y):

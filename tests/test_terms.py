@@ -29,6 +29,7 @@ from monocat import (
     whisker,
 )
 from monocat import rewrite, terms
+from monocat.cli import parse_expr
 from monocat.rewrite import apply, enum_hom_detailed, equal, explore, generate_terms
 from monocat.suite import SuiteConfig, snake_term
 from monocat.terms import (
@@ -323,6 +324,21 @@ class TestSharedSlices:
             again = term_from_packed(t.source, packed_layers(t))
             assert all(a is b for a, b in zip(again.slices, got.slices))
 
+    def test_parsed_terms_share_slices(self, fresh_memo):
+        rng = random.Random(47)
+        for _ in range(200):
+            t = parse_expr(render(random_term(rng, max_len=6)))
+            again = term_from_packed(t.source, packed_layers(t))
+            assert len(again.slices) == len(t.slices)
+            for k in range(len(t.slices)):
+                assert again.slices[k] is t.slices[k]
+            if t.slices and t.slices[-1].source_width != t.source:
+                # shared slices put together by hand are checked as any others
+                with pytest.raises(NotComposable):
+                    Term(t.source, t.slices[::-1])
+        with pytest.raises(NotComposable, match="slice 1 expects width 4 but receives 3"):
+            Term(1, (Slice(0, eta(0, 1), 1), Slice(0, eps(1, 1), 1)))
+
     def test_table_is_bounded(self, fresh_memo, monkeypatch):
         monkeypatch.setattr(terms, "_MEMO_CAP", 30)
         rng = random.Random(46)
@@ -350,6 +366,8 @@ class TestSharedSlices:
             term_from_packed(4, (lay, lay))
         with pytest.raises(LayerOutOfRange, match="outside the packed layer range"):
             packed_layers(whisker(0, eps(1 << terms.M_BITS, 1), 0))
+        with pytest.raises(ValueError, match="negative source width -1"):
+            term_from_packed(-1, ())
 
 
 @st.composite
