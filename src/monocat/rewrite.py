@@ -124,11 +124,12 @@ class RewriteStep:
     """One rule application, replayable against its source term.
 
     ``row`` is the source term with its slices in the order the step
-    applies to, and ``pos`` a position in it.  Pair steps rewrite the
-    slices at (pos, pos + 1).  Expansions insert before position ``pos``;
-    ``offset``/``block``/``index_n`` place the inserted insertion/deletion
-    pair.  ``binding`` records the parameter values of the matched
-    relation instance.
+    applies to, and ``pos`` a position in it.  ``binding`` records the
+    parameter values of the matched relation instance.  Pair steps rewrite
+    the slices at (pos, pos + 1).  Expansions insert before position
+    ``pos``, at ``offset``, the pair that the rule and the binding's ``i``
+    and ``n`` fix: ``eta(i, n)`` and ``eps(i + n, n)`` for TriangleA,
+    ``eta(i + n, n)`` and ``eps(i, n)`` for TriangleB.
     """
 
     rule: RuleId
@@ -137,8 +138,6 @@ class RewriteStep:
     pos: int = 0
     binding: tuple[tuple[str, int], ...] = ()
     offset: int | None = None
-    block: int | None = None
-    index_n: int | None = None
 
     def describe(self) -> str:
         side = "+" if self.direction is Direction.FORWARD else "-"
@@ -171,7 +170,6 @@ class ExploreReport:
     min_gen_count_seen: int
     truncated: bool
     witness_path: tuple[Term, ...] | None = None
-    states: tuple[Term, ...] | None = None
 
 
 def _state(t: Term) -> tuple:
@@ -292,22 +290,23 @@ def _invariant(lays: tuple, mode: Mode) -> tuple:
 # is a front a followed by a front b of t, and every deeper pair step, or
 # cut, is one of t's with a prepended: every result is the least key of
 # some slices prepended to a least key.  Pair results and cuts are
-# memoised per least key, suffixes first, in the memo of ``terms``, so
-# that they are dropped together with the fronts; so are the matches of
-# each layer pair.  Searches read the pair results, two tuples of result
-# keys.  Where a step is returned (``match_rules`` and witnesses),
-# ``_steps_to`` follows its result back down those entries: at a front
-# (a, t), to the matches at position 0 that give it, and to each result r
-# of t whose lead with a gives it, whose steps are t's with a prepended.
-# The row of a step is the fronts passed on the way down; it is made a
-# ``Term`` only when the step is built.
+# memoised per least key and move set, suffixes first, in the memo of
+# ``terms``, so that they are dropped together with the fronts; so are the
+# matches of each layer pair, which hold for every move set.  Searches
+# read the pair results, two tuples of result keys.  Where a step is
+# returned (``match_rules`` and witnesses), ``_steps_to`` follows its
+# result back down those entries: at a front (a, t), to the matches at
+# position 0 that give it, and to each result r of t whose lead with a
+# gives it, whose steps are t's with a prepended.  The row of a step is
+# the fronts passed on the way down; it is made a ``Term`` only when the
+# step is built.
 
 
 def _memoised(lays: tuple, build, moves=_swaps):
     """The entry of the least key ``lays`` for ``build``, built if missing.
 
-    Entries live in the memo of ``terms``, one dict per ``build``, on the
-    classes under ``moves``; see ``_build``.
+    Entries live in the memo of ``terms``, one dict per ``build`` in the
+    tables of the classes under ``moves``; see ``_build``.
     """
     graph = _front_graph(moves)
     memo = graph.table(build)
@@ -354,7 +353,7 @@ def _after(graph, a: int, t: tuple):
     """``(b, u, matches)`` for each front (b, u) of the least key ``t``,
     with the ``_match_pair`` results of ``(a, b)``, memoised per layer
     pair in the memo of ``graph``."""
-    memo = graph.table(_match_pair)
+    memo = graph.shared(_match_pair)
     matches = memo.get(a) or memo.setdefault(a, {})
     for b, u in graph.fronts(t):
         found = matches.get(b)
@@ -446,7 +445,7 @@ def _cut_entry(graph, s, fronts, memo) -> dict:
 def _expansions(state, caps: SearchCaps):
     """Every triangle expansion on the class of ``state`` within ``caps``.
 
-    Yields ``(rule, head, tail, i, a, block, n)`` with the result; see
+    Yields ``(rule, head, tail, i, a, n)`` with the result; see
     ``_expansion_step``.
     """
     source, lays = state
@@ -469,24 +468,16 @@ def _expansions(state, caps: SearchCaps):
                         (RuleId.TRIANGLE_B, i + nn, i),
                     ):
                         ins = (cup + (ins_blk << M_SHIFT), cap + (del_blk << M_SHIFT))
-                        yield (rule, head, tail, i, a, ins_blk, nn), (
+                        yield (rule, head, tail, i, a, nn), (
                             source,
                             prepend(head + ins, tail),
                         )
 
 
 def _expansion_step(fields: tuple, source: int) -> RewriteStep:
-    rule, head, tail, i, a, block, nn = fields
-    return RewriteStep(
-        rule,
-        Direction.BACKWARD,
-        term_from_packed(source, head + tail),
-        len(head),
-        (("i", i), ("n", nn)),
-        a,
-        block,
-        nn,
-    )
+    rule, head, tail, i, a, nn = fields
+    row = term_from_packed(source, head + tail)
+    return RewriteStep(rule, Direction.BACKWARD, row, len(head), (("i", i), ("n", nn)), a)
 
 
 def match_rules(t: Term, mode: Mode, caps: SearchCaps = DEFAULT_CAPS) -> list[RewriteStep]:
@@ -538,15 +529,16 @@ def apply(t: Term, step: RewriteStep) -> Term:
                 return _class_term(t.source, packed[:p] + repl + packed[p + 2 :])
         raise InvalidStep(f"{step.describe()} does not match at position {p}")
 
-    a, blk, nn = step.offset, step.block, step.index_n
-    if a is None or blk is None or nn is None:
+    binding = dict(step.binding)
+    a, i, nn = step.offset, binding.get("i"), binding.get("n")
+    if a is None or i is None or nn is None:
         raise InvalidStep("malformed step")
     if not (0 <= p <= len(packed)):
         raise InvalidStep(f"position {p} out of range")
-    del_blk = blk + nn if step.rule is RuleId.TRIANGLE_A else blk - nn
+    ins_blk, del_blk = (i, i + nn) if step.rule is RuleId.TRIANGLE_A else (i + nn, i)
     try:
         # the generators check the indices before they are packed
-        pair = tuple(pack_layer(a, g.kind, g.m, g.n) for g in (eta(blk, nn), eps(del_blk, nn)))
+        pair = tuple(pack_layer(a, g.kind, g.m, g.n) for g in (eta(ins_blk, nn), eps(del_blk, nn)))
         new = term_from_packed(t.source, packed[:p] + pair + packed[p:])
     except (ValueError, MonocatError) as exc:
         raise InvalidStep(str(exc)) from exc
@@ -580,7 +572,7 @@ def _find_step(src, dst) -> RewriteStep:
     ``_expansions`` under caps read off ``dst`` (its length, peak width and
     largest ``n``).  Interchange keeps the kind, ``m`` and ``n`` of every
     layer, so the generators of ``dst`` less those of src are the inserted
-    pair, which fixes the rule, ``i``, block and ``n``; only the cuts whose
+    pair, which fixes the rule, ``i`` and ``n``; only the cuts whose
     width admits the pair under ``dst``'s peak, and the offsets that leave
     room for ``i``, are tried.
     """
@@ -608,7 +600,7 @@ def _find_step(src, dst) -> RewriteStep:
             for a in range(0, width - nn - i + 1):
                 shift = a << OFF_SHIFT
                 if prepend(head + (cup + shift, cap + shift), tail) == dst[1]:
-                    return _expansion_step((rule, head, tail, i, a, block, nn), source)
+                    return _expansion_step((rule, head, tail, i, a, nn), source)
     raise AssertionError("edge of the rewrite graph could not be re-derived")
 
 
@@ -706,15 +698,8 @@ def _reconstruct(meet, parents_a, parents_b) -> EqualityWitness:
     return EqualityWitness(terms=tuple(term_from_packed(*k) for k in chain), steps=steps)
 
 
-def explore(
-    t: Term, mode: Mode, caps: SearchCaps = DEFAULT_CAPS, collect_states: bool = False
-) -> ExploreReport:
-    """Breadth-first closure of ``t``'s rewrite class under caps.
-
-    With ``collect_states`` the report carries every visited canonical
-    form (meant for small caps, as when checking that the matrix image is
-    constant across a class).
-    """
+def explore(t: Term, mode: Mode, caps: SearchCaps = DEFAULT_CAPS) -> ExploreReport:
+    """Breadth-first closure of ``t``'s rewrite class under caps."""
     start = _state(t)
     if not _respects(start, caps):
         raise ValueError("start term exceeds the search caps")
@@ -737,7 +722,6 @@ def explore(
         min_gen_count_seen=min(len(k[1]) for k in parents),
         truncated=frontier is None,
         witness_path=witness,
-        states=tuple(term_from_packed(*k) for k in sorted(parents)) if collect_states else None,
     )
 
 
@@ -749,9 +733,10 @@ def explore(
 # read as contractions, each removing two generators; this is rewriting
 # modulo an equivalence (Huet, JACM 27(4), 1980): take the least member of
 # the sliding class and contract at a triangle of it, until none is left.
-# One contraction is kept per least key, suffixes first: a triangle on a
-# front pair (a, b) leaves the suffix of b, and a contraction r of a
-# front's suffix class gives lead(a, r).
+# The contraction is the first triangle result of the class's pair-result
+# entry under ``_slides``, the entry searches read under ``_swaps``: a
+# triangle on a front pair (a, b) leaves the suffix of b, and a triangle
+# result r of a front's suffix class gives lead(a, r).
 
 
 def _slides(u: int, v: int) -> tuple:
@@ -759,23 +744,12 @@ def _slides(u: int, v: int) -> tuple:
     return _swaps(u, v) + tuple(repl for _, _, repl, _ in _match_pair(u, v) if repl)
 
 
-def _contraction_entry(graph, s, fronts, memo) -> tuple:
-    """One triangle contraction on the sliding class of ``s``: ``(result,)``, or ``()``."""
-    for a, t in fronts:
-        for _, u, found in _after(graph, a, t):
-            if any(not repl for _, _, repl, _ in found):
-                return (u,)
-        if memo[t]:
-            return (graph.lead(a, memo[t][0]),)
-    return ()
-
-
 def _normal_form(state, mode: Mode):
     """Packed-key normal form; see :func:`normal_form`."""
     source, key = state
     key = _front_graph(_slides).least(key)
     while mode is Mode.C:
-        contracted = _memoised(key, _contraction_entry, _slides)
+        contracted = _memoised(key, _results_entry, _slides)[1]
         if not contracted:
             break
         key = contracted[0]
@@ -786,8 +760,10 @@ def normal_form(t: Term, mode: Mode) -> Term:
     """The canonical member of ``t``'s class after all triangle contractions.
 
     Mode D gives the least term of the sliding class, so two terms are
-    equal iff their normal forms are.  In mode C every member of a sliding
-    class gets the same form, and terms with the same form are equal;
+    equal iff their normal forms are.  Mode C contracts the least member at
+    the first triangle result of its sliding class (``_pair_results``' walk
+    under the sliding moves), and repeats.  In mode C every member of a
+    sliding class gets the same form, and terms with the same form are equal;
     different forms mean different classes only as long as contraction is
     confluent modulo sliding.  Raises :class:`MonocatError` when closing a
     class takes more than the work bound of ``terms``.

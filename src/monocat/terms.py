@@ -367,30 +367,35 @@ class _FrontGraph:
     to itself, so that equal least keys are one shared tuple; ``_fronts``
     maps each least key of two or more layers to its fronts, sorted.  Both
     are filled together, when a class is closed.  ``_moved`` holds the
-    moves of each layer pair met (per first layer).  The three are the
-    memo's entry under ``moves``; ``entries`` is the memo, which also holds
-    rewrite's pair matches and its entries per least key, the shared terms
-    of ``_class_term`` and the shared slices of ``term_from_packed``.
-    ``_WORK_CAP`` bounds the move tests one call makes, or one request
-    after ``restart``.
+    moves of each layer pair met (per first layer).  ``_tables`` holds
+    rewrite's entries per least key of these classes, one dict per build
+    function; a least key under one move set can be a least key under
+    another, with another class, so these are never shared between move
+    sets.  The four are the memo's entry under ``moves``; ``entries`` is
+    the memo, which also holds the tables that serve every move set:
+    rewrite's pair matches, the shared terms of ``_class_term`` and the
+    shared slices of ``term_from_packed``.  ``_WORK_CAP`` bounds the move
+    tests one call makes, or one request after ``restart``.
     """
 
-    __slots__ = ("_fronts", "_least", "_moved", "entries", "_moves", "_work")
+    __slots__ = ("_fronts", "_least", "_moved", "_tables", "entries", "_moves", "_work")
 
-    def __init__(self, fronts: dict, least: dict, moved: dict, entries: dict, moves) -> None:
+    def __init__(self, fronts: dict, least: dict, moved: dict, tables: dict, entries: dict, moves) -> None:
         self._fronts = fronts
         self._least = least
         self._moved = moved
+        self._tables = tables
         self.entries = entries
         self._moves = moves
         self._work = 0
 
     def table(self, key) -> dict:
-        """The dict ``entries[key]``, added empty if missing."""
-        table = self.entries.get(key)
-        if table is None:
-            table = self.entries[key] = {}
-        return table
+        """The dict ``key`` of this move set's tables, added empty if missing."""
+        return self._tables.get(key) or self._tables.setdefault(key, {})
+
+    def shared(self, key) -> dict:
+        """The dict ``entries[key]``, one for every move set, added empty if missing."""
+        return self.entries.get(key) or self.entries.setdefault(key, {})
 
     def restart(self) -> None:
         """Count the move tests of the next request from zero."""
@@ -491,14 +496,17 @@ class _FrontGraph:
 
 
 # the memo all canonicalisations and rule matches share, one dict: under
-# each move function ``moves`` met, the (fronts, least, moved) of its
-# classes; replaced by an empty one once one move set's ``least`` holds
+# each move function ``moves`` met, the (fronts, least, moved, tables) of
+# its classes; replaced by an empty one once one move set's ``least`` holds
 # _MEMO_CAP pairs (a call in progress keeps its own).  Every rewrite result
 # is closed in it, so a replacement mid-search makes the search close its
-# states again.  The entries that searches read hold least keys only, shared
-# with ``least``, and the swaps and matches of each layer pair met, so that
-# the keys built from one result share its packed layers; a returned step
-# is found by following its result down them.  ``canonical``, ``rewrite.apply`` and
+# states again.  Rewrite's entries hold least keys only, shared with
+# ``least``, one table per build function in each move set's tables, and
+# the swaps and matches of each layer pair met, so that the keys built
+# from one result share its packed layers.  Searches read the pair results
+# under the swaps, and mode-C normal forms contract at the triangle results
+# under the slides; a returned step is found by following its result down
+# them.  ``canonical``, ``rewrite.apply`` and
 # ``rewrite.normal_form`` share one ``Term`` per class (``_class_term``),
 # and every ``Term`` built from packed layers one ``Slice`` per (packed
 # layer, input width), read from the memo directly (``term_from_packed``).
@@ -512,13 +520,13 @@ def _front_graph(moves=_swaps) -> _FrontGraph:
     """The view of the memo for the classes under ``moves``."""
     global _memo
     try:
-        fronts, least, moved = _memo[moves]
+        fronts, least, moved, tables = _memo[moves]
     except KeyError:
-        fronts, least, moved = _memo[moves] = ({}, {}, {})
+        fronts, least, moved, tables = _memo[moves] = ({}, {}, {}, {})
     if len(least) > _MEMO_CAP:
         _memo = {}
-        fronts, least, moved = _memo[moves] = ({}, {}, {})
-    return _FrontGraph(fronts, least, moved, _memo, moves)
+        fronts, least, moved, tables = _memo[moves] = ({}, {}, {}, {})
+    return _FrontGraph(fronts, least, moved, tables, _memo, moves)
 
 
 def _canonical_key(key: tuple) -> tuple:
@@ -540,7 +548,7 @@ def _class_term(source: int, key: tuple, given: Term | None = None) -> Term:
     least = graph.least(key)
     if len(least) < 2:
         return given if given is not None else term_from_packed(source, least)
-    table = graph.table(_class_term)
+    table = graph.shared(_class_term)
     term = table.get((source, least))
     if term is None:
         if given is None or key != least:

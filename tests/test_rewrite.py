@@ -102,6 +102,25 @@ def step_triples(t, mode, caps):
     }
 
 
+def reachable(t, mode, caps) -> set:
+    """The canonical forms reachable from ``t`` within ``caps``, by a
+    breadth-first search over ``neighbors``; checks that ``explore``
+    visits exactly as many, untruncated."""
+    rep = explore(t, mode, caps)
+    states = {rep.start}
+    frontier = [rep.start]
+    while frontier:
+        new = []
+        for x in frontier:
+            for u in neighbors(x, mode, caps):
+                if u not in states:
+                    states.add(u)
+                    new.append(u)
+        frontier = new
+    assert not rep.truncated and len(states) == rep.states_visited
+    return states
+
+
 def triangle_composite_a(i=0, n=1):
     return rule_instance(RuleId.TRIANGLE_A, i=i, n=n)[0]
 
@@ -174,18 +193,32 @@ class TestApply:
         with pytest.raises(InvalidStep, match="not an ordering"):
             apply(triangle_composite_b(), step)
 
-    @pytest.mark.parametrize("block, index_n", [(0, 0), (-1, 1)])
-    def test_malformed_expansion_rejected(self, block, index_n):
-        step = RewriteStep(
-            RuleId.TRIANGLE_A,
-            Direction.BACKWARD,
-            row=identity(1),
-            offset=0,
-            block=block,
-            index_n=index_n,
-        )
-        with pytest.raises(InvalidStep):
+    @pytest.mark.parametrize(
+        "binding, message",
+        [
+            ((("i", 0),), "malformed step"),
+            ((("i", 0), ("n", 0)), "index n must be >= 1"),
+            ((("i", -1), ("n", 1)), "index m must be >= 0"),
+        ],
+        ids=["missing-n", "n-zero", "negative-i"],
+    )
+    def test_malformed_expansion_rejected(self, binding, message):
+        step = RewriteStep(RuleId.TRIANGLE_A, Direction.BACKWARD, row=identity(1), binding=binding, offset=0)
+        with pytest.raises(InvalidStep, match=message):
             apply(identity(1), step)
+
+    def test_expansion_replays_its_binding(self):
+        # on two wires TriangleA at offset 0 inserts eta(i,1) and eps(i+1,1)
+        # for i = 0 or 1: the binding alone says which
+        t = identity(2)
+        (step,) = [
+            s for s in match_rules(t, Mode.C, SMALL)
+            if s.rule is RuleId.TRIANGLE_A and s.offset == 0 and s.binding == (("i", 0), ("n", 1))
+        ]
+        assert apply(t, step) == canonical(compose(whisker(0, eta(0, 1), 2), whisker(0, eps(1, 1), 1)))
+        other = dataclasses.replace(step, binding=(("i", 1), ("n", 1)))
+        assert other.describe() == "TriangleA-(i=1,n=1)"
+        assert apply(t, other) == canonical(triangle_composite_a(i=1))
 
     def test_row_with_another_source_rejected(self):
         # a wire more on the right leaves every slice's offset, and so the
@@ -207,10 +240,10 @@ class TestApply:
         [
             ({"offset": -1}, "negative whisker"),
             ({"offset": 2}, "does not fit in width"),
-            ({"block": 1 << terms.M_BITS}, "outside the packed layer range"),
+            ({"binding": (("i", 1 << terms.M_BITS), ("n", 1))}, "outside the packed layer range"),
             ({"row": identity(3)}, "not an ordering"),
         ],
-        ids=["negative-offset", "offset-past-width", "block-past-field", "other-source"],
+        ids=["negative-offset", "offset-past-width", "i-past-field", "other-source"],
     )
     def test_bad_expansion_rejected(self, change, message):
         (step,) = [
@@ -509,11 +542,9 @@ class TestExplore:
         # rewriting preserves the matrix semantics, so everything reachable
         # from the zig-zag term evaluates to the identity; this is why the
         # matrix view alone can never witness the separation
-        rep = explore(snake(), Mode.C, SearchCaps(4, 8, 2, 5000), collect_states=True)
-        assert not rep.truncated
         spec = FunctorSpec.identity(2)
         eye = eval_term(spec, identity(1))
-        for state in rep.states:
+        for state in reachable(snake(), Mode.C, SearchCaps(4, 8, 2, 5000)):
             assert eval_term(spec, state) == eye
 
     def test_start_must_fit_caps(self):
@@ -534,7 +565,7 @@ class TestMemoDrops:
         tri = explore(triangle_composite_a(), Mode.C, DEFAULT_CAPS)
         w = equal(TestMemoDrops.START, TestMemoDrops.END, Mode.C, SearchCaps(5, 8, 1, 5000))
         return (
-            explore(snake(), Mode.C, DEFAULT_CAPS, collect_states=True).states,
+            reachable(snake(), Mode.C, DEFAULT_CAPS),
             (tri.states_visited, tri.min_gen_count_seen, tri.truncated, tri.witness_path),
             (w.terms, w.steps),
             enum_hom_detailed(2, 2, Mode.C, SearchCaps(3, 8, 1, 4000)),
@@ -841,6 +872,29 @@ class TestSlidingClasses:
         assert (keys, contractions) == (40421, 5252)
 
 
+class TestEntriesPerMoveSet:
+    def test_searches_and_forms_keep_their_own_entries(self, fresh_memo, monkeypatch):
+        # a sliding least key is also an interchange least key, with another
+        # class: its pair results under the swaps and its mode-C form under
+        # the slides read two entries of one build function, which must not
+        # be one entry whichever of them is built first
+        caps = SearchCaps(4, 8, 1)
+        keys = [
+            (m, key)
+            for m, n in [(1, 1), (1, 3), (0, 2)]
+            for key in sorted({terms._front_graph(rewrite._slides).least(k) for k in _hom_keys(m, n, caps)})
+        ]
+        assert len(keys) == 340 + 173 + 23
+        monkeypatch.setattr(terms, "_memo", {})
+        pairs = [_pair_results(key) for _, key in keys]
+        monkeypatch.setattr(terms, "_memo", {})
+        forms = [_normal_form(x, Mode.C) for x in keys]
+        monkeypatch.setattr(terms, "_memo", {})
+        assert [(_pair_results(x[1]), _normal_form(x, Mode.C)) for x in keys] == list(zip(pairs, forms))
+        monkeypatch.setattr(terms, "_memo", {})
+        assert [(_normal_form(x, Mode.C), _pair_results(x[1])) for x in keys] == list(zip(forms, pairs))
+
+
 class TestRuleInstanceTable:
     def test_table_covers_expected_grid(self):
         table = rule_instances()
@@ -889,9 +943,9 @@ class TestInvariant:
         "start, states", [(snake, 2413), (triangle_composite_a, 5313)], ids=["zigzag", "triangleA"]
     )
     def test_constant_over_explored_states(self, start, states):
-        rep = explore(start(), Mode.C, DEFAULT_CAPS, collect_states=True)
-        assert not rep.truncated and len(rep.states) == states
-        assert {invariant(x, Mode.C) for x in rep.states} == {invariant(start(), Mode.C)}
+        found = reachable(start(), Mode.C, DEFAULT_CAPS)
+        assert len(found) == states
+        assert {invariant(x, Mode.C) for x in found} == {invariant(start(), Mode.C)}
 
     @settings(max_examples=80, deadline=None, database=None)
     @given(small_terms(max_width=7, max_index_n=2), st.sampled_from([Mode.C, Mode.D]))

@@ -42,6 +42,7 @@ from monocat.terms import (
 )
 from monocat.vect import has_leading_deletion, has_trailing_insertion
 from oracles import class_representatives, random_term, shuffled, slice_options
+from test_rewrite import reachable
 
 
 def term_of_keys(source: int, keys) -> Term:
@@ -308,8 +309,7 @@ class TestSharedSlices:
         assert witness is not None and len(witness) > 0
         check_shared_slices(witness.terms, seen)
         check_shared_slices([step.row for step in witness.steps], seen)
-        report = explore(snake_term(), Mode.C, caps, collect_states=True)
-        check_shared_slices(report.states, seen)
+        check_shared_slices(reachable(snake_term(), Mode.C, caps), seen)
         assert len(seen) == len(slice_table())
         for (k, w), s in seen.items():
             assert slice_table()[k, w] is s
