@@ -363,12 +363,17 @@ def _after(graph, a: int, t: tuple):
 
 
 def _results_entry(graph, s, fronts, memo) -> tuple:
+    # under the slides a sliding result is s itself, which nothing reads
+    sliding = graph.moves is _slides
     slide, tri = {}, {}
     for a, t in fronts:
         for _, u, found in _after(graph, a, t):
             for _, _, repl, _ in found:
                 # a triangle replaces the pair by nothing
-                (slide if repl else tri)[graph.prepend(repl, u)] = None
+                if not repl:
+                    tri[u] = None
+                elif not sliding:
+                    slide[graph.prepend(repl, u)] = None
         slide_t, tri_t = memo[t]
         for r in slide_t:
             slide[graph.lead(a, r)] = None
@@ -558,8 +563,9 @@ def _respects(state, caps: SearchCaps) -> bool:
 
 
 def neighbors(t: Term, mode: Mode, caps: SearchCaps = DEFAULT_CAPS) -> list[Term]:
-    """Canonical, deduplicated one-step rewrites of ``t`` within caps."""
-    return [term_from_packed(*y) for y in _successors(_state(t), mode, caps) if _respects(y, caps)]
+    """Canonical, deduplicated one-step rewrites of ``t`` within caps, in key order."""
+    found = {y for _, y in _layer([_state(t)], mode, caps)}
+    return [term_from_packed(*y) for y in sorted(found) if _respects(y, caps)]
 
 
 def _find_step(src, dst) -> RewriteStep:
@@ -604,33 +610,46 @@ def _find_step(src, dst) -> RewriteStep:
     raise AssertionError("edge of the rewrite graph could not be re-derived")
 
 
-def _successors(state, mode: Mode, caps: SearchCaps) -> list:
-    """Distinct one-step results of ``state`` in key order, caps unchecked."""
-    source, lays = state
-    slide, tri = _pair_results(lays)
-    if mode is Mode.D:
-        return sorted((source, r) for r in slide)
-    out = {(source, r) for r in slide + tri}
-    out.update(y for _, y in _expansions(state, caps))
-    return sorted(out)
+def _layer(frontier: list, mode: Mode, caps: SearchCaps):
+    """``(x, y)`` for each one-step result ``y`` of each state ``x`` of
+    ``frontier``, caps unchecked, repeats kept.
+
+    Two passes, each in frontier order: first the pair results of every
+    state (sliding, then in mode C triangle, in its entry's order), then in
+    mode C the expansions of every state, in the order of ``_expansions``.
+    """
+    for x in frontier:
+        source = x[0]
+        slide, tri = _pair_results(x[1])
+        for r in slide + tri if mode is Mode.C else slide:
+            yield x, (source, r)
+    if mode is Mode.C:
+        for x in frontier:
+            for _, y in _expansions(x, caps):
+                yield x, y
 
 
-def _grow(frontier: list, parents: dict, mode: Mode, caps: SearchCaps, room: int):
+def _grow(frontier: list, parents: dict, mode: Mode, caps: SearchCaps, room: int, goal=()):
     """One layer of a breadth-first search from ``frontier``.
 
-    Returns the states within ``caps`` first reached from it, in order,
-    each recorded in ``parents`` with the state it was reached from; None
+    Returns the states within ``caps`` first reached from it, in the order
+    ``_layer`` lists them, each recorded in ``parents`` with the state it
+    was reached from.  The layer stops at the first new state that
+    ``goal`` holds (the other tree of a bidirectional search), which is
+    then the last one returned.  A layer that meets no goal state runs to
+    its end, and its set of states does not depend on that order.  None
     once more than ``room`` states would be new, with those recorded until
     then left in ``parents``.
     """
     new = []
-    for x in frontier:
-        for y in _successors(x, mode, caps):
-            if y not in parents and _respects(y, caps):
-                if len(new) >= room:
-                    return None
-                parents[y] = x
-                new.append(y)
+    for x, y in _layer(frontier, mode, caps):
+        if y not in parents and _respects(y, caps):
+            if len(new) >= room:
+                return None
+            parents[y] = x
+            new.append(y)
+            if y in goal:
+                break
     return new
 
 
@@ -657,6 +676,11 @@ def equal(
     signatures under :func:`invariant` differ, since then no rewrite path
     joins them: the answer the search would give, at a cost linear in the
     slices.  Each term is packed once, for its signature and its state.
+
+    The search grows the tree with the smaller frontier by one layer
+    (``_grow``: every pair result before any expansion) and stops at the
+    first new state that the other tree holds, the meet; the witness runs
+    through it.  ``max_states`` bounds the states of both trees together.
     """
     if a.source != b.source or a.target != b.target:
         raise NotEqualShape(
@@ -675,14 +699,14 @@ def equal(
     while frontier_a and frontier_b:
         room = caps.max_states - len(parents_a) - len(parents_b)
         if len(frontier_a) <= len(frontier_b):
-            frontier_a = _grow(frontier_a, parents_a, mode, caps, room)
+            frontier_a = grown = _grow(frontier_a, parents_a, mode, caps, room, parents_b)
         else:
-            frontier_b = _grow(frontier_b, parents_b, mode, caps, room)
-        if frontier_a is None or frontier_b is None:
+            frontier_b = grown = _grow(frontier_b, parents_b, mode, caps, room, parents_a)
+        if grown is None:
             return None
-        meets = parents_a.keys() & parents_b.keys()
-        if meets:
-            return _reconstruct(min(meets), parents_a, parents_b)
+        # a layer that reaches the other tree ends there
+        if grown and grown[-1] in parents_a and grown[-1] in parents_b:
+            return _reconstruct(grown[-1], parents_a, parents_b)
     return None
 
 
@@ -736,7 +760,8 @@ def explore(t: Term, mode: Mode, caps: SearchCaps = DEFAULT_CAPS) -> ExploreRepo
 # The contraction is the first triangle result of the class's pair-result
 # entry under ``_slides``, the entry searches read under ``_swaps``: a
 # triangle on a front pair (a, b) leaves the suffix of b, and a triangle
-# result r of a front's suffix class gives lead(a, r).
+# result r of a front's suffix class gives lead(a, r).  A sliding result
+# under ``_slides`` is the class's own key, so that half is left empty.
 
 
 def _slides(u: int, v: int) -> tuple:

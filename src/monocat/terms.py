@@ -378,7 +378,7 @@ class _FrontGraph:
     tests one call makes, or one request after ``restart``.
     """
 
-    __slots__ = ("_fronts", "_least", "_moved", "_tables", "entries", "_moves", "_work")
+    __slots__ = ("_fronts", "_least", "_moved", "_tables", "entries", "moves", "_work")
 
     def __init__(self, fronts: dict, least: dict, moved: dict, tables: dict, entries: dict, moves) -> None:
         self._fronts = fronts
@@ -386,7 +386,7 @@ class _FrontGraph:
         self._moved = moved
         self._tables = tables
         self.entries = entries
-        self._moves = moves
+        self.moves = moves
         self._work = 0
 
     def table(self, key) -> dict:
@@ -463,13 +463,13 @@ class _FrontGraph:
             fronts = known.get(s) or self.fronts(s)
             self._work += len(fronts) * len(s)
             if self._work > _WORK_CAP:
-                name = "interchange" if self._moves is _swaps else "sliding"
+                name = "interchange" if self.moves is _swaps else "sliding"
                 raise MonocatError(f"{name} class too large to normalise")
             after = moved.get(x) or moved.setdefault(x, {})
             for c, u in fronts:
                 moves = after.get(c)
                 if moves is None:
-                    moves = after[c] = self._moves(x, c)
+                    moves = after[c] = self.moves(x, c)
                 for c2, x2 in moves:
                     if u:
                         pair = (x2, u)

@@ -121,6 +121,16 @@ def reachable(t, mode, caps) -> set:
     return states
 
 
+def assert_replays(w, t, v):
+    """Check that the witness ``w`` runs from ``t`` to ``v`` by ``apply``."""
+    cur = w.terms[0]
+    assert cur == canonical(t)
+    for step, expected in zip(w.steps, w.terms[1:]):
+        cur = apply(cur, step)
+        assert cur == expected
+    assert cur == canonical(v)
+
+
 def triangle_composite_a(i=0, n=1):
     return rule_instance(RuleId.TRIANGLE_A, i=i, n=n)[0]
 
@@ -463,11 +473,48 @@ class TestEqual:
         assert terms._memo[terms._swaps][0]
 
     def test_budget_edge(self):
-        # the search needs 92 states: 91 leave it unknown
+        # the search needs 42 states: 41 leave it unknown
         pair = (TestMemoDrops.START, TestMemoDrops.END)
-        assert equal(*pair, Mode.C, SearchCaps(5, 8, 1, 91)) is None
-        w = equal(*pair, Mode.C, SearchCaps(5, 8, 1, 92))
+        assert equal(*pair, Mode.C, SearchCaps(5, 8, 1, 41)) is None
+        w = equal(*pair, Mode.C, SearchCaps(5, 8, 1, 42))
         assert w is not None and len(w) == 3
+
+    def test_stops_at_first_meet(self, monkeypatch):
+        # the contraction is a pair result of the first layer, and it is
+        # the other side's start: no expansion is listed
+        calls = []
+        expansions = rewrite._expansions
+
+        def counted(state, caps):
+            calls.append(state)
+            return expansions(state, caps)
+
+        monkeypatch.setattr(rewrite, "_expansions", counted)
+        w = equal(triangle_composite_a(), identity(1), Mode.C, SMALL)
+        assert w is not None and len(w) == 1
+        assert calls == []
+
+    def test_decides_exactly_the_reachable_pairs(self):
+        # the budget holds both whole components, so the search finds a
+        # witness exactly when the two terms share one
+        caps = SearchCaps(4, 6, 1, 4000)
+        rng = random.Random(30)
+        decided = []
+        for k in range(30):
+            mode = (Mode.C, Mode.D)[k % 2]
+            t = sample_term(rng, rng.randint(0, 2), caps.max_gen_count, caps)
+            component = reachable(t, mode, caps)
+            if k % 4 < 2:
+                v = rng.choice(sorted(component, key=packed_layers))
+            else:
+                v = rng.choice(generate_terms(t.source, t.target, caps))
+            assert len(component) + len(reachable(v, mode, caps)) <= caps.max_states
+            w = equal(t, v, mode, caps)
+            assert (w is not None) == (canonical(v) in component)
+            if w is not None:
+                assert_replays(w, t, v)
+            decided.append(w is not None)
+        assert 0 < sum(decided) < len(decided)
 
     def test_shape_mismatch(self):
         with pytest.raises(NotEqualShape):
@@ -485,12 +532,7 @@ class TestEqual:
             for v in neighbors(u, Mode.C, SMALL)[:3]:
                 w = equal(t, v, Mode.C, SMALL)
                 assert w is not None
-                cur = w.terms[0]
-                assert cur == canonical(t)
-                for step, expected in zip(w.steps, w.terms[1:]):
-                    cur = apply(cur, step)
-                    assert cur == expected
-                assert cur == canonical(v)
+                assert_replays(w, t, v)
                 checked += 1
 
 
