@@ -41,7 +41,6 @@ from .rewrite import (
     hom_classes,
     invariant,
 )
-from .suite import SuiteConfig, run_all
 from .terms import (
     M_MASK,
     N_MASK,
@@ -356,6 +355,9 @@ def _cmd_homset(args) -> int:
 
 
 def _cmd_suite(args) -> int:
+    # imported here, so that the other commands do not load the suite
+    from .suite import SuiteConfig, run_all
+
     if args.config:
         with open(args.config) as fh:
             cfg = SuiteConfig.from_dict(json.load(fh))

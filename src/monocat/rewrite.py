@@ -210,7 +210,8 @@ def _match_pair(u: int, v: int) -> tuple:
     """All rule matches, triangles too, on the adjacent pair of packed layers (u, v).
 
     Each is ``(rule, direction, replacement, binding)``.  Searches read it
-    memoised per pair (see ``_after``), so it unpacks the fields; a family
+    memoised per layer pair (``graph.shared(_match_pair)``, a dict of first
+    layers to dicts of second layers), so it unpacks the fields; a family
     generator whose ``m`` a sliding rule moves past its field raises in
     ``pack_layer``.
     """
@@ -349,25 +350,19 @@ def _pair_results(lays: tuple) -> tuple:
     return _memoised(lays, _results_entry)
 
 
-def _after(graph, a: int, t: tuple):
-    """``(b, u, matches)`` for each front (b, u) of the least key ``t``,
-    with the ``_match_pair`` results of ``(a, b)``, memoised per layer
-    pair in the memo of ``graph``."""
-    memo = graph.shared(_match_pair)
-    matches = memo.get(a) or memo.setdefault(a, {})
-    for b, u in graph.fronts(t):
-        found = matches.get(b)
-        if found is None:
-            found = matches[b] = _match_pair(a, b)
-        yield b, u, found
-
-
 def _results_entry(graph, s, fronts, memo) -> tuple:
     # under the slides a sliding result is s itself, which nothing reads
     sliding = graph.moves is _slides
+    # the lead of a front with a least key, read from the memo when closed
+    get, lead = graph._least.get, graph._lead
+    pairs = graph.shared(_match_pair)
     slide, tri = {}, {}
     for a, t in fronts:
-        for _, u, found in _after(graph, a, t):
+        matches = pairs.get(a) or pairs.setdefault(a, {})
+        for b, u in graph.fronts(t):
+            found = matches.get(b)
+            if found is None:
+                found = matches[b] = _match_pair(a, b)
             for _, _, repl, _ in found:
                 # a triangle replaces the pair by nothing
                 if not repl:
@@ -376,56 +371,82 @@ def _results_entry(graph, s, fronts, memo) -> tuple:
                     slide[graph.prepend(repl, u)] = None
         slide_t, tri_t = memo[t]
         for r in slide_t:
-            slide[graph.lead(a, r)] = None
+            slide[get((a, r)) or lead(a, r)] = None
         for r in tri_t:
-            tri[graph.lead(a, r)] = None
+            tri[get((a, r)) or lead(a, r)] = None
     return tuple(slide), tuple(tri)
 
 
-def _steps_to(key: tuple, result: tuple):
+def _steps(key: tuple, result: tuple | None, halves: tuple = ()):
     """The pair steps on the class of the least key ``key`` that give the
-    least key ``result``, as ``(rule, direction, binding, row, pos)``, ``row``
-    packed layers; the first is the witness step.
+    least key ``result``, as ``(result, rule, direction, binding, row,
+    pos)``, ``row`` packed layers; the first is the witness step.  With
+    ``result`` None, the steps to every result of the ``halves`` of the
+    class's pair-result entry (0 sliding, 1 triangle), in one walk.
 
     At each front (a, t), in order: the matches at position 0, then the
     steps of t to each result r of t, in its entry's order, whose lead with
-    a is ``result``.  A (t, r) met again on another way down is not followed
-    again: its steps would repeat rules already listed.
+    a is ``result``.  A (t, r) met again on another way down to the same
+    result is not followed again: its steps would repeat rules already
+    listed.  Every step below a front's result r gives lead(a, r), so the
+    walk to every result lists the steps to each one in the order of a walk
+    to it alone.
     """
     graph = _front_graph()
     memo = graph.table(_results_entry)
     if key not in memo:
         _build(graph, memo, key, _results_entry)
-    tri = len(result) < len(key)  # the index of triangle results in an entry
+    if result is not None:
+        # a triangle result is two layers shorter than the key
+        halves = (len(result) < len(key),)
     seen = set()
-    levels = [_level(graph, memo, (), key, result, tri)]
+    # (the result of every step below a level, None at the top of a walk
+    # to every result; the level)
+    levels = [(result, _level(graph, memo, (), key, result, halves))]
     while levels:
-        found = next(levels[-1], None)
+        target, level = levels[-1]
+        found = next(level, None)
         if found is None:
             levels.pop()
-        elif len(found) == 5:
+            continue
+        if target is not None:
+            found = (target,) + found[1:]
+        if len(found) == 6:
             yield found
-        elif found[1:] not in seen:
-            seen.add(found[1:])
-            levels.append(_level(graph, memo, *found, tri))
+        elif found[:3] not in seen:
+            seen.add(found[:3])
+            got, t, r, head, half = found
+            levels.append((got, _level(graph, memo, head, t, r, (half,))))
 
 
-def _level(graph, memo, head: tuple, s: tuple, result: tuple, tri: bool):
-    """The position-0 steps of ``_steps_to`` on ``s``, ``head`` prepended,
-    and the ``(head, t, r)`` of each suffix result to follow."""
+def _level(graph, memo, head: tuple, s: tuple, result: tuple | None, halves: tuple):
+    """The position-0 steps of ``_steps`` on ``s``, ``head`` prepended, that
+    give ``result`` (any result of ``halves`` when None), and the
+    ``(lead, t, r, head, half)`` of each suffix result to follow."""
+    get, lead = graph._least.get, graph._lead
+    pairs = graph.shared(_match_pair)
     for a, t in graph.fronts(s):
-        for b, u, found in _after(graph, a, t):
+        matches = pairs.get(a) or pairs.setdefault(a, {})
+        for b, u in graph.fronts(t):
+            found = matches.get(b)
+            if found is None:
+                found = matches[b] = _match_pair(a, b)
             for rule, direction, repl, binding in found:
-                if graph.prepend(repl, u) == result:
-                    yield rule, direction, binding, head + (a, b) + u, len(head)
+                # a triangle, which leaves no replacement, gives a result of half 1
+                if (not repl) in halves:
+                    got = graph.prepend(repl, u)
+                    if result is None or got == result:
+                        yield got, rule, direction, binding, head + (a, b) + u, len(head)
         below = head + (a,)
-        for r in memo[t][tri]:
-            if graph.lead(a, r) == result:
-                yield below, t, r
+        for half in halves:
+            for r in memo[t][half]:
+                got = get((a, r)) or lead(a, r)
+                if result is None or got == result:
+                    yield got, t, r, below, half
 
 
 def _pair_step(found: tuple, source: int) -> RewriteStep:
-    rule, direction, binding, row, pos = found
+    _, rule, direction, binding, row, pos = found
     return RewriteStep(rule, direction, term_from_packed(source, row), pos, binding)
 
 
@@ -450,8 +471,8 @@ def _cut_entry(graph, s, fronts, memo) -> dict:
 def _expansions(state, caps: SearchCaps):
     """Every triangle expansion on the class of ``state`` within ``caps``.
 
-    Yields ``(rule, head, tail, i, a, n)`` with the result; see
-    ``_expansion_step``.
+    Yields ``(rule, head, tail, i, a, n)`` with the least key of the
+    result; see ``_expansion_step``.
     """
     source, lays = state
     if len(lays) + 2 > caps.max_gen_count:
@@ -473,10 +494,7 @@ def _expansions(state, caps: SearchCaps):
                         (RuleId.TRIANGLE_B, i + nn, i),
                     ):
                         ins = (cup + (ins_blk << M_SHIFT), cap + (del_blk << M_SHIFT))
-                        yield (rule, head, tail, i, a, nn), (
-                            source,
-                            prepend(head + ins, tail),
-                        )
+                        yield (rule, head, tail, i, a, nn), prepend(head + ins, tail)
 
 
 def _expansion_step(fields: tuple, source: int) -> RewriteStep:
@@ -491,23 +509,22 @@ def match_rules(t: Term, mode: Mode, caps: SearchCaps = DEFAULT_CAPS) -> list[Re
     Pair rules are matched on every interchange-adjacent slice pair;
     expansions are enumerated at every cut, bounded by ``caps``.  Lists
     one step per rule, direction and result: for a pair step, the first
-    that ``_steps_to`` gives with that rule and direction, pair results in
+    that ``_steps`` gives with that rule and direction, pair results in
     the order the search reads them, so the first step listed with a
-    result is the witness step.
+    result is the witness step.  The steps to every result come from one
+    walk of the class.
     """
     source, key = _state(t)
     slide, tri = _pair_results(key)
-    steps = []
-    for result in slide + tri if mode is Mode.C else slide:
-        rules = set()
-        for found in _steps_to(key, result):
-            if found[:2] not in rules:
-                rules.add(found[:2])
-                steps.append(_pair_step(found, source))
+    results = slide + tri if mode is Mode.C else slide
+    first: dict = {result: {} for result in results}
+    for found in _steps(key, None, (0, 1) if mode is Mode.C else (0,)):
+        first[found[0]].setdefault(found[1:3], found)
+    steps = [_pair_step(found, source) for result in results for found in first[result].values()]
     if mode is Mode.C:
         expansions: dict = {}
         for fields, y in _expansions((source, key), caps):
-            expansions.setdefault((fields[0], y[1]), fields)
+            expansions.setdefault((fields[0], y), fields)
         steps += (_expansion_step(fields, source) for fields in expansions.values())
     return steps
 
@@ -553,8 +570,10 @@ def apply(t: Term, step: RewriteStep) -> Term:
 def _peak_width(state) -> int:
     width = peak = state[0]
     for k in state[1]:
-        width += width_change(k)
-        peak = max(peak, width)
+        # ``width_change``, inlined
+        width += (k & N_MASK) << 1 if k & ETA_BIT else -((k & N_MASK) << 1)
+        if width > peak:
+            peak = width
     return peak
 
 
@@ -564,7 +583,8 @@ def _respects(state, caps: SearchCaps) -> bool:
 
 def neighbors(t: Term, mode: Mode, caps: SearchCaps = DEFAULT_CAPS) -> list[Term]:
     """Canonical, deduplicated one-step rewrites of ``t`` within caps, in key order."""
-    found = {y for _, y in _layer([_state(t)], mode, caps)}
+    source, _ = state = _state(t)
+    found = {(source, r) for _, results in _layer([state], mode, caps) for r in results}
     return [term_from_packed(*y) for y in sorted(found) if _respects(y, caps)]
 
 
@@ -573,7 +593,7 @@ def _find_step(src, dst) -> RewriteStep:
 
     The first step that ``match_rules`` lists with that result, under caps
     that admit ``dst``.  A step that keeps the length or drops two layers
-    is a pair step: the first that ``_steps_to`` gives.  One that adds two
+    is a pair step: the first that ``_steps`` gives.  One that adds two
     is an expansion at a cut of src, the first in the order of
     ``_expansions`` under caps read off ``dst`` (its length, peak width and
     largest ``n``).  Interchange keeps the kind, ``m`` and ``n`` of every
@@ -584,7 +604,7 @@ def _find_step(src, dst) -> RewriteStep:
     """
     source, lays = src
     if len(dst[1]) <= len(lays):
-        for found in _steps_to(lays, dst[1]):
+        for found in _steps(lays, dst[1]):
             return _pair_step(found, source)
     else:
         gens = sorted(k & _GEN_FIELDS for k in dst[1])
@@ -611,22 +631,23 @@ def _find_step(src, dst) -> RewriteStep:
 
 
 def _layer(frontier: list, mode: Mode, caps: SearchCaps):
-    """``(x, y)`` for each one-step result ``y`` of each state ``x`` of
-    ``frontier``, caps unchecked, repeats kept.
+    """``(x, results)`` for the one-step results of each state ``x`` of
+    ``frontier``: the least keys of results on ``x``'s source, caps
+    unchecked, repeats kept; expansions are made as they are read.
 
     Two passes, each in frontier order: first the pair results of every
-    state (sliding, then in mode C triangle, in its entry's order), then in
-    mode C the expansions of every state, in the order of ``_expansions``.
+    state (its sliding, then in mode C its triangle results, in its entry's
+    order), then in mode C the expansions of every state, in the order of
+    ``_expansions``.
     """
     for x in frontier:
-        source = x[0]
         slide, tri = _pair_results(x[1])
-        for r in slide + tri if mode is Mode.C else slide:
-            yield x, (source, r)
+        yield x, slide
+        if mode is Mode.C:
+            yield x, tri
     if mode is Mode.C:
         for x in frontier:
-            for _, y in _expansions(x, caps):
-                yield x, y
+            yield x, (r for _, r in _expansions(x, caps))
 
 
 def _grow(frontier: list, parents: dict, mode: Mode, caps: SearchCaps, room: int, goal=()):
@@ -642,14 +663,17 @@ def _grow(frontier: list, parents: dict, mode: Mode, caps: SearchCaps, room: int
     then left in ``parents``.
     """
     new = []
-    for x, y in _layer(frontier, mode, caps):
-        if y not in parents and _respects(y, caps):
-            if len(new) >= room:
-                return None
-            parents[y] = x
-            new.append(y)
-            if y in goal:
-                break
+    for x, results in _layer(frontier, mode, caps):
+        source = x[0]
+        for r in results:
+            y = (source, r)
+            if y not in parents and _respects(y, caps):
+                if len(new) >= room:
+                    return None
+                parents[y] = x
+                new.append(y)
+                if y in goal:
+                    return new
     return new
 
 

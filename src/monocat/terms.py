@@ -356,6 +356,11 @@ def _swaps(u: int, v: int) -> tuple:
 _WORK_CAP = 20_000_000
 
 
+def _too_large(moves) -> MonocatError:
+    name = "interchange" if moves is _swaps else "sliding"
+    return MonocatError(f"{name} class too large to normalise")
+
+
 class _FrontGraph:
     """A view of the memo of fronts for the classes under ``moves``.
 
@@ -432,10 +437,31 @@ class _FrontGraph:
     def _lead(self, b: int, t: tuple) -> tuple:
         """The least member of the class of ``(b,) + t``, ``t`` least.
 
-        Closing a class needs the least members of classes one layer
-        shorter.  Those are closed first, on an explicit stack rather than
-        by recursion: a chain of them can be as long as the key.
+        When ``b`` moves past no front of ``t``, the class has the one front
+        (b, t) and its least member is ``(b,) + t``; it is recorded in place,
+        as ``_closing`` would record it, with the same work charged once.
+        Otherwise closing the class needs the least members of classes one
+        layer shorter.  Those are closed first, on an explicit stack rather
+        than by recursion: a chain of them can be as long as the key.
         """
+        fronts = self._fronts.get(t) or self.fronts(t)
+        after = self._moved.get(b) or self._moved.setdefault(b, {})
+        for c, _ in fronts:
+            moves = after.get(c)
+            if moves is None:
+                moves = after[c] = self.moves(b, c)
+            if moves:
+                break
+        else:
+            self._work += len(fronts) * len(t)
+            if self._work > _WORK_CAP:
+                raise _too_large(self.moves)
+            node = (b, t)
+            hit = (b,) + t
+            hit = self._least.setdefault(hit, hit)
+            self._least[node] = hit
+            self._fronts.setdefault(hit, (node,))
+            return hit
         stack = [self._closing((b, t))]
         while stack:
             need = next(stack[-1], None)
@@ -463,8 +489,7 @@ class _FrontGraph:
             fronts = known.get(s) or self.fronts(s)
             self._work += len(fronts) * len(s)
             if self._work > _WORK_CAP:
-                name = "interchange" if self.moves is _swaps else "sliding"
-                raise MonocatError(f"{name} class too large to normalise")
+                raise _too_large(self.moves)
             after = moved.get(x) or moved.setdefault(x, {})
             for c, u in fronts:
                 moves = after.get(c)

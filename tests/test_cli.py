@@ -1,8 +1,10 @@
 import hashlib
 import io
 import json
+import os
 import random
 import re
+import subprocess
 import sys
 
 import pytest
@@ -559,6 +561,14 @@ class TestCommands:
 
 
 class TestSuiteCommand:
+    def test_cli_does_not_import_the_suite(self):
+        # only the suite command loads it; a fresh interpreter sees what the
+        # import of the command line alone brings in
+        code = "import sys, monocat.cli; print('monocat.suite' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
+
     def test_suite_with_config(self, tmp_path, capsys):
         cfg = {
             "caps": {"max_gen_count": 4, "max_width": 6, "max_index_n": 1, "max_states": 3000},

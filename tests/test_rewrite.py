@@ -593,6 +593,19 @@ class TestExplore:
         with pytest.raises(ValueError):
             explore(snake(), Mode.C, SearchCaps(1, 8, 1, 100))
 
+    def test_expansion_results_need_the_width_check(self):
+        # an expansion fits the caps at its cut, but the least member of its
+        # class can be wider: the closure must check expansion results too
+        states = {rewrite._state(x) for x in reachable(snake(), Mode.C, DEFAULT_CAPS)}
+        assert all(rewrite._respects(x, DEFAULT_CAPS) for x in states)
+        wide = {
+            (x[0], r)
+            for x in states
+            for _, r in rewrite._expansions(x, DEFAULT_CAPS)
+            if not rewrite._respects((x[0], r), DEFAULT_CAPS)
+        }
+        assert wide
+
 
 class TestMemoDrops:
     # the memo is dropped whole when full, and a search that outlives a

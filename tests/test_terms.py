@@ -463,6 +463,33 @@ class TestCanonicalAgainstRepresentatives:
         assert class_representatives(t)[0] == canonical(t)
 
 
+class TestWorkBound:
+    # the closing of this term records some classes of one front in place
+    # and closes the others; each class is charged once, so the bound at
+    # which it first passes is the work of the whole closing
+    TERM = "((eta(0,1) * id(1)) ; eps(1,1) ; (eta(0,1) * id(1)) ; eps(1,1)) * ((eta(0,1) * id(1)) ; eps(1,1))"
+    BOUND = 201
+
+    def test_passes_at_the_bound(self, fresh_memo, monkeypatch):
+        closings = []
+        closing = terms._FrontGraph._closing
+
+        def counted(graph, start):
+            closings.append(start)
+            return closing(graph, start)
+
+        monkeypatch.setattr(terms._FrontGraph, "_closing", counted)
+        monkeypatch.setattr(terms, "_WORK_CAP", self.BOUND)
+        canonical(parse_expr(self.TERM))
+        fronts = terms._memo[terms._swaps][0]
+        assert len(closings) < len(fronts)
+
+    def test_raises_below_the_bound(self, fresh_memo, monkeypatch):
+        monkeypatch.setattr(terms, "_WORK_CAP", self.BOUND - 1)
+        with pytest.raises(terms.MonocatError, match="^interchange class too large to normalise$"):
+            canonical(parse_expr(self.TERM))
+
+
 class TestRender:
     def test_zigzag_string(self):
         s = compose(whisker(0, eta(0, 1), 1), whisker(1, eps(0, 1), 0))
