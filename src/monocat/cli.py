@@ -20,9 +20,11 @@ check, 2 usage, parse, or shape errors, 141 stdout closed by its reader
 (as by ``| head``; nothing is printed to stderr).  MONOCAT_MAX_STATES
 overrides the default search state budget (a value below 1, or not an
 integer, is a usage error); explicit flags win over the environment.
-``eq --json`` gives an unknown answer a ``reason``: ``invariant`` when
-the two terms' rewrite invariants differ (no rewrite path exists),
-``search`` when the capped search ran out.
+``eq --json`` gives an unknown answer a ``reason``, read off the one
+search that gave it: ``invariant`` when the two terms' rewrite invariants
+differ (no rewrite path exists), ``max_states`` when the state budget
+ended the search, ``caps`` when one side had no new state within the
+caps left to visit.
 """
 
 from __future__ import annotations
@@ -36,10 +38,9 @@ import sys
 from .rewrite import (
     DEFAULT_CAPS,
     SearchCaps,
-    equal,
+    _equal,
     explore,
     hom_classes,
-    invariant,
 )
 from .terms import (
     M_MASK,
@@ -272,20 +273,24 @@ def _cmd_normalize(args) -> int:
     return 0
 
 
+_UNKNOWN = {
+    "invariant": "the rewrite invariant differs, so no rewrite path exists",
+    "max_states": "search budget exhausted; equality not decided",
+    "caps": "no rewrite path within the caps; equality not decided",
+}
+
+
 def _cmd_eq(args) -> int:
     a = parse_expr(args.a)
     b = parse_expr(args.b)
     caps = _caps_of(args)
     mode = Mode[args.mode]
-    witness = equal(a, b, mode, caps)
+    witness, reason = _equal(a, b, mode, caps)
     if witness is None:
-        reason = "invariant" if invariant(a, mode) != invariant(b, mode) else "search"
         if args.json:
             print(json.dumps({"status": "unknown", "reason": reason}, indent=2))
-        elif reason == "invariant":
-            print("unknown (the rewrite invariant differs, so no rewrite path exists)")
         else:
-            print("unknown (search budget exhausted; equality not decided)")
+            print(f"unknown ({_UNKNOWN[reason]})")
         return 10
     path = [
         _step_dict(step, term)

@@ -147,10 +147,13 @@ class RewriteStep:
 
 @dataclass(frozen=True)
 class EqualityWitness:
-    """A verified rewrite path between two canonical forms.
+    """A rewrite path between two canonical forms.
 
     ``terms`` has one more entry than ``steps``; ``steps[k]`` applied to
-    ``terms[k]`` yields ``terms[k + 1]``.
+    ``terms[k]`` yields ``terms[k + 1]``.  Each step is the first one
+    ``match_rules`` lists on its term with that result; nothing replays it
+    when it is made, and the tests and the benchmark replay it through
+    :func:`apply`.
     """
 
     terms: tuple[Term, ...]
@@ -196,8 +199,6 @@ def _state(t: Term) -> tuple:
 # change; everything else is fixed by the interface widths.
 
 _ETA, _EPS = GenKind.ETA, GenKind.EPS
-# the kind, m and n fields of a packed layer, without its offset
-_GEN_FIELDS = (1 << OFF_SHIFT) - 1
 _RULE_OF = {
     (_ETA, _ETA): RuleId.NAT_ETA_ETA,
     (_ETA, _EPS): RuleId.NAT_ETA_EPS,
@@ -295,7 +296,7 @@ def _invariant(lays: tuple, mode: Mode) -> tuple:
 # ``terms``, so that they are dropped together with the fronts; so are the
 # matches of each layer pair, which hold for every move set.  Searches
 # read the pair results, two tuples of result keys.  Where a step is
-# returned (``match_rules`` and witnesses), ``_steps_to`` follows its
+# returned (``match_rules`` and witnesses), ``_steps`` follows its
 # result back down those entries: at a front (a, t), to the matches at
 # position 0 that give it, and to each result r of t whose lead with a
 # gives it, whose steps are t's with a prepended.  The row of a step is
@@ -450,16 +451,10 @@ def _pair_step(found: tuple, source: int) -> RewriteStep:
     return RewriteStep(rule, direction, term_from_packed(source, row), pos, binding)
 
 
-def _cuts(lays: tuple) -> dict:
-    """The cuts of the class of the least key ``lays``.
-
-    Maps (head, tail), the least keys of the slices below and above a cut,
-    to the width of the cut less the source width.
-    """
-    return _memoised(lays, _cut_entry)
-
-
 def _cut_entry(graph, s, fronts, memo) -> dict:
+    """The cuts of the class of ``s``: maps (head, tail), the least keys of
+    the slices below and above a cut, to the width of the cut less the
+    source width."""
     out = {((), s): 0}
     for a, t in fronts:
         da = width_change(a)
@@ -477,7 +472,7 @@ def _expansions(state, caps: SearchCaps):
     source, lays = state
     if len(lays) + 2 > caps.max_gen_count:
         return
-    for (head, tail), delta in _cuts(lays).items():
+    for (head, tail), delta in _memoised(lays, _cut_entry).items():
         width = source + delta
         prepend = _front_graph().prepend
         for nn in range(1, caps.max_index_n + 1):
@@ -582,7 +577,11 @@ def _respects(state, caps: SearchCaps) -> bool:
 
 
 def neighbors(t: Term, mode: Mode, caps: SearchCaps = DEFAULT_CAPS) -> list[Term]:
-    """Canonical, deduplicated one-step rewrites of ``t`` within caps, in key order."""
+    """Canonical, deduplicated one-step rewrites of ``t``, in key order.
+
+    A rewrite is listed when the least member of its class fits the caps
+    (its generator count and peak width), as ``_respects`` reads them.
+    """
     source, _ = state = _state(t)
     found = {(source, r) for _, results in _layer([state], mode, caps) for r in results}
     return [term_from_packed(*y) for y in sorted(found) if _respects(y, caps)]
@@ -592,41 +591,21 @@ def _find_step(src, dst) -> RewriteStep:
     """A step turning src into dst; exists whenever dst was found adjacent.
 
     The first step that ``match_rules`` lists with that result, under caps
-    that admit ``dst``.  A step that keeps the length or drops two layers
-    is a pair step: the first that ``_steps`` gives.  One that adds two
-    is an expansion at a cut of src, the first in the order of
-    ``_expansions`` under caps read off ``dst`` (its length, peak width and
-    largest ``n``).  Interchange keeps the kind, ``m`` and ``n`` of every
-    layer, so the generators of ``dst`` less those of src are the inserted
-    pair, which fixes the rule, ``i`` and ``n``; only the cuts whose
-    width admits the pair under ``dst``'s peak, and the offsets that leave
-    room for ``i``, are tried.
+    that admit ``dst``: a step that keeps the length or drops two layers is
+    the first pair step that ``_steps`` gives, and one that adds two is the
+    first expansion of ``_expansions`` under caps read off ``dst`` (its
+    length, peak width and largest ``n``), whatever caps the search ran
+    under.
     """
     source, lays = src
     if len(dst[1]) <= len(lays):
         for found in _steps(lays, dst[1]):
             return _pair_step(found, source)
     else:
-        gens = sorted(k & _GEN_FIELDS for k in dst[1])
-        for k in lays:
-            gens.remove(k & _GEN_FIELDS)
-        cap, cup = gens  # eps sorts first
-        nn, block = cup & N_MASK, cup >> M_SHIFT & M_MASK
-        if cap >> M_SHIFT == block + nn:
-            rule, i = RuleId.TRIANGLE_A, block
-        else:
-            rule, i = RuleId.TRIANGLE_B, block - nn
-        peak = _peak_width(dst)
-        cuts = _cuts(lays)
-        prepend = _front_graph().prepend
-        for (head, tail), delta in cuts.items():
-            width = source + delta
-            if width + 2 * nn > peak:
-                continue
-            for a in range(0, width - nn - i + 1):
-                shift = a << OFF_SHIFT
-                if prepend(head + (cup + shift, cap + shift), tail) == dst[1]:
-                    return _expansion_step((rule, head, tail, i, a, nn), source)
+        caps = SearchCaps(len(dst[1]), _peak_width(dst), max(k & N_MASK for k in dst[1]))
+        for fields, y in _expansions(src, caps):
+            if y == dst[1]:
+                return _expansion_step(fields, source)
     raise AssertionError("edge of the rewrite graph could not be re-derived")
 
 
@@ -691,10 +670,11 @@ def equal(
 ) -> EqualityWitness | None:
     """Decide bounded equality by bidirectional search over canonical forms.
 
-    Returns a verified :class:`EqualityWitness` when a rewrite path is
-    found within caps, and None (unknown; sound but incomplete) when the
-    budget is exhausted.  Raises :class:`NotEqualShape` when the widths
-    disagree.
+    Returns an :class:`EqualityWitness` when a rewrite path is found
+    within caps, and None (unknown; sound but incomplete) otherwise.
+    Raises :class:`NotEqualShape` when the widths disagree.  Each witness
+    step is the first one ``match_rules`` lists with its result; the tests
+    and the benchmark replay every step through :func:`apply`.
 
     Before any canonical form or search, returns None when the two terms'
     signatures under :func:`invariant` differ, since then no rewrite path
@@ -706,16 +686,24 @@ def equal(
     first new state that the other tree holds, the meet; the witness runs
     through it.  ``max_states`` bounds the states of both trees together.
     """
+    return _equal(a, b, mode, caps)[0]
+
+
+def _equal(a: Term, b: Term, mode: Mode, caps: SearchCaps) -> tuple:
+    """:func:`equal`'s witness, with None, or with why there is none:
+    ``"invariant"`` when the signatures differ, ``"max_states"`` when the
+    state budget ends the search, ``"caps"`` when a tree has no new state
+    within the caps left to grow."""
     if a.source != b.source or a.target != b.target:
         raise NotEqualShape(
             f"shape mismatch: {a.source}->{a.target} vs {b.source}->{b.target}"
         )
     lays_a, lays_b = packed_layers(a), packed_layers(b)
     if _invariant(lays_a, mode) != _invariant(lays_b, mode):
-        return None
+        return None, "invariant"
     ka, kb = (a.source, _canonical_key(lays_a)), (b.source, _canonical_key(lays_b))
     if ka == kb:
-        return EqualityWitness(terms=(term_from_packed(*ka),), steps=())
+        return EqualityWitness(terms=(term_from_packed(*ka),), steps=()), None
 
     parents_a: dict = {ka: None}
     parents_b: dict = {kb: None}
@@ -727,19 +715,20 @@ def equal(
         else:
             frontier_b = grown = _grow(frontier_b, parents_b, mode, caps, room, parents_a)
         if grown is None:
-            return None
+            return None, "max_states"
         # a layer that reaches the other tree ends there
         if grown and grown[-1] in parents_a and grown[-1] in parents_b:
-            return _reconstruct(grown[-1], parents_a, parents_b)
-    return None
+            return _reconstruct(grown[-1], parents_a, parents_b), None
+    return None, "caps"
 
 
 def _reconstruct(meet, parents_a, parents_b) -> EqualityWitness:
-    """Join the two search trees into one verified forward path.
+    """Join the two search trees into one forward path.
 
-    Edges on the b side were discovered pointing away from b, so their
-    forward steps are re-derived; the rewrite relation is symmetric, so
-    the matching step always exists.
+    Each step is re-derived by ``_find_step`` as the first one
+    ``match_rules`` lists with its result.  Edges on the b side were
+    discovered pointing away from b; the rewrite relation is symmetric, so
+    the forward step always exists.
     """
     chain = _path(parents_a, meet) + _path(parents_b, meet)[::-1][1:]
     steps = tuple(_find_step(chain[k], chain[k + 1]) for k in range(len(chain) - 1))

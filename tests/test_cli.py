@@ -314,15 +314,26 @@ class TestCommands:
         assert main(["eq", self.ZIGZAG, "id(1)", "--json"]) == 10
         assert json.loads(capsys.readouterr().out) == {"status": "unknown", "reason": "invariant"}
 
+    # the mirror image has the zig-zag's invariant, so the search runs
+    MIRROR_SEARCH = ["eq", ZIGZAG, "(id(1)*eta(0,1)) ; (eps(0,1)*id(1))", "--max-gens", "4", "--max-n", "1"]
+
     def test_eq_unknown_by_search(self, capsys):
-        # the mirror image has the zig-zag's invariant, so the search runs
-        args = ["eq", self.ZIGZAG, "(id(1)*eta(0,1)) ; (eps(0,1)*id(1))", "--max-gens", "4"]
-        args += ["--max-n", "1", "--max-states", "2000"]
+        # the zig-zag's class has 22 states within these caps: its side of
+        # the search runs out of new states before the budget ends
+        args = self.MIRROR_SEARCH + ["--max-states", "2000"]
+        assert main(args) == 10
+        out = capsys.readouterr().out.strip()
+        assert out == "unknown (no rewrite path within the caps; equality not decided)"
+        assert main(args + ["--json"]) == 10
+        assert json.loads(capsys.readouterr().out) == {"status": "unknown", "reason": "caps"}
+
+    def test_eq_unknown_by_budget(self, capsys):
+        args = self.MIRROR_SEARCH + ["--max-states", "20"]
         assert main(args) == 10
         out = capsys.readouterr().out.strip()
         assert out == "unknown (search budget exhausted; equality not decided)"
         assert main(args + ["--json"]) == 10
-        assert json.loads(capsys.readouterr().out) == {"status": "unknown", "reason": "search"}
+        assert json.loads(capsys.readouterr().out) == {"status": "unknown", "reason": "max_states"}
 
     def test_eq_shape_error(self, capsys):
         assert main(["eq", "id(1)", "id(2)"]) == 2

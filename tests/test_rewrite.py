@@ -466,6 +466,8 @@ class TestEqual:
         # count separates them, and then no canonical form is computed
         assert equal(snake(), identity(1), Mode.C, DEFAULT_CAPS) is None
         assert terms._memo == {}
+        assert rewrite._equal(snake(), identity(1), Mode.C, DEFAULT_CAPS) == (None, "invariant")
+        assert terms._memo == {}
 
     def test_search_still_runs_on_equal_invariants(self, fresh_memo):
         assert invariant(snake(), Mode.C) == invariant(MIRROR, Mode.C)
@@ -476,6 +478,7 @@ class TestEqual:
         # the search needs 42 states: 41 leave it unknown
         pair = (TestMemoDrops.START, TestMemoDrops.END)
         assert equal(*pair, Mode.C, SearchCaps(5, 8, 1, 41)) is None
+        assert rewrite._equal(*pair, Mode.C, SearchCaps(5, 8, 1, 41)) == (None, "max_states")
         w = equal(*pair, Mode.C, SearchCaps(5, 8, 1, 42))
         assert w is not None and len(w) == 3
 
@@ -519,6 +522,19 @@ class TestEqual:
     def test_shape_mismatch(self):
         with pytest.raises(NotEqualShape):
             equal(identity(1), identity(2), Mode.C, SMALL)
+
+    def test_unknown_past_the_width_cap(self):
+        # one NatEpsEta step joins the two, but the least member of the
+        # far class starts with the insertion and peaks at width 9: at the
+        # default caps neither side has a new state within the caps
+        a = parse_expr("(id(5) * eps(0,1)) ; (eps(2,1) * id(1)) ; (id(1) * eta(1,1) * id(1))")
+        b = parse_expr("(id(5) * eps(0,1)) ; (id(1) * eta(1,1) * id(3)) ; (eps(4,1) * id(1))")
+        assert rewrite._equal(a, b, Mode.D, DEFAULT_CAPS) == (None, "caps")
+        assert equal(a, b, Mode.D, DEFAULT_CAPS) is None
+        w, reason = rewrite._equal(a, b, Mode.D, SearchCaps(max_width=9))
+        assert reason is None and len(w) == 1
+        assert w.steps[0].rule is RuleId.NAT_EPS_ETA
+        assert_replays(w, a, b)
 
     def test_paths_replay_exactly(self):
         rng = random.Random(29)
