@@ -193,11 +193,11 @@ def _error(text: str, tokens: list, k: int, wanted: str) -> ParseError:
 
 def _add_caps_args(p: argparse.ArgumentParser, states: bool) -> None:
     p.add_argument("--mode", choices=["C", "D"], default="C")
-    p.add_argument("--max-gens", type=int, default=DEFAULT_CAPS.max_gen_count)
-    p.add_argument("--max-width", type=int, default=DEFAULT_CAPS.max_width)
-    p.add_argument("--max-n", type=int, default=DEFAULT_CAPS.max_index_n)
+    p.add_argument("--max-gens", type=_int_at_least(0), default=DEFAULT_CAPS.max_gen_count)
+    p.add_argument("--max-width", type=_int_at_least(1), default=DEFAULT_CAPS.max_width)
+    p.add_argument("--max-n", type=_int_at_least(1), default=DEFAULT_CAPS.max_index_n)
     if states:
-        p.add_argument("--max-states", type=int, default=None)
+        p.add_argument("--max-states", type=_int_at_least(1), default=None)
 
 
 def _caps_of(args) -> SearchCaps:

@@ -88,9 +88,6 @@ class RuleId(enum.Enum):
     TRIANGLE_B = "TriangleB"
 
 
-NATURALITY_RULES = frozenset(
-    {RuleId.NAT_ETA_ETA, RuleId.NAT_ETA_EPS, RuleId.NAT_EPS_ETA, RuleId.NAT_EPS_EPS}
-)
 TRIANGLE_RULES = frozenset({RuleId.TRIANGLE_A, RuleId.TRIANGLE_B})
 
 
@@ -296,12 +293,12 @@ def _invariant(lays: tuple, mode: Mode) -> tuple:
 # ``terms``, so that they are dropped together with the fronts; so are the
 # matches of each layer pair, which hold for every move set.  Searches
 # read the pair results, two tuples of result keys.  Where a step is
-# returned (``match_rules`` and witnesses), ``_steps`` follows its
-# result back down those entries: at a front (a, t), to the matches at
-# position 0 that give it, and to each result r of t whose lead with a
-# gives it, whose steps are t's with a prepended.  The row of a step is
-# the fronts passed on the way down; it is made a ``Term`` only when the
-# step is built.
+# returned (``match_rules``, once per result, and witnesses), ``_steps``
+# follows its result back down those entries: at a front (a, t), to the
+# matches at position 0 that give it, and to each result r of t whose lead
+# with a gives it, whose steps are t's with a prepended.  The row of a
+# step is the fronts passed on the way down; it is made a ``Term`` only
+# when the step is built.
 
 
 def _memoised(lays: tuple, build, moves=_swaps):
@@ -378,52 +375,41 @@ def _results_entry(graph, s, fronts, memo) -> tuple:
     return tuple(slide), tuple(tri)
 
 
-def _steps(key: tuple, result: tuple | None, halves: tuple = ()):
+def _steps(key: tuple, result: tuple):
     """The pair steps on the class of the least key ``key`` that give the
-    least key ``result``, as ``(result, rule, direction, binding, row,
-    pos)``, ``row`` packed layers; the first is the witness step.  With
-    ``result`` None, the steps to every result of the ``halves`` of the
-    class's pair-result entry (0 sliding, 1 triangle), in one walk.
+    least key ``result``, as ``(rule, direction, binding, row, pos)``,
+    ``row`` packed layers; the first is the witness step.
 
     At each front (a, t), in order: the matches at position 0, then the
     steps of t to each result r of t, in its entry's order, whose lead with
-    a is ``result``.  A (t, r) met again on another way down to the same
-    result is not followed again: its steps would repeat rules already
-    listed.  Every step below a front's result r gives lead(a, r), so the
-    walk to every result lists the steps to each one in the order of a walk
-    to it alone.
+    a is ``result``.  A (t, r) met again on another way down is not followed
+    again: its steps would repeat rules already listed.
     """
     graph = _front_graph()
     memo = graph.table(_results_entry)
     if key not in memo:
         _build(graph, memo, key, _results_entry)
-    if result is not None:
-        # a triangle result is two layers shorter than the key
-        halves = (len(result) < len(key),)
+    # a triangle result is two layers shorter than the key
+    half = len(result) < len(key)
     seen = set()
-    # (the result of every step below a level, None at the top of a walk
-    # to every result; the level)
-    levels = [(result, _level(graph, memo, (), key, result, halves))]
+    levels = [_level(graph, memo, (), key, result, half)]
     while levels:
-        target, level = levels[-1]
-        found = next(level, None)
+        found = next(levels[-1], None)
         if found is None:
             levels.pop()
-            continue
-        if target is not None:
-            found = (target,) + found[1:]
-        if len(found) == 6:
+        elif len(found) == 5:
             yield found
-        elif found[:3] not in seen:
-            seen.add(found[:3])
-            got, t, r, head, half = found
-            levels.append((got, _level(graph, memo, head, t, r, (half,))))
+        elif found[:2] not in seen:
+            seen.add(found[:2])
+            t, r, head = found
+            levels.append(_level(graph, memo, head, t, r, half))
 
 
-def _level(graph, memo, head: tuple, s: tuple, result: tuple | None, halves: tuple):
+def _level(graph, memo, head: tuple, s: tuple, result: tuple, half: bool):
     """The position-0 steps of ``_steps`` on ``s``, ``head`` prepended, that
-    give ``result`` (any result of ``halves`` when None), and the
-    ``(lead, t, r, head, half)`` of each suffix result to follow."""
+    give ``result``, and the ``(t, r, head)`` of each suffix result to
+    follow; ``half`` is the half of the entries ``result`` is in (0 sliding,
+    1 triangle)."""
     get, lead = graph._least.get, graph._lead
     pairs = graph.shared(_match_pair)
     for a, t in graph.fronts(s):
@@ -434,20 +420,16 @@ def _level(graph, memo, head: tuple, s: tuple, result: tuple | None, halves: tup
                 found = matches[b] = _match_pair(a, b)
             for rule, direction, repl, binding in found:
                 # a triangle, which leaves no replacement, gives a result of half 1
-                if (not repl) in halves:
-                    got = graph.prepend(repl, u)
-                    if result is None or got == result:
-                        yield got, rule, direction, binding, head + (a, b) + u, len(head)
+                if (not repl) == half and graph.prepend(repl, u) == result:
+                    yield rule, direction, binding, head + (a, b) + u, len(head)
         below = head + (a,)
-        for half in halves:
-            for r in memo[t][half]:
-                got = get((a, r)) or lead(a, r)
-                if result is None or got == result:
-                    yield got, t, r, below, half
+        for r in memo[t][half]:
+            if (get((a, r)) or lead(a, r)) == result:
+                yield t, r, below
 
 
 def _pair_step(found: tuple, source: int) -> RewriteStep:
-    _, rule, direction, binding, row, pos = found
+    rule, direction, binding, row, pos = found
     return RewriteStep(rule, direction, term_from_packed(source, row), pos, binding)
 
 
@@ -506,16 +488,16 @@ def match_rules(t: Term, mode: Mode, caps: SearchCaps = DEFAULT_CAPS) -> list[Re
     one step per rule, direction and result: for a pair step, the first
     that ``_steps`` gives with that rule and direction, pair results in
     the order the search reads them, so the first step listed with a
-    result is the witness step.  The steps to every result come from one
-    walk of the class.
+    result is the witness step.
     """
     source, key = _state(t)
     slide, tri = _pair_results(key)
-    results = slide + tri if mode is Mode.C else slide
-    first: dict = {result: {} for result in results}
-    for found in _steps(key, None, (0, 1) if mode is Mode.C else (0,)):
-        first[found[0]].setdefault(found[1:3], found)
-    steps = [_pair_step(found, source) for result in results for found in first[result].values()]
+    steps = []
+    for result in slide + tri if mode is Mode.C else slide:
+        first: dict = {}
+        for found in _steps(key, result):
+            first.setdefault(found[:2], found)
+        steps += (_pair_step(found, source) for found in first.values())
     if mode is Mode.C:
         expansions: dict = {}
         for fields, y in _expansions((source, key), caps):

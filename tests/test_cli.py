@@ -412,6 +412,22 @@ class TestCommands:
         assert err.startswith("usage: monocat eval")
         assert f"argument --dim: must be >= 1, got {dim}" in err
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["eq", "id(1)", "id(1)", "--max-gens", "-1"], "argument --max-gens: must be >= 0, got -1"),
+            (["eq", "id(1)", "id(1)", "--max-width", "0"], "argument --max-width: must be >= 1, got 0"),
+            (["homset", "1", "1", "--max-n", "0"], "argument --max-n: must be >= 1, got 0"),
+            (["explore", "id(1)", "--max-states", "0"], "argument --max-states: must be >= 1, got 0"),
+        ],
+        ids=["max_gens", "max_width", "max_n", "max_states"],
+    )
+    def test_caps_below_bound_rejected(self, capsys, args, message):
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: monocat {args[0]}")
+        assert message in err
+
     def test_eval_random_seed_not_an_integer(self, capsys):
         assert main(["eval", "eta(0,1)", "--phi", "random:x"]) == 2
         assert capsys.readouterr().err.strip() == "error: --phi 'random:x': SEED must be an integer"
